@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "ablation_util.h"
+#include "bench_util.h"
 #include "fuzzy/inference.h"
 
 using namespace autoglobe;

@@ -5,7 +5,7 @@
 // periodic enterprise load, the forecaster sees the daily ramps
 // coming.
 
-#include "ablation_util.h"
+#include "bench_util.h"
 #include "common/strings.h"
 
 using namespace autoglobe;

@@ -4,7 +4,7 @@
 // and forth". No protection lets the controller thrash; an overlong
 // protection freezes reaction capacity. The paper uses 30 minutes.
 
-#include "ablation_util.h"
+#include "bench_util.h"
 #include "common/strings.h"
 
 using namespace autoglobe;

@@ -4,7 +4,7 @@
 // evidence; a threshold at/above the verdict line reacts only once
 // the damage is already measurable.
 
-#include "ablation_util.h"
+#include "bench_util.h"
 #include "common/strings.h"
 
 using namespace autoglobe;

@@ -4,7 +4,7 @@
 // watch over-reacts to noise bursts (more actions); too long a watch
 // reacts late (longer overload streaks). The paper uses 10 minutes.
 
-#include "ablation_util.h"
+#include "bench_util.h"
 #include "common/strings.h"
 
 using namespace autoglobe;

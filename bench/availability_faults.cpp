@@ -14,33 +14,12 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.h"
 #include "autoglobe/availability.h"
-#include "bench_report.h"
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/strings.h"
-
-// Global allocation counter, same pattern as micro_sim/batch_engine:
-// lets the perf record report allocations per simulated tick across
-// the whole fault suite (fault runs rebuild topology, so unlike the
-// batched static path this is small-but-nonzero by design).
-static std::atomic<uint64_t> g_heap_allocs{0};
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 using namespace autoglobe;
 using namespace autoglobe::bench;
@@ -65,6 +44,8 @@ int main() {
   options.fault_spec.monitor_dropouts_per_day = 1.0;
   options.fault_spec.monitor_dropout_duration = Duration::Minutes(5);
 
+  // Fault runs rebuild topology, so unlike the batched static path
+  // allocs/tick here is small but nonzero by design.
   const uint64_t allocs_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   WallTimer timer;

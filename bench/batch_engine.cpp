@@ -22,35 +22,15 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "autoglobe/batch_runner.h"
 #include "autoglobe/capacity.h"
-#include "bench_report.h"
+#include "bench_util.h"
 #include "common/cpu_features.h"
 #include "common/logging.h"
 #include "common/strings.h"
-
-// Counts every global allocation in this binary so the batched
-// steady-state loop can prove "zero heap allocations per tick" as a
-// measured counter (same pattern as micro_sim).
-static std::atomic<uint64_t> g_heap_allocs{0};
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 using namespace autoglobe;
 using namespace autoglobe::bench;

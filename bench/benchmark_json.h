@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_report.h"
+#include "bench_util.h"
 
 namespace autoglobe::bench {
 

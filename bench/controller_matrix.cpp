@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "autoglobe/strategy_matrix.h"
-#include "bench_report.h"
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/strings.h"
 

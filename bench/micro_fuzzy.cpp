@@ -10,36 +10,14 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.h"
 #include "benchmark_json.h"
 #include "common/logging.h"
 #include "controller/rule_bases.h"
 #include "fuzzy/compiled.h"
 #include "fuzzy/inference.h"
 #include "fuzzy/rule_parser.h"
-
-// Counts every unaligned global allocation in this binary, so the
-// steady-state benchmarks can assert "zero heap allocations per
-// Evaluate() call" as a measured counter instead of a claim.
-static std::atomic<uint64_t> g_heap_allocs{0};
-
-// The replaced operator new allocates with malloc, so releasing with
-// free is the matched pair here; GCC cannot see that and warns.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace {
 

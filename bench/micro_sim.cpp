@@ -9,36 +9,14 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.h"
 #include "autoglobe/capacity.h"
 #include "benchmark_json.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "sim/simulator.h"
 #include "workload/demand.h"
-
-// Counts every global allocation in this binary so BM_DemandTick can
-// assert "zero heap allocations per steady-state Tick" as a measured
-// counter instead of a claim (same pattern as micro_fuzzy).
-static std::atomic<uint64_t> g_heap_allocs{0};
-
-// The replaced operator new allocates with malloc, so releasing with
-// free is the matched pair here; GCC cannot see that and warns.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace {
 

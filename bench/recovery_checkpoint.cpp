@@ -19,7 +19,7 @@
 #include "autoglobe/capacity.h"
 #include "autoglobe/landscape.h"
 #include "autoglobe/landscape_gen.h"
-#include "bench_report.h"
+#include "bench_util.h"
 #include "common/fileio.h"
 #include "common/logging.h"
 #include "persist/runner_checkpoint.h"

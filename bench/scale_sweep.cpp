@@ -13,35 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "autoglobe/landscape_gen.h"
 #include "autoglobe/runner.h"
-#include "bench_report.h"
+#include "bench_util.h"
 #include "common/logging.h"
-
-// Counts every global allocation in this binary so the steady-state
-// window can assert "zero heap allocations per tick" as a measured
-// counter instead of a claim (same pattern as micro_sim).
-static std::atomic<uint64_t> g_heap_allocs{0};
-
-// The replaced operator new allocates with malloc, so releasing with
-// free is the matched pair here; GCC cannot see that and warns.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace {
 

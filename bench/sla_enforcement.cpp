@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "ablation_util.h"
+#include "bench_util.h"
 #include "common/strings.h"
 
 using namespace autoglobe;

@@ -17,7 +17,7 @@
 #include <cstdlib>
 
 #include "autoglobe/capacity.h"
-#include "bench_report.h"
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"

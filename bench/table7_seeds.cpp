@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "autoglobe/capacity.h"
-#include "bench_report.h"
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/rng_kind.h"

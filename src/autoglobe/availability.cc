@@ -103,6 +103,11 @@ Result<AvailabilityRun> RunOne(const AvailabilityOptions& options,
   if (!invariants.ok()) {
     run.invariants_error = std::string(invariants.message());
   }
+  for (const infra::ServiceSpec* service : runner->cluster().Services()) {
+    if (runner->cluster().ActiveInstanceCount(service->name) == 0) {
+      ++run.extinct_services;
+    }
+  }
   return run;
 }
 

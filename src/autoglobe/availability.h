@@ -58,6 +58,8 @@ struct AvailabilityRun {
   /// bottom line: whatever was injected, the landscape is consistent).
   bool invariants_ok = false;
   std::string invariants_error;
+  /// Services left with no active instance at the end of the run.
+  int extinct_services = 0;
 };
 
 /// The whole scenario: per-repetition runs plus the pooled scorecard.

@@ -32,10 +32,6 @@ Status BatchRunner::CheckEligibility(const RunnerConfig& config) {
         "batched runs cannot take a fault plan; batch availability "
         "scenarios at the rep level instead");
   }
-  if (config.instance_failures_per_hour > 0) {
-    return Status::InvalidArgument(
-        "batched runs cannot inject legacy instance failures");
-  }
   if (!config.slas.empty()) {
     return Status::InvalidArgument("batched runs do not track SLAs");
   }

@@ -67,7 +67,6 @@ class SimulationRunner::View : public controller::LoadView {
 SimulationRunner::SimulationRunner(RunnerConfig config)
     : config_(config),
       archive_(config.archive_retention, config.archive_bucket),
-      failure_rng_(config.seed ^ 0xfa11fa11u),
       degraded_(config.degraded) {}
 
 SimulationRunner::~SimulationRunner() = default;
@@ -87,8 +86,6 @@ Status SimulationRunner::Init(const Landscape& landscape) {
   actions_executed_counter_ = registry_.AddCounter("actions_executed");
   actions_failed_counter_ = registry_.AddCounter("actions_failed");
   alerts_counter_ = registry_.AddCounter("alerts");
-  failures_injected_counter_ = registry_.AddCounter("failures_injected");
-  failures_remedied_counter_ = registry_.AddCounter("failures_remedied");
   sla_violations_counter_ = registry_.AddCounter("sla_violations_entered");
   executor_actions_failed_counter_ =
       registry_.AddCounter("executor_actions_failed_total");
@@ -409,7 +406,6 @@ Status SimulationRunner::ResetForRerun(uint64_t seed, double user_scale) {
   simulator_.Reset();
   demand_->ResetRunState(seed, config_.rng_kind);
   demand_->set_user_scale(user_scale);
-  failure_rng_ = Rng(seed ^ 0xfa11fa11u);
   archive_.ClearSamples();
   monitoring_->ResetObservations();
   pool_stats_.Reset(&cluster_.Index());
@@ -444,7 +440,6 @@ void SimulationRunner::OnTick() {
   if (config_.degraded.enabled && config_.degraded.tick_deadline_ms > 0.0) {
     tick_started = std::chrono::steady_clock::now();
   }
-  if (config_.instance_failures_per_hour > 0) InjectFailures();
 
   demand_->Tick(now, config_.tick);
 
@@ -665,42 +660,6 @@ void SimulationRunner::OnTrigger(const Trigger& trigger) {
   }
 }
 
-void SimulationRunner::InjectFailures() {
-  double p_per_tick = config_.instance_failures_per_hour *
-                      (config_.tick.seconds() / 3600.0);
-  std::vector<infra::InstanceId> crashed;
-  for (const infra::ServerSpec* server : cluster_.Servers()) {
-    for (const infra::ServiceInstance* instance :
-         cluster_.InstancesOn(server->name)) {
-      if (instance->state != infra::InstanceState::kRunning) continue;
-      if (failure_rng_.Bernoulli(p_per_tick)) {
-        crashed.push_back(instance->id);
-      }
-    }
-  }
-  for (infra::InstanceId id : crashed) {
-    AG_CHECK_OK(cluster_.SetInstanceState(id, infra::InstanceState::kFailed));
-    ++metrics_.failures_injected;
-    failures_injected_counter_.Increment();
-    if (trace_ != nullptr) {
-      trace_->Record(simulator_.now(),
-                     obs::TraceEventKind::kInstanceLifecycle,
-                     "instance-failed", {}, static_cast<int64_t>(id));
-    }
-    messages_.push_back(StrFormat(
-        "%s  FAIL instance %llu", simulator_.now().ToString().c_str(),
-        static_cast<unsigned long long>(id)));
-    if (config_.controller_enabled) {
-      // Self-healing: "Failure situations like a program crash are
-      // remedied for example with a restart" (§2).
-      if (controller_->RemedyFailure(id, simulator_.now()).ok()) {
-        ++metrics_.failures_remedied;
-        failures_remedied_counter_.Increment();
-      }
-    }
-  }
-}
-
 void SimulationRunner::ReconcileInstanceWatches(SimTime now) {
   if (watched_epoch_ == cluster_.topology_epoch()) return;
   watched_epoch_ = cluster_.topology_epoch();
@@ -787,6 +746,10 @@ Status SimulationRunner::RunUntil(SimTime end) {
   AG_RETURN_IF_ERROR(monitoring_->MaterializeAll());
   // Fold engine-level metrics.
   metrics_.lost_work_wu = demand_->TotalLostWork();
+  if (config_.fault_plan.has_value()) {
+    metrics_.failures_injected = fault_injector_->stats().instances_crashed;
+    metrics_.failures_remedied = recovery_->stats().recovered;
+  }
   metrics_.sla_violation_minutes = slas_.TotalViolationMinutes();
   metrics_.average_cpu_load =
       load_samples_ > 0 ? load_sum_ / static_cast<double>(load_samples_)

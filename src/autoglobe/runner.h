@@ -87,18 +87,13 @@ struct RunnerConfig {
   /// Smoothing window for the overload verdict.
   Duration overload_smoothing = Duration::Minutes(15);
 
-  /// Mean instance crashes per instance-hour (failure injection; 0
-  /// disables). This is the legacy Bernoulli-per-tick model with
-  /// immediate remediation; the richer crash model below supersedes
-  /// it for availability studies but both may run together.
-  double instance_failures_per_hour = 0.0;
-
-  /// Fault-injection & self-healing (the availability scenario). With
-  /// a plan set, the FaultInjector arms it at Init, heartbeat-based
-  /// failure detection is enabled in the monitor, and the
-  /// RecoveryManager heals detected failures (restart with backoff,
-  /// relocation, evacuation). Unset = all of it off, and the run is
-  /// byte-identical to a build without the fault subsystem.
+  /// Fault injection & self-healing — the simulator's only failure
+  /// model (§2: "a program crash [is] remedied for example with a
+  /// restart"). With a plan set, the FaultInjector arms it at Init,
+  /// heartbeat-based failure detection is enabled in the monitor, and
+  /// the RecoveryManager heals detected failures (restart with
+  /// backoff, relocation, evacuation). Unset = all of it off, and the
+  /// run is byte-identical to a build without the fault subsystem.
   std::optional<faults::FaultPlan> fault_plan;
   faults::RecoveryConfig recovery;
   faults::AvailabilityConfig availability;
@@ -158,6 +153,8 @@ struct RunMetrics {
   int64_t actions_executed = 0;
   int64_t actions_failed = 0;
   int64_t alerts = 0;
+  /// Fault-plan instance crashes injected and failures healed by the
+  /// RecoveryManager (0 without a fault plan).
   int64_t failures_injected = 0;
   int64_t failures_remedied = 0;
   /// Cumulative minutes any SLA spent in violation (QoS extension).
@@ -326,7 +323,6 @@ class SimulationRunner {
   /// Folds strategy telemetry (reward/weight-update counts) into
   /// RunMetrics and the registry counters; idempotent per delta.
   void FoldStrategyTelemetry();
-  void InjectFailures();
   /// Heartbeat-watch reconciliation against the topology epoch: new
   /// instances get a watch, removed instances are unwatched, so the
   /// monitor never holds a live reference to a dead subject.
@@ -350,7 +346,6 @@ class SimulationRunner {
   std::unique_ptr<forecast::LoadForecaster> forecaster_;
   std::unique_ptr<controller::Controller> controller_;
   std::unique_ptr<strategy::ControllerStrategy> strategy_;
-  Rng failure_rng_;
   /// Fault subsystem (all nullptr when config_.fault_plan is unset).
   std::unique_ptr<faults::AvailabilityTracker> availability_;
   std::unique_ptr<faults::FaultInjector> fault_injector_;
@@ -387,8 +382,6 @@ class SimulationRunner {
   obs::Counter actions_executed_counter_;
   obs::Counter actions_failed_counter_;
   obs::Counter alerts_counter_;
-  obs::Counter failures_injected_counter_;
-  obs::Counter failures_remedied_counter_;
   obs::Counter sla_violations_counter_;
   obs::Counter executor_actions_failed_counter_;
   obs::Counter executor_retries_counter_;

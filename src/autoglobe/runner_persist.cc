@@ -21,23 +21,7 @@ namespace {
 /// Bumped when any section's encoding changes shape. The snapshot
 /// container has its own format version; this one guards the runner's
 /// section layout specifically.
-constexpr uint64_t kSectionLayoutVersion = 1;
-
-void WriteRngState(ByteWriter* w, const Rng::State& state) {
-  for (uint64_t word : state.words) w->U64(word);
-  w->U8(state.have_cached_normal ? 1 : 0);
-  w->F64(state.cached_normal);
-}
-
-Status ReadRngState(ByteReader* r, Rng::State* state) {
-  for (uint64_t& word : state->words) {
-    AG_ASSIGN_OR_RETURN(word, r->U64());
-  }
-  AG_ASSIGN_OR_RETURN(uint8_t cached, r->U8());
-  state->have_cached_normal = cached != 0;
-  AG_ASSIGN_OR_RETURN(state->cached_normal, r->F64());
-  return Status::OK();
-}
+constexpr uint64_t kSectionLayoutVersion = 2;
 
 void WriteMetricsSnapshot(ByteWriter* w, const obs::MetricsSnapshot& snap) {
   w->U32(static_cast<uint32_t>(snap.counters.size()));
@@ -228,7 +212,6 @@ Status SimulationRunner::SaveStateSections(
     }
     w.F64(load_sum_);
     w.I64(load_samples_);
-    WriteRngState(&w, failure_rng_.SaveState());
     w.I64(folded_reward_updates_);
     w.I64(folded_weight_updates_);
     // Heartbeat watches: ids + keys; the dense heartbeat slots are
@@ -452,9 +435,6 @@ Status SimulationRunner::RestoreStateSections(
     }
     AG_ASSIGN_OR_RETURN(load_sum_, r.F64());
     AG_ASSIGN_OR_RETURN(load_samples_, r.I64());
-    Rng::State rng_state;
-    AG_RETURN_IF_ERROR(ReadRngState(&r, &rng_state));
-    failure_rng_.RestoreState(rng_state);
     AG_ASSIGN_OR_RETURN(folded_reward_updates_, r.I64());
     AG_ASSIGN_OR_RETURN(folded_weight_updates_, r.I64());
     AG_ASSIGN_OR_RETURN(watched_epoch_, r.U64());

@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cmath>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -106,7 +107,10 @@ Result<double> ParseDouble(std::string_view s) {
   errno = 0;
   char* end = nullptr;
   double value = std::strtod(trimmed.c_str(), &end);
-  if (end != trimmed.c_str() + trimmed.size() || errno == ERANGE) {
+  // strtod accepts "nan"/"inf"; NaN would slip past every `<= 0`
+  // range check downstream, so only finite values parse.
+  if (end != trimmed.c_str() + trimmed.size() || errno == ERANGE ||
+      !std::isfinite(value)) {
     return Status::ParseError(StrFormat("not a number: \"%s\"",
                                         trimmed.c_str()));
   }

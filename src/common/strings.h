@@ -34,6 +34,7 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Strict numeric parsing of the complete (whitespace-stripped) input.
+/// ParseDouble accepts finite values only (no "nan"/"inf").
 Result<double> ParseDouble(std::string_view s);
 Result<long long> ParseInt(std::string_view s);
 Result<bool> ParseBool(std::string_view s);

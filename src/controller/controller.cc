@@ -835,34 +835,6 @@ Result<ControllerOutcome> Controller::HandleTrigger(const Trigger& trigger,
   return outcome;
 }
 
-Status Controller::RemedyFailure(InstanceId id, SimTime now) {
-  AG_ASSIGN_OR_RETURN(const ServiceInstance* instance,
-                      cluster_->FindInstance(id));
-  if (instance->state != infra::InstanceState::kFailed) {
-    return Status::FailedPrecondition("instance has not failed");
-  }
-  std::string service = instance->service;
-  if (executor_->RestartInstance(id).ok()) return Status::OK();
-
-  // Restart failed (e.g. broken host): start a replacement elsewhere.
-  Action probe;
-  probe.type = ActionType::kMove;
-  probe.service = service;
-  probe.instance = id;
-  AG_ASSIGN_OR_RETURN(std::vector<ScoredServer> hosts,
-                      RankServers(probe, now));
-  AG_RETURN_IF_ERROR(
-      cluster_->RemoveInstance(id, /*enforce_min=*/false));
-  for (const ScoredServer& host : hosts) {
-    if (executor_->LaunchInstance(service, host.server).ok()) {
-      return Status::OK();
-    }
-  }
-  return Status::ResourceExhausted(StrFormat(
-      "no host available to replace failed instance of \"%s\"",
-      service.c_str()));
-}
-
 size_t Controller::TotalActionRules() const {
   size_t total = 0;
   for (const auto& [kind, base] : action_bases_) total += base.size();

@@ -152,10 +152,6 @@ class Controller {
   Result<ControllerOutcome> HandleTrigger(const monitor::Trigger& trigger,
                                           bool urgent = false);
 
-  /// Self-healing (§2): restarts a failed instance; if the restart
-  /// fails, falls back to starting a replacement on another host.
-  Status RemedyFailure(infra::InstanceId id, SimTime now);
-
   // --- Introspection (drives the controller console) --------------------
   /// Ranks actions for a trigger without executing anything.
   Result<std::vector<ScoredAction>> RankActions(

@@ -1,8 +1,28 @@
 #include "infra/specs.h"
 
+#include <limits>
+
 #include "common/strings.h"
 
 namespace autoglobe::infra {
+
+namespace {
+
+/// An optional integer attribute that must fit the spec's `int` field
+/// (a plain cast would wrap "4294967297" to 1 and pass validation).
+Result<int> IntFieldOr(const xml::Element& element, std::string_view name,
+                       int fallback) {
+  AG_ASSIGN_OR_RETURN(long long value, element.IntAttributeOr(name, fallback));
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::ParseError(StrFormat(
+        "attribute \"%.*s\": %lld is out of range",
+        static_cast<int>(name.size()), name.data(), value));
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
 
 Result<ServerSpec> ServerSpec::FromXml(const xml::Element& element) {
   ServerSpec spec;
@@ -10,8 +30,7 @@ Result<ServerSpec> ServerSpec::FromXml(const xml::Element& element) {
   spec.category = std::string(element.AttributeOr("category", ""));
   AG_ASSIGN_OR_RETURN(spec.performance_index,
                       element.DoubleAttributeOr("performanceIndex", 1.0));
-  AG_ASSIGN_OR_RETURN(long long cpus, element.IntAttributeOr("cpus", 1));
-  spec.num_cpus = static_cast<int>(cpus);
+  AG_ASSIGN_OR_RETURN(spec.num_cpus, IntFieldOr(element, "cpus", 1));
   AG_ASSIGN_OR_RETURN(spec.cpu_clock_ghz,
                       element.DoubleAttributeOr("clockGhz", 1.0));
   AG_ASSIGN_OR_RETURN(spec.cpu_cache_mb,
@@ -99,18 +118,15 @@ Result<ServiceSpec> ServiceSpec::FromXml(const xml::Element& element) {
   AG_ASSIGN_OR_RETURN(
       spec.min_performance_index,
       element.DoubleAttributeOr("minPerformanceIndex", 0.0));
-  AG_ASSIGN_OR_RETURN(long long min_inst,
-                      element.IntAttributeOr("minInstances", 1));
-  spec.min_instances = static_cast<int>(min_inst);
-  AG_ASSIGN_OR_RETURN(long long max_inst,
-                      element.IntAttributeOr("maxInstances", 16));
-  spec.max_instances = static_cast<int>(max_inst);
+  AG_ASSIGN_OR_RETURN(spec.min_instances,
+                      IntFieldOr(element, "minInstances", 1));
+  AG_ASSIGN_OR_RETURN(spec.max_instances,
+                      IntFieldOr(element, "maxInstances", 16));
   AG_ASSIGN_OR_RETURN(
       spec.memory_footprint_gb,
       element.DoubleAttributeOr("memoryFootprintGb", 1.0));
-  AG_ASSIGN_OR_RETURN(long long watch_minutes,
-                      element.IntAttributeOr("watchTimeMinutes", 0));
-  spec.watch_time_minutes = static_cast<int>(watch_minutes);
+  AG_ASSIGN_OR_RETURN(spec.watch_time_minutes,
+                      IntFieldOr(element, "watchTimeMinutes", 0));
   spec.allowed_actions.clear();
   std::string_view actions = element.AttributeOr("actions", "");
   if (!actions.empty()) {

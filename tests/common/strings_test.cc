@@ -58,6 +58,11 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("abc").ok());
   EXPECT_FALSE(ParseDouble("1.5x").ok());
   EXPECT_FALSE(ParseDouble("").ok());
+  // strtod accepts these; ParseDouble must not.
+  for (const char* non_finite : {"nan", "NaN", "-nan", "inf", "-inf",
+                                 "Infinity", "1e999"}) {
+    EXPECT_FALSE(ParseDouble(non_finite).ok()) << non_finite;
+  }
 }
 
 TEST(StringsTest, ParseInt) {

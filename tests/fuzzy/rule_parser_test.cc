@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace autoglobe::fuzzy {
 namespace {
 
@@ -119,6 +121,11 @@ struct BadRuleCase {
   const char* name;
   const char* text;
 };
+
+// Without this gtest prints the raw bytes of the two pointers, so the
+// listed case names (and the ctest names derived from them) would change
+// with every build and every load address.
+void PrintTo(const BadRuleCase& c, std::ostream* os) { *os << c.name; }
 
 class RuleParserErrorTest : public ::testing::TestWithParam<BadRuleCase> {};
 

@@ -46,6 +46,32 @@ TEST(ServerSpecTest, ValidationRejectsBadValues) {
   EXPECT_TRUE(spec.Validate().ok());
 }
 
+TEST(ServerSpecTest, NonFiniteValueRejected) {
+  // NaN fails every `<= 0` check, so it must not parse at all.
+  auto doc = xml::Document::Parse(
+      "<server name=\"Blade1\" performanceIndex=\"nan\"/>");
+  ASSERT_TRUE(doc.ok());
+  auto spec = ServerSpec::FromXml(*doc->root());
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kParseError);
+}
+
+/// Loads `xml` as a server or service spec and expects a ParseError.
+template <typename Spec>
+void ExpectOutOfIntRange(const std::string& xml) {
+  auto doc = xml::Document::Parse(xml);
+  ASSERT_TRUE(doc.ok());
+  auto spec = Spec::FromXml(*doc->root());
+  ASSERT_FALSE(spec.ok()) << xml;
+  EXPECT_EQ(spec.status().code(), StatusCode::kParseError) << xml;
+}
+
+TEST(ServerSpecTest, CpusOutOfIntRangeRejected) {
+  // 2^32 + 1 would narrow to 1 cpu and pass validation.
+  ExpectOutOfIntRange<ServerSpec>(
+      "<server name=\"Blade1\" cpus=\"4294967297\"/>");
+}
+
 TEST(ServerSpecTest, XmlRoundTrip) {
   ServerSpec spec;
   spec.name = "Blade9";
@@ -122,6 +148,21 @@ TEST(ServiceSpecTest, ValidationRejectsBadBounds) {
   EXPECT_FALSE(spec.Validate().ok());
   spec.min_performance_index = 0;
   EXPECT_TRUE(spec.Validate().ok());
+}
+
+TEST(ServiceSpecTest, MinInstancesOutOfIntRangeRejected) {
+  ExpectOutOfIntRange<ServiceSpec>(
+      "<service name=\"FI\" minInstances=\"4294967297\"/>");
+}
+
+TEST(ServiceSpecTest, MaxInstancesOutOfIntRangeRejected) {
+  ExpectOutOfIntRange<ServiceSpec>(
+      "<service name=\"FI\" maxInstances=\"4294967298\"/>");
+}
+
+TEST(ServiceSpecTest, WatchTimeOutOfIntRangeRejected) {
+  ExpectOutOfIntRange<ServiceSpec>(
+      "<service name=\"FI\" watchTimeMinutes=\"-4294967296\"/>");
 }
 
 TEST(ServiceSpecTest, BadActionListRejected) {

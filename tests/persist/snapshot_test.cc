@@ -20,6 +20,7 @@ namespace {
 using persist::CheckpointStore;
 using persist::DecodeSnapshot;
 using persist::EncodeSnapshot;
+using persist::kSnapshotVersion;
 using persist::SnapshotData;
 
 // Fresh per-test scratch directory: wiped on entry so reruns in the
@@ -74,21 +75,41 @@ TEST(SnapshotTest, RejectsEveryBitFlip) {
   }
 }
 
-TEST(SnapshotTest, RejectsWrongVersion) {
-  std::string image = EncodeSnapshot(3, SampleSections());
-  // The version u32 sits right after the 8-byte magic. Bump it and
-  // re-seal the trailer so only the version check can fire.
-  std::string corrupt = image;
-  corrupt[8] = static_cast<char>(corrupt[8] + 1);
-  std::string body = corrupt.substr(0, corrupt.size() - 8);
+/// Rewrites the container's version field and re-seals the trailer,
+/// so only the version check can fire.
+std::string WithVersion(std::string image, uint32_t version) {
+  // The version u32 sits right after the 8-byte magic.
+  for (int i = 0; i < 4; ++i) {
+    image[8 + static_cast<size_t>(i)] =
+        static_cast<char>((version >> (8 * i)) & 0xff);
+  }
+  std::string body = image.substr(0, image.size() - 8);
   uint64_t checksum = Fnv1a64(body);
   for (int i = 0; i < 8; ++i) {
-    corrupt[body.size() + static_cast<size_t>(i)] =
+    image[body.size() + static_cast<size_t>(i)] =
         static_cast<char>((checksum >> (8 * i)) & 0xff);
   }
-  auto decoded = DecodeSnapshot(corrupt);
+  return image;
+}
+
+TEST(SnapshotTest, RejectsWrongVersion) {
+  std::string image = EncodeSnapshot(3, SampleSections());
+  auto decoded = DecodeSnapshot(WithVersion(image, kSnapshotVersion + 1));
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos)
+      << decoded.status();
+}
+
+TEST(SnapshotTest, RejectsVersion1Snapshots) {
+  // Version 1 runner sections still carried the legacy failure model's
+  // RNG state; they must fail on the version, never misparse.
+  ASSERT_NE(kSnapshotVersion, 1u);
+  std::string image = EncodeSnapshot(3, SampleSections());
+  auto decoded = DecodeSnapshot(WithVersion(image, 1));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(decoded.status().ToString().find("unsupported snapshot version 1"),
+            std::string::npos)
       << decoded.status();
 }
 
