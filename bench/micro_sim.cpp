@@ -9,9 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "alloc_counter.h"
 #include "autoglobe/capacity.h"
+#include "autoglobe/landscape_gen.h"
 #include "benchmark_json.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -165,6 +167,78 @@ BENCHMARK(BM_CapacitySweepShort)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Host selection on a warmed 1,000-server fleet: the scale_sweep
+// configuration at user scale 1.5 (the fleet_10k perf workload at a
+// tenth of its size), warmed past the one-hour archive retention.
+// Ranks the targets for moving the first instance off the busiest
+// server, pool prescreen on. A ranked candidate's one allocation is
+// its name in the returned ScoredServer, so allocs_per_candidate
+// stays near 1; per-candidate key strings or instance vectors would
+// show up here as 2 or more.
+void BM_RankServers(benchmark::State& state) {
+  auto landscape = GenerateLandscape(MakeScaleSpec(1000));
+  AG_CHECK_OK(landscape.status());
+  RunnerConfig config;
+  config.tick = Duration::Minutes(1);
+  config.duration = Duration::Hours(2);
+  config.seed = 1;
+  config.user_scale = 1.5;
+  config.fluctuation_per_minute = 0.0;
+  config.archive_retention = Duration::Hours(1);
+  config.archive_bucket = Duration::Minutes(15);
+  config.controller.pool_prescreen = true;
+  auto runner = SimulationRunner::Create(*landscape, config);
+  AG_CHECK_OK(runner.status());
+  AG_CHECK_OK(
+      (*runner)->RunUntil(SimTime::Start() + Duration::Minutes(70)));
+
+  const infra::LandscapeIndex& index = (*runner)->cluster().Index();
+  infra::DenseId busiest = infra::kNoDenseId;
+  for (size_t s = 0; s < index.num_servers(); ++s) {
+    infra::DenseId id = static_cast<infra::DenseId>(s);
+    if (index.InstancesOnServer(id).empty()) continue;
+    if (busiest == infra::kNoDenseId ||
+        (*runner)->demand().ServerCpuLoadById(id) >
+            (*runner)->demand().ServerCpuLoadById(busiest)) {
+      busiest = id;
+    }
+  }
+  AG_CHECK(busiest != infra::kNoDenseId);
+  const infra::InstanceRef& mover = index.InstancesOnServer(busiest).front();
+  infra::Action move;
+  move.type = infra::ActionType::kMove;
+  move.service = index.ServiceName(mover.service);
+  move.instance = mover.id;
+  move.source_server = index.ServerName(busiest);
+
+  const controller::Controller& controller = (*runner)->controller();
+  const SimTime now = (*runner)->simulator().now();
+  auto warm = controller.RankServers(move, now);
+  AG_CHECK_OK(warm.status());
+  const double candidates = static_cast<double>(warm->size());
+  AG_CHECK(candidates > 0);
+
+  uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto hosts = controller.RankServers(move, now);
+    benchmark::DoNotOptimize(hosts);
+  }
+  double ns = std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+  uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  double ranked = candidates * static_cast<double>(state.iterations());
+  state.counters["candidates"] = candidates;
+  state.counters["ns_per_candidate"] = ranked > 0 ? ns / ranked : 0.0;
+  state.counters["allocs_per_candidate"] =
+      ranked > 0 ? static_cast<double>(allocs) / ranked : 0.0;
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(candidates));
+}
+BENCHMARK(BM_RankServers)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

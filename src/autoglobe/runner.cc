@@ -14,43 +14,54 @@ using monitor::TriggerKind;
 
 /// LoadView backed by the archive (watch-time means per §4.1) and the
 /// live demand engine; optionally replaces server/service loads with
-/// forecasts for the proactive-controller ablation.
+/// forecasts for the proactive-controller ablation. Server ids are the
+/// cluster index's dense ids — the ranks of `server_names_`, fixed
+/// after Init — so a candidate host's load is read through the subject
+/// id and forecast key resolved at Init and the subject's cached
+/// archive handle, with no name search.
 class SimulationRunner::View : public controller::LoadView {
  public:
   View(SimulationRunner* runner) : runner_(runner) {}
 
-  double ServerCpuLoad(std::string_view server) const override {
-    return SubjectLoad(TriggerKind::kServerOverloaded, server,
-                       runner_->demand_->ServerCpuLoad(server));
+  double ServerCpuLoad(infra::DenseId server) const override {
+    size_t i = static_cast<size_t>(server);
+    return SubjectLoad(runner_->server_subjects_[i],
+                       runner_->server_keys_[i],
+                       runner_->demand_->ServerCpuLoadById(server));
   }
-  double ServerMemLoad(std::string_view server) const override {
+  double ServerMemLoad(infra::DenseId server) const override {
     // Memory load changes stepwise with placements; the live value is
     // the honest signal.
-    return runner_->demand_->ServerMemLoad(server);
+    return runner_->demand_->ServerMemLoadById(server);
   }
   double InstanceLoad(infra::InstanceId id) const override {
     return runner_->demand_->InstanceLoad(id);
   }
   double ServiceLoad(std::string_view service) const override {
-    return SubjectLoad(TriggerKind::kServiceOverloaded, service,
-                       runner_->demand_->ServiceLoad(service));
+    infra::DenseId id = runner_->cluster_.Index().ServiceIdOf(service);
+    double live = runner_->demand_->ServiceLoadById(id);
+    if (id == infra::kNoDenseId) return live;
+    size_t i = static_cast<size_t>(id);
+    return SubjectLoad(runner_->service_subjects_[i],
+                       runner_->service_keys_[i], live);
   }
 
  private:
-  double SubjectLoad(TriggerKind kind, std::string_view name,
+  double SubjectLoad(monitor::SubjectId subject, const std::string& key,
                      double live) const {
-    std::string key = LoadMonitoringSystem::ArchiveKey(kind, name);
     SimTime now = runner_->simulator_.now();
     // Dirty tracking may hold a quiescent subject's recent samples
     // compressed outside the archive — replay them before reading, so
     // the watch-time mean is computed over the complete series.
-    auto subject = runner_->monitoring_->SubjectIdOf(name);
-    if (subject.ok()) {
-      AG_CHECK_OK(runner_->monitoring_->MaterializeSubject(*subject));
+    AG_CHECK_OK(runner_->monitoring_->MaterializeSubject(subject));
+    monitor::LoadArchive::Handle series =
+        runner_->monitoring_->SeriesOf(subject);
+    double current = live;
+    if (series) {
+      auto mean = runner_->archive_.Average(
+          series, runner_->config_.monitor.overload_watch_time, now);
+      if (mean.ok()) current = *mean;
     }
-    auto mean = runner_->archive_.Average(
-        key, runner_->config_.monitor.overload_watch_time, now);
-    double current = mean.ok() ? *mean : live;
     if (runner_->config_.use_forecast && runner_->forecaster_ != nullptr) {
       // Proactive mode reacts to *imminent* overloads: the controller
       // sees whichever is worse, the trailing mean or the prediction —
@@ -663,38 +674,41 @@ void SimulationRunner::OnTrigger(const Trigger& trigger) {
 void SimulationRunner::ReconcileInstanceWatches(SimTime now) {
   if (watched_epoch_ == cluster_.topology_epoch()) return;
   watched_epoch_ = cluster_.topology_epoch();
-  // Current instance set, in deterministic (sorted service, ascending
-  // id) order.
-  std::map<infra::InstanceId, const infra::ServiceInstance*> current;
-  for (const std::string& service : service_names_) {
-    for (const infra::ServiceInstance* instance :
-         cluster_.InstancesOf(service)) {
-      current[instance->id] = instance;
-    }
-  }
+  // The index lists every live instance in ascending id order — the
+  // key order of watched_instances_ — so two merge passes find the
+  // gone and the new instances without a lookup per instance.
+  std::span<const infra::InstanceRef> current = cluster_.Index().Instances();
   // Drop watches whose instance is gone (removed / relocated away) —
   // the monitor must never raise a trigger for a dead subject.
+  auto live = current.begin();
   for (auto it = watched_instances_.begin();
        it != watched_instances_.end();) {
-    if (current.find(it->first) == current.end()) {
+    while (live != current.end() && live->id < it->first) ++live;
+    if (live == current.end() || live->id != it->first) {
       AG_CHECK_OK(monitoring_->UnwatchHeartbeat(it->second.key));
       it = watched_instances_.erase(it);
     } else {
       ++it;
     }
   }
-  // Watch newly placed instances, caching the dense heartbeat slot
-  // for the per-tick feed.
-  for (const auto& [id, instance] : current) {
-    if (watched_instances_.find(id) != watched_instances_.end()) continue;
+  // Watch newly placed instances (every remaining watch is live, so
+  // an id missing from the watch map is new), caching the dense
+  // heartbeat slot for the per-tick feed.
+  auto watched = watched_instances_.begin();
+  for (const infra::InstanceRef& ref : current) {
+    if (watched != watched_instances_.end() && watched->first == ref.id) {
+      ++watched;
+      continue;
+    }
     std::string key =
-        StrFormat("i/%llu", static_cast<unsigned long long>(id));
+        StrFormat("i/%llu", static_cast<unsigned long long>(ref.id));
     AG_CHECK_OK(monitoring_->WatchHeartbeat(TriggerKind::kInstanceFailed,
-                                            key, instance->service, now,
-                                            id));
+                                            key, ref.instance->service, now,
+                                            ref.id));
     auto hb_id = monitoring_->HeartbeatIdOf(key);
     AG_CHECK_OK(hb_id.status());
-    watched_instances_[id] = WatchedInstance{std::move(key), *hb_id};
+    watched_instances_.emplace_hint(
+        watched, ref.id, WatchedInstance{std::move(key), *hb_id});
   }
 }
 

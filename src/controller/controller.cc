@@ -275,15 +275,17 @@ Status Controller::FillActionSlots(const ServiceInstance& instance,
                                    const CompiledBase& base) const {
   AG_ASSIGN_OR_RETURN(const infra::ServerSpec* server,
                       cluster_->FindServer(instance.server));
+  const infra::LandscapeIndex& index = cluster_->Index();
+  const infra::DenseId server_id = index.ServerIdOf(instance.server);
   const auto& names = base.compiled.inputs().names();
   for (size_t i = 0; i < names.size(); ++i) {
     double value = 0.0;
     switch (base.sources[i]) {
       case kCpuLoad:
-        value = view_->ServerCpuLoad(instance.server);
+        value = view_->ServerCpuLoad(server_id);
         break;
       case kMemLoad:
-        value = view_->ServerMemLoad(instance.server);
+        value = view_->ServerMemLoad(server_id);
         break;
       case kPerformanceIndex:
         value = server->performance_index;
@@ -295,8 +297,7 @@ Status Controller::FillActionSlots(const ServiceInstance& instance,
         value = view_->ServiceLoad(instance.service);
         break;
       case kInstancesOnServer:
-        value =
-            static_cast<double>(cluster_->InstancesOn(instance.server).size());
+        value = static_cast<double>(index.InstancesOnServer(server_id).size());
         break;
       case kInstancesOfService:
         value = static_cast<double>(
@@ -313,16 +314,17 @@ Status Controller::FillActionSlots(const ServiceInstance& instance,
   return Status::OK();
 }
 
-Status Controller::FillServerSlots(const infra::ServerSpec& server,
-                                   SimTime now,
+Status Controller::FillServerSlots(const infra::LandscapeIndex& index,
+                                   infra::DenseId server_id, SimTime now,
                                    std::string_view requesting_service,
                                    const CompiledBase& base) const {
+  const infra::ServerSpec& server = index.Server(server_id);
   const auto& names = base.compiled.inputs().names();
   for (size_t i = 0; i < names.size(); ++i) {
     double value = 0.0;
     switch (base.sources[i]) {
       case kCpuLoad: {
-        double cpu = view_->ServerCpuLoad(server.name);
+        double cpu = view_->ServerCpuLoad(server_id);
         if (reservations_ != nullptr && server.performance_index > 0) {
           // Spoken-for capacity counts as load for placement decisions.
           cpu += reservations_->ReservedCpu(server.name, now,
@@ -334,10 +336,10 @@ Status Controller::FillServerSlots(const infra::ServerSpec& server,
         break;
       }
       case kMemLoad:
-        value = view_->ServerMemLoad(server.name);
+        value = view_->ServerMemLoad(server_id);
         break;
       case kInstancesOnServer:
-        value = static_cast<double>(cluster_->InstancesOn(server.name).size());
+        value = static_cast<double>(index.InstancesOnServer(server_id).size());
         break;
       case kPerformanceIndex:
         value = server.performance_index;
@@ -540,15 +542,7 @@ Result<std::vector<ScoredServer>> Controller::RankServers(
     const Action& action, SimTime now,
     obs::HostSelectionAudit* audit) const {
   if (audit != nullptr) audit->action = action.ToString();
-  Result<std::vector<ScoredServer>> ranked =
-      RankServersImpl(action, now, audit);
-  if (ranked.ok() && audit != nullptr) {
-    audit->ranked.reserve(ranked->size());
-    for (const ScoredServer& host : *ranked) {
-      audit->ranked.push_back(obs::NamedValue{host.server, host.score});
-    }
-  }
-  return ranked;
+  return RankServersImpl(action, now, audit);
 }
 
 Result<std::vector<ScoredServer>> Controller::RankServersImpl(
@@ -568,16 +562,27 @@ Result<std::vector<ScoredServer>> Controller::RankServersImpl(
         "no rule writes output variable \"suitability\"");
   }
 
+  // Everything about the placed service and the source host is
+  // resolved once per call; the candidate loop below runs on dense
+  // ids and does no name search.
+  const infra::LandscapeIndex& index = cluster_->Index();
   double source_pi = 0.0;
-  std::string source_server;
+  infra::DenseId source_id = infra::kNoDenseId;
+  const infra::InstanceId exclude =
+      infra::ActionNeedsInstance(action.type) ? action.instance : 0;
   if (infra::ActionNeedsInstance(action.type)) {
     AG_ASSIGN_OR_RETURN(const ServiceInstance* instance,
                         cluster_->FindInstance(action.instance));
-    source_server = instance->server;
     AG_ASSIGN_OR_RETURN(const infra::ServerSpec* source,
-                        cluster_->FindServer(source_server));
+                        cluster_->FindServer(instance->server));
     source_pi = source->performance_index;
+    source_id = index.ServerIdOf(source->name);
   }
+  // An unknown service fails every placement check with this status.
+  const Result<const infra::ServiceSpec*> service =
+      cluster_->FindService(action.service);
+  const int active_instances =
+      cluster_->ActiveInstanceCount(action.service, exclude);
 
   // "First, a list of all possible servers is determined. Initially,
   //  these are all servers on which an instance of the service can be
@@ -588,9 +593,18 @@ Result<std::vector<ScoredServer>> Controller::RankServersImpl(
           obs::CandidateRejection{server, std::move(reason)});
     }
   };
-  std::vector<ScoredServer> scored;
-  auto consider = [&](const infra::ServerSpec& server) -> Status {
-    if (server.name == source_server) return Status::OK();
+  // Hosts that pass are kept as (score, dense id). Dense ids enumerate
+  // names in sorted order, so ordering ties by id is ordering them by
+  // name: the sort compares no strings, and only returned hosts get a
+  // name copy.
+  struct Candidate {
+    double score;
+    infra::DenseId server;
+  };
+  std::vector<Candidate> passed;
+  auto consider = [&](infra::DenseId id) -> Status {
+    if (id == source_id) return Status::OK();
+    const infra::ServerSpec& server = index.Server(id);
     if (cluster_->IsServerProtected(server.name, now)) {
       reject(server.name, "server is in protection mode");
       return Status::OK();
@@ -602,10 +616,10 @@ Result<std::vector<ScoredServer>> Controller::RankServersImpl(
         return Status::OK();
       }
     }
-    infra::InstanceId exclude =
-        infra::ActionNeedsInstance(action.type) ? action.instance : 0;
     Status can_place =
-        cluster_->CanPlace(action.service, server.name, exclude);
+        service.ok() ? cluster_->CanPlaceById(**service, id, exclude,
+                                              active_instances)
+                     : service.status();
     if (!can_place.ok()) {
       reject(server.name, can_place.message());
       return Status::OK();
@@ -626,13 +640,11 @@ Result<std::vector<ScoredServer>> Controller::RankServersImpl(
     }
     if (reservations_ != nullptr) {
       // Leave reserved memory untouched for the registered task.
-      AG_ASSIGN_OR_RETURN(const infra::ServiceSpec* spec,
-                          cluster_->FindService(action.service));
       double reserved = reservations_->ReservedMemory(
           server.name, now, reservation_lookahead_, action.service);
-      double free = server.memory_gb -
-                    cluster_->UsedMemoryGb(server.name) - reserved;
-      if (spec->memory_footprint_gb > free + 1e-9) {
+      double free =
+          server.memory_gb - index.ServerUsedMemoryGb(id) - reserved;
+      if ((*service)->memory_footprint_gb > free + 1e-9) {
         reject(server.name,
                StrFormat("insufficient unreserved memory (%.1f GB free, "
                          "%.1f GB reserved)",
@@ -640,8 +652,7 @@ Result<std::vector<ScoredServer>> Controller::RankServersImpl(
         return Status::OK();
       }
     }
-    AG_RETURN_IF_ERROR(
-        FillServerSlots(server, now, action.service, base));
+    AG_RETURN_IF_ERROR(FillServerSlots(index, id, now, action.service, base));
     base.compiled.Evaluate(base.slots.data(), config_.defuzzifier,
                            &base.scratch);
     if (audit != nullptr) {
@@ -656,13 +667,11 @@ Result<std::vector<ScoredServer>> Controller::RankServersImpl(
                        config_.min_host_score));
       return Status::OK();
     }
-    scored.push_back(ScoredServer{server.name, score});
+    passed.push_back(Candidate{score, id});
     return Status::OK();
   };
   // The dense index enumerates servers in sorted-name order — the
-  // same order the string-keyed map scan used — without materializing
-  // a vector of specs per call.
-  const infra::LandscapeIndex& index = cluster_->Index();
+  // same order the string-keyed map scan used.
   if (config_.pool_prescreen && pool_stats_ != nullptr &&
       index.num_pools() > 1) {
     // Hierarchical selection: lightest pool (lowest mean load) first,
@@ -680,21 +689,25 @@ Result<std::vector<ScoredServer>> Controller::RankServersImpl(
     });
     for (int32_t pool : pools) {
       for (infra::DenseId s : index.ServersInPool(pool)) {
-        AG_RETURN_IF_ERROR(consider(index.Server(s)));
+        AG_RETURN_IF_ERROR(consider(s));
       }
-      if (!scored.empty()) break;
+      if (!passed.empty()) break;
     }
   } else {
     for (size_t s = 0; s < index.num_servers(); ++s) {
-      AG_RETURN_IF_ERROR(
-          consider(index.Server(static_cast<infra::DenseId>(s))));
+      AG_RETURN_IF_ERROR(consider(static_cast<infra::DenseId>(s)));
     }
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredServer& a, const ScoredServer& b) {
+  std::sort(passed.begin(), passed.end(),
+            [](const Candidate& a, const Candidate& b) {
               if (a.score != b.score) return a.score > b.score;
               return a.server < b.server;
             });
+  std::vector<ScoredServer> scored;
+  scored.reserve(passed.size());
+  for (const Candidate& host : passed) {
+    scored.push_back(ScoredServer{index.ServerName(host.server), host.score});
+  }
   if (audit != nullptr) {
     audit->ranked.reserve(scored.size());
     for (const ScoredServer& host : scored) {

@@ -26,11 +26,16 @@ namespace autoglobe::controller {
 /// load are set to the arithmetic means of the load values during the
 /// service specific watchTime"); instance values may be current
 /// measurements.
+///
+/// Servers are keyed by the cluster's LandscapeIndex dense ids. The
+/// server set is fixed once the landscape is set up, so an id keeps
+/// naming the same server for the whole run; host ranking reads every
+/// candidate's loads without a name search.
 class LoadView {
  public:
   virtual ~LoadView() = default;
-  virtual double ServerCpuLoad(std::string_view server) const = 0;
-  virtual double ServerMemLoad(std::string_view server) const = 0;
+  virtual double ServerCpuLoad(infra::DenseId server) const = 0;
+  virtual double ServerMemLoad(infra::DenseId server) const = 0;
   virtual double InstanceLoad(infra::InstanceId id) const = 0;
   virtual double ServiceLoad(std::string_view service) const = 0;
 };
@@ -277,10 +282,11 @@ class Controller {
   /// the Table 1 measurements — computing only what the rules read.
   Status FillActionSlots(const infra::ServiceInstance& instance,
                          const CompiledBase& base) const;
-  /// Same for a candidate host (Table 3); reserved CPU (if a
-  /// reservation book is installed) inflates cpuLoad, except for
-  /// reservations benefitting `requesting_service`.
-  Status FillServerSlots(const infra::ServerSpec& server, SimTime now,
+  /// Same for a candidate host (Table 3), given by its dense id;
+  /// reserved CPU (if a reservation book is installed) inflates
+  /// cpuLoad, except for reservations benefitting `requesting_service`.
+  Status FillServerSlots(const infra::LandscapeIndex& index,
+                         infra::DenseId server, SimTime now,
                          std::string_view requesting_service,
                          const CompiledBase& base) const;
 

@@ -137,73 +137,114 @@ std::vector<std::string> Cluster::DownServers() const {
   return out;
 }
 
+namespace {
+
+/// One instance already on a candidate host, with its service's spec
+/// (nullptr when the service is not registered).
+struct CoTenant {
+  const ServiceInstance* instance;
+  const ServiceSpec* spec;
+};
+
+/// The placement rule sequence, shared by the name-keyed CanPlace and
+/// the dense CanPlaceById so both give the same first failure with the
+/// same message. `hosted` lists the server's instances in InstanceId
+/// order and `resolve` maps one entry to a CoTenant; walking them in
+/// id order fixes both the failure precedence and the floating-point
+/// memory sum.
+template <typename Hosted, typename Resolve>
+Status CheckPlacementRules(const ServiceSpec& service,
+                           const ServerSpec& server, bool server_up,
+                           int active_instances, InstanceId exclude_instance,
+                           const Hosted& hosted, Resolve resolve) {
+  if (!server_up) {
+    return Status::Unavailable(
+        StrFormat("server \"%s\" is down", server.name.c_str()));
+  }
+  if (server.performance_index < service.min_performance_index) {
+    return Status::FailedPrecondition(StrFormat(
+        "server \"%s\" (PI %g) below minimum performance index %g of "
+        "service \"%s\"",
+        server.name.c_str(), server.performance_index,
+        service.min_performance_index, service.name.c_str()));
+  }
+  if (active_instances >= service.max_instances) {
+    return Status::FailedPrecondition(StrFormat(
+        "service \"%s\" already runs its maximum of %d instances",
+        service.name.c_str(), service.max_instances));
+  }
+  double used_memory = 0.0;
+  for (const auto& entry : hosted) {
+    CoTenant co = resolve(entry);
+    const ServiceInstance& instance = *co.instance;
+    if (instance.id == exclude_instance) continue;
+    if (instance.service == service.name) {
+      return Status::FailedPrecondition(StrFormat(
+          "service \"%s\" already has an instance on server \"%s\"",
+          service.name.c_str(), server.name.c_str()));
+    }
+    // Exclusiveness cuts both ways: an exclusive service tolerates no
+    // co-tenants, and no instance may join a host running one.
+    if (co.spec != nullptr && co.spec->exclusive) {
+      return Status::FailedPrecondition(StrFormat(
+          "server \"%s\" is exclusively reserved for service \"%s\"",
+          server.name.c_str(), instance.service.c_str()));
+    }
+    if (service.exclusive) {
+      return Status::FailedPrecondition(StrFormat(
+          "exclusive service \"%s\" cannot share server \"%s\" with "
+          "\"%s\"",
+          service.name.c_str(), server.name.c_str(),
+          instance.service.c_str()));
+    }
+    if (co.spec != nullptr) used_memory += co.spec->memory_footprint_gb;
+  }
+  if (used_memory + service.memory_footprint_gb > server.memory_gb + 1e-9) {
+    return Status::ResourceExhausted(StrFormat(
+        "server \"%s\": %.1f GB used + %.1f GB footprint exceeds %.1f GB",
+        server.name.c_str(), used_memory, service.memory_footprint_gb,
+        server.memory_gb));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status Cluster::CanPlace(std::string_view service, std::string_view server,
                          InstanceId exclude_instance) const {
   AG_ASSIGN_OR_RETURN(const ServiceSpec* service_spec, FindService(service));
   AG_ASSIGN_OR_RETURN(const ServerSpec* server_spec, FindServer(server));
-
-  if (!IsServerUp(server)) {
-    return Status::Unavailable(StrFormat(
-        "server \"%s\" is down", server_spec->name.c_str()));
-  }
-  if (server_spec->performance_index <
-      service_spec->min_performance_index) {
-    return Status::FailedPrecondition(StrFormat(
-        "server \"%s\" (PI %g) below minimum performance index %g of "
-        "service \"%s\"",
-        server_spec->name.c_str(), server_spec->performance_index,
-        service_spec->min_performance_index, service_spec->name.c_str()));
-  }
-  if (ActiveInstanceCount(service, exclude_instance) >=
-      service_spec->max_instances) {
-    return Status::FailedPrecondition(StrFormat(
-        "service \"%s\" already runs its maximum of %d instances",
-        service_spec->name.c_str(), service_spec->max_instances));
-  }
-
-  // Walk only this server's booked instances, in id order — the same
-  // visit order (and therefore the same first-failure precedence and
-  // floating-point memory sum) as the historical full-map scan
-  // restricted to this server.
+  // Walk only this server's booked instances. No Index() here:
+  // PlaceInstance runs this check once per placement while a
+  // landscape is built, and a rebuild per placement would make the
+  // build quadratic.
   static const std::vector<InstanceId> kNoIds;
   const std::vector<InstanceId>* hosted = IdsOn(server);
   if (hosted == nullptr) hosted = &kNoIds;
-  double used_memory = 0.0;
-  for (InstanceId id : *hosted) {
-    if (id == exclude_instance) continue;
-    const ServiceInstance& instance = instances_.find(id)->second;
-    if (instance.service == service) {
-      return Status::FailedPrecondition(StrFormat(
-          "service \"%s\" already has an instance on server \"%s\"",
-          service_spec->name.c_str(), server_spec->name.c_str()));
-    }
-    // Exclusiveness cuts both ways: an exclusive service tolerates no
-    // co-tenants, and no instance may join a host running one.
-    auto other = services_.find(instance.service);
-    if (other != services_.end() && other->second.exclusive) {
-      return Status::FailedPrecondition(StrFormat(
-          "server \"%s\" is exclusively reserved for service \"%s\"",
-          server_spec->name.c_str(), instance.service.c_str()));
-    }
-    if (service_spec->exclusive) {
-      return Status::FailedPrecondition(StrFormat(
-          "exclusive service \"%s\" cannot share server \"%s\" with "
-          "\"%s\"",
-          service_spec->name.c_str(), server_spec->name.c_str(),
-          instance.service.c_str()));
-    }
-    if (other != services_.end()) {
-      used_memory += other->second.memory_footprint_gb;
-    }
-  }
-  if (used_memory + service_spec->memory_footprint_gb >
-      server_spec->memory_gb + 1e-9) {
-    return Status::ResourceExhausted(StrFormat(
-        "server \"%s\": %.1f GB used + %.1f GB footprint exceeds %.1f GB",
-        server_spec->name.c_str(), used_memory,
-        service_spec->memory_footprint_gb, server_spec->memory_gb));
-  }
-  return Status::OK();
+  return CheckPlacementRules(
+      *service_spec, *server_spec, IsServerUp(server),
+      ActiveInstanceCount(service, exclude_instance), exclude_instance,
+      *hosted, [this](InstanceId id) {
+        const ServiceInstance& instance = instances_.find(id)->second;
+        auto spec = services_.find(instance.service);
+        return CoTenant{&instance,
+                        spec == services_.end() ? nullptr : &spec->second};
+      });
+}
+
+Status Cluster::CanPlaceById(const ServiceSpec& service, DenseId server,
+                             InstanceId exclude_instance,
+                             int active_instances) const {
+  const LandscapeIndex& index = Index();
+  const ServerSpec& server_spec = index.Server(server);
+  return CheckPlacementRules(
+      service, server_spec, IsServerUp(server_spec.name), active_instances,
+      exclude_instance, index.InstancesOnServer(server),
+      [&index](const InstanceRef& ref) {
+        return CoTenant{ref.instance, ref.service >= 0
+                                          ? &index.Service(ref.service)
+                                          : nullptr};
+      });
 }
 
 Result<InstanceId> Cluster::PlaceInstance(std::string_view service,

@@ -88,6 +88,15 @@ class Cluster {
   /// does not count against its own service's limits.
   Status CanPlace(std::string_view service, std::string_view server,
                   InstanceId exclude_instance = 0) const;
+  /// Dense form of CanPlace for loops over many candidate hosts:
+  /// `service` is a spec of this cluster, resolved once by the caller,
+  /// `server` an Index() id, and `active_instances` the caller's
+  /// hoisted ActiveInstanceCount(service.name, exclude_instance).
+  /// Runs the same rule sequence as CanPlace (one shared
+  /// implementation), so verdicts and messages are identical.
+  Status CanPlaceById(const ServiceSpec& service, DenseId server,
+                      InstanceId exclude_instance,
+                      int active_instances) const;
 
   /// Places a new instance; `initial` is kStarting for delayed starts.
   Result<InstanceId> PlaceInstance(std::string_view service,

@@ -9,21 +9,47 @@ namespace autoglobe::infra {
 
 namespace {
 
-DenseId RankOf(const std::vector<std::string>& sorted_names,
-               std::string_view name) {
-  auto it = std::lower_bound(sorted_names.begin(), sorted_names.end(), name);
-  if (it == sorted_names.end() || *it != name) return kNoDenseId;
-  return static_cast<DenseId>(it - sorted_names.begin());
+template <typename Spec>
+DenseId RankOf(const std::vector<const Spec*>& sorted, std::string_view name) {
+  auto it = std::lower_bound(
+      sorted.begin(), sorted.end(), name,
+      [](const Spec* spec, std::string_view key) { return spec->name < key; });
+  if (it == sorted.end() || (*it)->name != name) return kNoDenseId;
+  return static_cast<DenseId>(it - sorted.begin());
+}
+
+/// Walks two maps sorted by the same name order in lockstep: for each
+/// key of `entities` (rank = dense id) finds the matching entry of
+/// `by_name`, if any, and calls `visit(rank, entry value)`.
+template <typename Entities, typename ByName, typename Visit>
+void MergeByName(const Entities& entities, const ByName& by_name,
+                 Visit visit) {
+  auto other = by_name.begin();
+  DenseId rank = 0;
+  for (auto it = entities.begin(); it != entities.end(); ++it, ++rank) {
+    while (other != by_name.end() && other->first < it->first) ++other;
+    if (other != by_name.end() && other->first == it->first) {
+      visit(rank, other->second);
+    }
+  }
 }
 
 }  // namespace
 
 DenseId LandscapeIndex::ServerIdOf(std::string_view name) const {
-  return RankOf(server_names_, name);
+  return RankOf(servers_, name);
 }
 
 DenseId LandscapeIndex::ServiceIdOf(std::string_view name) const {
-  return RankOf(service_names_, name);
+  return RankOf(services_, name);
+}
+
+const std::string& LandscapeIndex::ServerName(DenseId id) const {
+  return servers_[static_cast<size_t>(id)]->name;
+}
+
+const std::string& LandscapeIndex::ServiceName(DenseId id) const {
+  return services_[static_cast<size_t>(id)]->name;
 }
 
 void LandscapeIndex::Rebuild(const Cluster& cluster) {
@@ -32,45 +58,60 @@ void LandscapeIndex::Rebuild(const Cluster& cluster) {
   // incremental regrowth.
   size_t n_servers = cluster.servers_.size();
   size_t n_services = cluster.services_.size();
-  server_names_.clear();
   servers_.clear();
   performance_.clear();
   memory_gb_.clear();
-  server_names_.reserve(n_servers);
   servers_.reserve(n_servers);
   performance_.reserve(n_servers);
   memory_gb_.reserve(n_servers);
   for (const auto& [name, spec] : cluster.servers_) {
-    server_names_.push_back(name);  // map order == sorted order
-    servers_.push_back(&spec);
+    servers_.push_back(&spec);  // map order == sorted order
     performance_.push_back(spec.performance_index);
     memory_gb_.push_back(spec.memory_gb);
   }
 
-  service_names_.clear();
   services_.clear();
-  priorities_.clear();
-  service_names_.reserve(n_services);
   services_.reserve(n_services);
-  priorities_.reserve(n_services);
   for (const auto& [name, spec] : cluster.services_) {
-    service_names_.push_back(name);
     services_.push_back(&spec);
-    priorities_.push_back(cluster.ServicePriority(name));
   }
+  // Unlisted services run at the default weight (Cluster::ServicePriority).
+  priorities_.assign(n_services, 1.0);
+  MergeByName(cluster.services_, cluster.priorities_,
+              [this](DenseId service, double priority) {
+                priorities_[static_cast<size_t>(service)] = priority;
+              });
 
   instances_.clear();
   instances_.reserve(cluster.instances_.size());
-  instance_id_bound_ = 0;
+  instance_id_bound_ =
+      cluster.instances_.empty() ? 0 : cluster.instances_.rbegin()->first + 1;
+  slot_of_id_.assign(static_cast<size_t>(instance_id_bound_), -1);
   for (const auto& [id, instance] : cluster.instances_) {
-    InstanceRef ref;
-    ref.instance = &instance;
-    ref.id = id;
-    ref.service = ServiceIdOf(instance.service);
-    ref.server = ServerIdOf(instance.server);
-    instances_.push_back(ref);
-    instance_id_bound_ = std::max(instance_id_bound_, id + 1);
+    slot_of_id_[static_cast<size_t>(id)] =
+        static_cast<int32_t>(instances_.size());
+    instances_.push_back(InstanceRef{&instance, id, kNoDenseId, kNoDenseId});
   }
+  // Owners from the placement books: each server's / service's book
+  // lists its instance ids, and the books are keyed in the same name
+  // order as the dense ids — one merge pass, no name search.
+  auto own = [this](const std::vector<InstanceId>& ids, DenseId owner,
+                    DenseId InstanceRef::*field) {
+    for (InstanceId id : ids) {
+      int32_t slot = id < instance_id_bound_
+                         ? slot_of_id_[static_cast<size_t>(id)]
+                         : -1;
+      if (slot >= 0) instances_[static_cast<size_t>(slot)].*field = owner;
+    }
+  };
+  MergeByName(cluster.servers_, cluster.server_instances_,
+              [&](DenseId server, const std::vector<InstanceId>& ids) {
+                own(ids, server, &InstanceRef::server);
+              });
+  MergeByName(cluster.services_, cluster.service_instances_,
+              [&](DenseId service, const std::vector<InstanceId>& ids) {
+                own(ids, service, &InstanceRef::service);
+              });
 
   // CSR bucket lists via counting sort: a forward pass over the
   // id-ordered instance array fills every bucket in id order — the
@@ -114,21 +155,31 @@ void LandscapeIndex::Rebuild(const Cluster& cluster) {
 
   // Pool layout: distinct server categories, sorted; servers bucketed
   // in dense-id order (another counting sort). Servers without a
-  // category form the "" pool.
+  // category form the "" pool. A fleet has a handful of categories,
+  // so the sorted distinct list is built by insertion; a run of
+  // servers sharing their predecessor's category costs one compare.
+  auto pool_of = [this](const std::string& category) {
+    return static_cast<int32_t>(
+        std::lower_bound(pool_names_.begin(), pool_names_.end(), category) -
+        pool_names_.begin());
+  };
   pool_names_.clear();
-  pool_names_.reserve(servers_.size());
-  for (const ServerSpec* server : servers_) {
-    pool_names_.push_back(server->category);
+  for (size_t s = 0; s < num_servers(); ++s) {
+    const std::string& category = servers_[s]->category;
+    if (s > 0 && category == servers_[s - 1]->category) continue;
+    size_t pool = static_cast<size_t>(pool_of(category));
+    if (pool == pool_names_.size() || pool_names_[pool] != category) {
+      pool_names_.insert(pool_names_.begin() + static_cast<ptrdiff_t>(pool),
+                         category);
+    }
   }
-  std::sort(pool_names_.begin(), pool_names_.end());
-  pool_names_.erase(std::unique(pool_names_.begin(), pool_names_.end()),
-                    pool_names_.end());
   pool_of_server_.assign(num_servers(), 0);
   pool_offsets_.assign(pool_names_.size() + 1, 0);
   for (size_t s = 0; s < num_servers(); ++s) {
-    auto it = std::lower_bound(pool_names_.begin(), pool_names_.end(),
-                               servers_[s]->category);
-    pool_of_server_[s] = static_cast<int32_t>(it - pool_names_.begin());
+    pool_of_server_[s] =
+        s > 0 && servers_[s]->category == servers_[s - 1]->category
+            ? pool_of_server_[s - 1]
+            : pool_of(servers_[s]->category);
     ++pool_offsets_[static_cast<size_t>(pool_of_server_[s]) + 1];
   }
   for (size_t p = 1; p <= pool_names_.size(); ++p) {

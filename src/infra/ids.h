@@ -51,8 +51,8 @@ class LandscapeIndex {
  public:
   LandscapeIndex() = default;
 
-  size_t num_servers() const { return server_names_.size(); }
-  size_t num_services() const { return service_names_.size(); }
+  size_t num_servers() const { return servers_.size(); }
+  size_t num_services() const { return services_.size(); }
   size_t num_instances() const { return instances_.size(); }
 
   /// Exclusive upper bound of live InstanceIds (0 when empty); size
@@ -63,12 +63,10 @@ class LandscapeIndex {
   DenseId ServerIdOf(std::string_view name) const;
   DenseId ServiceIdOf(std::string_view name) const;
 
-  const std::string& ServerName(DenseId id) const {
-    return server_names_[static_cast<size_t>(id)];
-  }
-  const std::string& ServiceName(DenseId id) const {
-    return service_names_[static_cast<size_t>(id)];
-  }
+  /// Names are the specs' own (the cluster's map keys), so the index
+  /// copies no strings.
+  const std::string& ServerName(DenseId id) const;
+  const std::string& ServiceName(DenseId id) const;
   const ServerSpec& Server(DenseId id) const {
     return *servers_[static_cast<size_t>(id)];
   }
@@ -144,16 +142,17 @@ class LandscapeIndex {
  private:
   friend class Cluster;
 
-  /// Re-interns the whole landscape from the cluster's maps.
+  /// Re-interns the whole landscape from the cluster's maps in
+  /// O(servers + services + instances): owners come from one merge
+  /// pass over the cluster's name-sorted placement books, never from
+  /// a name search per instance.
   void Rebuild(const Cluster& cluster);
   void SetPriority(DenseId id, double priority) {
     priorities_[static_cast<size_t>(id)] = priority;
   }
 
-  std::vector<std::string> server_names_;   // sorted
-  std::vector<std::string> service_names_;  // sorted
-  std::vector<const ServerSpec*> servers_;
-  std::vector<const ServiceSpec*> services_;
+  std::vector<const ServerSpec*> servers_;    // sorted by name
+  std::vector<const ServiceSpec*> services_;  // sorted by name
   std::vector<double> performance_;
   std::vector<double> memory_gb_;
   std::vector<double> used_memory_gb_;
@@ -166,6 +165,8 @@ class LandscapeIndex {
   std::vector<int32_t> service_offsets_;
   InstanceId instance_id_bound_ = 0;
   size_t max_instances_per_server_ = 0;
+  /// Rebuild scratch: position in instances_ per raw InstanceId.
+  std::vector<int32_t> slot_of_id_;
   // Pool layout: categories sorted by name, servers bucketed CSR-style.
   std::vector<std::string> pool_names_;  // sorted
   std::vector<int32_t> pool_of_server_;  // per server dense id

@@ -56,6 +56,11 @@ LoadArchive::Handle LoadArchive::Acquire(std::string_view key) {
   return Handle(&it->second);
 }
 
+LoadArchive::Handle LoadArchive::Find(std::string_view key) {
+  auto it = series_.find(key);
+  return it == series_.end() ? Handle() : Handle(&it->second);
+}
+
 const LoadArchive::Series* LoadArchive::FindSeries(
     std::string_view key) const {
   auto it = series_.find(key);

@@ -85,6 +85,9 @@ class LoadArchive {
 
   /// Resolves (creating if needed) the series for a subject key.
   Handle Acquire(std::string_view key);
+  /// Resolves an existing series without creating one: a null Handle
+  /// when the key has never been acquired.
+  Handle Find(std::string_view key);
 
   /// Pre-sizes every series created by later Acquire calls:
   /// `raw_samples` ring slots (rounded up to a power of two) and

@@ -176,6 +176,12 @@ Status LoadMonitoringSystem::ObserveById(
   return Status::Internal("bad monitoring phase");
 }
 
+LoadArchive::Handle LoadMonitoringSystem::SeriesOf(SubjectId subject) {
+  SubjectState& state = subjects_[static_cast<size_t>(subject)];
+  if (!state.series) state.series = archive_->Find(state.key);
+  return state.series;
+}
+
 Status LoadMonitoringSystem::MaterializeSubject(SubjectId subject) {
   if (subject < 0 || static_cast<size_t>(subject) >= subjects_.size()) {
     return Status::NotFound(

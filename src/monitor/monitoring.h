@@ -134,6 +134,11 @@ class LoadMonitoringSystem {
   Status MaterializeSubject(SubjectId subject);
   /// Materializes every subject (e.g. before saving the archive).
   Status MaterializeAll();
+  /// The archive series of a registered subject (the handle the
+  /// monitor appends through), for id-keyed readers; materialize
+  /// first to see every sample. A null Handle while the archive holds
+  /// no series for the subject — looking does not create one.
+  LoadArchive::Handle SeriesOf(SubjectId subject);
 
   /// Rewinds every subject's detection state machine and heartbeat
   /// watch to its just-registered state and zeroes the trigger /

@@ -18,15 +18,18 @@ std::string ProportionalThresholdStrategy::PickHost(
     std::string_view exclude) const {
   std::string best;
   double best_load = 0.0;
-  for (const infra::ServerSpec* server : env_.cluster->Servers()) {
-    if (server->name == exclude) continue;
-    if (env_.cluster->IsServerProtected(server->name, now)) continue;
-    if (!env_.cluster->CanPlace(service, server->name, 0).ok()) continue;
-    double load = env_.view->ServerCpuLoad(server->name);
-    // Servers() enumerates sorted names, so "first strictly lighter
+  const infra::LandscapeIndex& index = env_.cluster->Index();
+  for (size_t s = 0; s < index.num_servers(); ++s) {
+    const infra::DenseId id = static_cast<infra::DenseId>(s);
+    const std::string& server = index.ServerName(id);
+    if (server == exclude) continue;
+    if (env_.cluster->IsServerProtected(server, now)) continue;
+    if (!env_.cluster->CanPlace(service, server, 0).ok()) continue;
+    double load = env_.view->ServerCpuLoad(id);
+    // Dense ids enumerate sorted names, so "first strictly lighter
     // wins" is the lexicographic tie-break.
     if (best.empty() || load < best_load) {
-      best = server->name;
+      best = server;
       best_load = load;
     }
   }

@@ -20,14 +20,17 @@ using infra::ServiceSpec;
 using monitor::Trigger;
 using monitor::TriggerKind;
 
-/// Scripted load view: tests set exact values per subject.
+/// Scripted load view: tests set exact values per subject (servers by
+/// name, resolved from the controller's dense ids through the cluster).
 class FakeView : public LoadView {
  public:
-  double ServerCpuLoad(std::string_view server) const override {
-    return Get(server_cpu_, server, 0.1);
+  explicit FakeView(const Cluster* cluster) : cluster_(cluster) {}
+
+  double ServerCpuLoad(infra::DenseId server) const override {
+    return Get(server_cpu_, cluster_->Index().ServerName(server), 0.1);
   }
-  double ServerMemLoad(std::string_view server) const override {
-    return Get(server_mem_, server, 0.1);
+  double ServerMemLoad(infra::DenseId server) const override {
+    return Get(server_mem_, cluster_->Index().ServerName(server), 0.1);
   }
   double InstanceLoad(InstanceId id) const override {
     auto it = instance_load_.find(id);
@@ -43,6 +46,8 @@ class FakeView : public LoadView {
   std::map<std::string, double, std::less<>> service_load_;
 
  private:
+  const Cluster* cluster_;
+
   static double Get(const std::map<std::string, double, std::less<>>& map,
                     std::string_view key, double fallback) {
     auto it = map.find(key);
@@ -113,7 +118,7 @@ class ControllerTest : public ::testing::Test {
 
   Cluster cluster_;
   sim::Simulator simulator_;
-  FakeView view_;
+  FakeView view_{&cluster_};
   std::unique_ptr<infra::ActionExecutor> executor_;
   std::unique_ptr<Controller> controller_;
 };
@@ -143,6 +148,31 @@ TEST_F(ControllerTest, RanksBigIdleHostHighestForScaleOut) {
   ASSERT_TRUE(hosts.ok()) << hosts.status();
   ASSERT_FALSE(hosts->empty());
   EXPECT_EQ(hosts->front().server, "big");
+}
+
+// The audited overload records each ranked host once, in ranking
+// order (recovery relocations and `autoglobectl explain` print it).
+TEST_F(ControllerTest, AuditedRankingListsEachHostOnce) {
+  Place("app", "small1");
+  MakeServiceHot("app");
+  cluster_.ProtectServer("mid", simulator_.now() + Duration::Minutes(30));
+  Action probe{ActionType::kScaleOut, "app", 0, "small1", ""};
+  obs::HostSelectionAudit selection;
+  auto ranked = controller_->RankServers(probe, simulator_.now(), &selection);
+  ASSERT_TRUE(ranked.ok()) << ranked.status();
+  ASSERT_FALSE(ranked->empty());
+  EXPECT_EQ(selection.action, probe.ToString());
+  ASSERT_EQ(selection.ranked.size(), ranked->size());
+  for (size_t i = 0; i < ranked->size(); ++i) {
+    EXPECT_EQ(selection.ranked[i].name, (*ranked)[i].server);
+    EXPECT_EQ(selection.ranked[i].value, (*ranked)[i].score);
+  }
+  bool mid_rejected = false;
+  for (const obs::CandidateRejection& rejection : selection.rejections) {
+    mid_rejected |= rejection.candidate == "mid" &&
+                    rejection.reason == "server is in protection mode";
+  }
+  EXPECT_TRUE(mid_rejected);
 }
 
 TEST_F(ControllerTest, ProtectedSubjectIsSkipped) {

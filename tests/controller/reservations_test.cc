@@ -149,8 +149,8 @@ class ReservedControllerTest : public ::testing::Test {
  protected:
   class FlatView : public LoadView {
    public:
-    double ServerCpuLoad(std::string_view) const override { return 0.1; }
-    double ServerMemLoad(std::string_view) const override { return 0.1; }
+    double ServerCpuLoad(infra::DenseId) const override { return 0.1; }
+    double ServerMemLoad(infra::DenseId) const override { return 0.1; }
     double InstanceLoad(infra::InstanceId) const override { return 0.9; }
     double ServiceLoad(std::string_view) const override { return 0.9; }
   };

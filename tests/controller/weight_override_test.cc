@@ -24,8 +24,8 @@ using monitor::TriggerKind;
 
 class OverrideView : public LoadView {
  public:
-  double ServerCpuLoad(std::string_view) const override { return load_; }
-  double ServerMemLoad(std::string_view) const override { return load_; }
+  double ServerCpuLoad(infra::DenseId) const override { return load_; }
+  double ServerMemLoad(infra::DenseId) const override { return load_; }
   double InstanceLoad(InstanceId) const override { return load_; }
   double ServiceLoad(std::string_view) const override { return load_; }
   double load_ = 0.9;

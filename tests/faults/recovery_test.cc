@@ -23,15 +23,20 @@ using infra::ServiceSpec;
 /// overrides it, so server selection ranks on headroom.
 class FakeView : public controller::LoadView {
  public:
-  double ServerCpuLoad(std::string_view server) const override {
-    auto it = server_cpu_.find(server);
+  explicit FakeView(const Cluster* cluster) : cluster_(cluster) {}
+
+  double ServerCpuLoad(infra::DenseId server) const override {
+    auto it = server_cpu_.find(cluster_->Index().ServerName(server));
     return it == server_cpu_.end() ? 0.1 : it->second;
   }
-  double ServerMemLoad(std::string_view) const override { return 0.1; }
+  double ServerMemLoad(infra::DenseId) const override { return 0.1; }
   double InstanceLoad(InstanceId) const override { return 0.1; }
   double ServiceLoad(std::string_view) const override { return 0.1; }
 
   std::map<std::string, double, std::less<>> server_cpu_;
+
+ private:
+  const Cluster* cluster_;
 };
 
 class RecoveryTest : public ::testing::Test {
@@ -102,7 +107,7 @@ class RecoveryTest : public ::testing::Test {
 
   Cluster cluster_;
   sim::Simulator simulator_;
-  FakeView view_;
+  FakeView view_{&cluster_};
   AvailabilityTracker tracker_;
   std::unique_ptr<infra::ActionExecutor> executor_;
   std::unique_ptr<controller::Controller> controller_;

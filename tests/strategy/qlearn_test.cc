@@ -23,14 +23,19 @@ using monitor::TriggerKind;
 
 class FlatView : public controller::LoadView {
  public:
-  double ServerCpuLoad(std::string_view server) const override {
-    auto it = server_cpu_.find(std::string(server));
+  explicit FlatView(const Cluster* cluster) : cluster_(cluster) {}
+
+  double ServerCpuLoad(infra::DenseId server) const override {
+    auto it = server_cpu_.find(cluster_->Index().ServerName(server));
     return it == server_cpu_.end() ? 0.2 : it->second;
   }
-  double ServerMemLoad(std::string_view) const override { return 0.2; }
+  double ServerMemLoad(infra::DenseId) const override { return 0.2; }
   double InstanceLoad(InstanceId) const override { return 0.7; }
   double ServiceLoad(std::string_view) const override { return 0.7; }
   std::map<std::string, double> server_cpu_;
+
+ private:
+  const Cluster* cluster_;
 };
 
 /// One self-contained control stack (cluster + controller + learner)
@@ -38,7 +43,7 @@ class FlatView : public controller::LoadView {
 struct Stack {
   Cluster cluster;
   sim::Simulator simulator;
-  FlatView view;
+  FlatView view{&cluster};
   std::unique_ptr<infra::ActionExecutor> executor;
   std::unique_ptr<controller::Controller> controller;
   StrategyEnv env;

@@ -89,11 +89,13 @@ TEST(StrategyConfigTest, XmlRoundTripPreservesEveryField) {
 
 class FlatView : public controller::LoadView {
  public:
-  double ServerCpuLoad(std::string_view server) const override {
-    auto it = server_cpu_.find(std::string(server));
+  explicit FlatView(const Cluster* cluster) : cluster_(cluster) {}
+
+  double ServerCpuLoad(infra::DenseId server) const override {
+    auto it = server_cpu_.find(cluster_->Index().ServerName(server));
     return it == server_cpu_.end() ? 0.1 : it->second;
   }
-  double ServerMemLoad(std::string_view) const override { return 0.1; }
+  double ServerMemLoad(infra::DenseId) const override { return 0.1; }
   double InstanceLoad(InstanceId id) const override {
     auto it = instance_load_.find(id);
     return it == instance_load_.end() ? 0.1 : it->second;
@@ -102,6 +104,9 @@ class FlatView : public controller::LoadView {
 
   std::map<std::string, double> server_cpu_;
   std::map<InstanceId, double> instance_load_;
+
+ private:
+  const Cluster* cluster_;
 };
 
 class ProportionalTest : public ::testing::Test {
@@ -153,7 +158,7 @@ class ProportionalTest : public ::testing::Test {
 
   Cluster cluster_;
   sim::Simulator simulator_;
-  FlatView view_;
+  FlatView view_{&cluster_};
   std::unique_ptr<infra::ActionExecutor> executor_;
   std::unique_ptr<controller::Controller> controller_;
   StrategyEnv env_;
