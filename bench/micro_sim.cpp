@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate:
 // event-queue throughput, demand-engine ticks over the full paper
-// landscape, whole simulated hours of each scenario, and the
+// landscape, whole simulated hours of each scenario, the per-server
+// monitoring feed (histogram, watch-window reads), and the
 // thread-pool run engine — the numbers that justify running 80-hour
 // capacity sweeps in seconds. Results are also written to
 // BENCH_micro.json so future PRs have a perf trajectory to compare
@@ -10,13 +11,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <vector>
 
 #include "alloc_counter.h"
 #include "autoglobe/capacity.h"
 #include "autoglobe/landscape_gen.h"
 #include "benchmark_json.h"
 #include "common/logging.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
+#include "monitor/monitoring.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "workload/demand.h"
 
@@ -239,6 +245,107 @@ void BM_RankServers(benchmark::State& state) {
                           static_cast<int64_t>(candidates));
 }
 BENCHMARK(BM_RankServers)->Unit(benchmark::kMicrosecond);
+
+// The runner's always-on server_cpu_load histogram, fed one 10k-server
+// tick of loads per iteration into single-writer cells. Loads spread
+// over [0, 1.2) so in-range, boundary and overflow buckets all fill.
+// allocs_per_tick (per 10k observations) must be 0.
+void BM_HistogramObserve(benchmark::State& state) {
+  constexpr size_t kServers = 10000;
+  obs::MetricsRegistry registry;
+  obs::Histogram histogram = registry.AddHistogram(
+      "server_cpu_load",
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
+  Rng rng(7);
+  std::vector<double> loads(kServers);
+  for (double& load : loads) {
+    // Whole tenths now and then: captured loads sit on bounds too.
+    load = rng.NextDouble() < 0.05
+               ? std::round(rng.NextDouble() * 12.0) / 10.0
+               : rng.NextDouble() * 1.2;
+  }
+  uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    for (double load : loads) histogram.Observe(load);
+  }
+  uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  benchmark::DoNotOptimize(registry.Snapshot().histograms[0].count);
+  state.counters["allocs_per_tick"] = state.iterations() > 0
+      ? static_cast<double>(allocs) / static_cast<double>(state.iterations())
+      : 0.0;
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kServers));
+}
+BENCHMARK(BM_HistogramObserve);
+
+// Watch-window means as host ranking reads them, over a warmed
+// 1,000-subject monitor: every subject carries a pending run of 20
+// carried-forward samples, which MaterializeSubject replays with one
+// bulk AppendRun before LoadArchive::Average reads the window. 70
+// one-minute ticks of changing in-band loads fill the archive past its
+// one-hour retention; each iteration then feeds 20 constant ticks
+// (untimed) and reads every subject once. The iteration count is fixed
+// so the reserved aggregate buckets cover the whole run;
+// allocs_per_tick (per pass over the fleet) must be 0.
+constexpr int kMaterializeIterations = 200;
+void BM_MaterializeAndAverage(benchmark::State& state) {
+  constexpr int kSubjects = 1000;
+  constexpr int kRun = 20;
+  monitor::LoadArchive archive(Duration::Hours(1), Duration::Minutes(15));
+  archive.set_capacity_hints(60,
+                             8 + (kMaterializeIterations * kRun + 70) / 15);
+  monitor::LoadMonitoringSystem monitoring(&archive,
+                                          monitor::MonitorConfig{});
+  for (int s = 0; s < kSubjects; ++s) {
+    AG_CHECK_OK(monitoring.RegisterSubject(
+        monitor::TriggerKind::kServerOverloaded, StrFormat("srv%04d", s)));
+  }
+  std::vector<monitor::LoadArchive::Handle> series(kSubjects);
+  Rng rng(11);
+  std::vector<double> loads(kSubjects);
+  for (double& load : loads) load = 0.2 + 0.4 * rng.NextDouble();
+  int minute = 0;
+  auto feed = [&](int ticks, bool vary) {
+    for (int t = 0; t < ticks; ++t, ++minute) {
+      SimTime now = SimTime::Start() + Duration::Minutes(minute);
+      for (int s = 0; s < kSubjects; ++s) {
+        if (vary && rng.NextDouble() < 0.5) {
+          loads[s] = 0.2 + 0.4 * rng.NextDouble();
+        }
+        AG_CHECK_OK(monitoring.ObserveById(now, s, loads[s]));
+      }
+    }
+  };
+  feed(70, true);
+  const Duration window = Duration::Minutes(10);
+
+  uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    state.PauseTiming();
+    feed(kRun, false);
+    state.ResumeTiming();
+    const SimTime now = SimTime::Start() + Duration::Minutes(minute - 1);
+    double sum = 0.0;
+    for (int s = 0; s < kSubjects; ++s) {
+      AG_CHECK_OK(monitoring.MaterializeSubject(s));
+      if (!series[s]) series[s] = monitoring.SeriesOf(s);
+      Result<double> mean = archive.Average(series[s], window, now);
+      sum += mean.ok() ? *mean : 0.0;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  AG_CHECK(monitoring.skips() > 0);
+  state.counters["allocs_per_tick"] = state.iterations() > 0
+      ? static_cast<double>(allocs) / static_cast<double>(state.iterations())
+      : 0.0;
+  state.SetItemsProcessed(state.iterations() * kSubjects);
+}
+BENCHMARK(BM_MaterializeAndAverage)
+    ->Iterations(kMaterializeIterations)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

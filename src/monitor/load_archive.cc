@@ -67,15 +67,30 @@ const LoadArchive::Series* LoadArchive::FindSeries(
   return it == series_.end() ? nullptr : &it->second;
 }
 
-void LoadArchive::EnsureRawCapacity(Series* series) {
-  if (series->count < series->raw.size()) return;
+void LoadArchive::EnsureRawCapacity(Series* series, size_t samples) {
+  if (samples <= series->raw.size()) return;
   size_t capacity = series->raw.empty() ? 16 : series->raw.size() * 2;
+  while (capacity < samples) capacity *= 2;
   std::vector<LoadSample> grown(capacity);
   for (size_t i = 0; i < series->count; ++i) {
     grown[i] = series->At(i);
   }
   series->raw.swap(grown);
   series->head = 0;
+}
+
+void LoadArchive::EvictBefore(Series* series, SimTime horizon) {
+  while (series->count > 0 && series->At(0).at < horizon) {
+    series->head = (series->head + 1) & (series->raw.size() - 1);
+    --series->count;
+  }
+}
+
+Status LoadArchive::OutOfOrder(const Series& series, SimTime at) {
+  return Status::InvalidArgument(StrFormat(
+      "out-of-order sample for \"%s\": %s < %s", series.key.c_str(),
+      at.ToString().c_str(),
+      series.At(series.count - 1).at.ToString().c_str()));
 }
 
 Status LoadArchive::Append(std::string_view key, SimTime at, double value) {
@@ -85,42 +100,86 @@ Status LoadArchive::Append(std::string_view key, SimTime at, double value) {
 Status LoadArchive::Append(Handle handle, SimTime at, double value) {
   Series& series = *handle.series_;
   if (series.count > 0 && at < series.At(series.count - 1).at) {
-    return Status::InvalidArgument(StrFormat(
-        "out-of-order sample for \"%s\": %s < %s", series.key.c_str(),
-        at.ToString().c_str(),
-        series.At(series.count - 1).at.ToString().c_str()));
+    return OutOfOrder(series, at);
   }
-  LoadSample sample{at, value};
-  EnsureRawCapacity(&series);
+  EnsureRawCapacity(&series, series.count + 1);
   series.raw[(series.head + series.count) & (series.raw.size() - 1)] =
-      sample;
+      LoadSample{at, value};
   ++series.count;
-  FoldIntoAggregate(&series, sample);
-  // Evict raw samples beyond the retention window (the ring just
-  // advances its head — no deallocation).
-  SimTime horizon = at - raw_retention_;
-  while (series.count > 0 && series.At(0).at < horizon) {
-    series.head = (series.head + 1) & (series.raw.size() - 1);
-    --series.count;
+  const int64_t bucket_seconds = aggregate_bucket_.seconds();
+  FoldIntoAggregate(&series, at.seconds() / bucket_seconds, bucket_seconds,
+                    value, 1);
+  EvictBefore(&series, at - raw_retention_);
+  return Status::OK();
+}
+
+Status LoadArchive::AppendRun(Handle handle, SimTime first,
+                              Duration interval, int64_t count,
+                              double value) {
+  if (count <= 0) return Status::OK();
+  const int64_t step = interval.seconds();
+  if (step < 0 || first.seconds() < 0) {
+    // Shapes the bulk fold does not model: a run that goes out of
+    // order at its second sample, or negative times (where the bucket
+    // division truncates toward zero). Replay them sample by sample.
+    for (int64_t i = 0; i < count; ++i) {
+      AG_RETURN_IF_ERROR(Append(handle, first + interval * i, value));
+    }
+    return Status::OK();
+  }
+  Series& series = *handle.series_;
+  if (series.count > 0 && first < series.At(series.count - 1).at) {
+    return OutOfOrder(series, first);
+  }
+  // Aggregates: every sample of the run, one bucket-run at a time.
+  const int64_t bucket_seconds = aggregate_bucket_.seconds();
+  const int64_t first_s = first.seconds();
+  for (int64_t i = 0; i < count;) {
+    int64_t bucket = (first_s + step * i) / bucket_seconds;
+    int64_t end = count;
+    if (step > 0) {
+      // Index of the first sample at or past the next bucket's start.
+      int64_t next = (bucket + 1) * bucket_seconds - first_s;
+      end = std::min(count, (next + step - 1) / step);
+    }
+    FoldIntoAggregate(&series, bucket, bucket_seconds, value, end - i);
+    i = end;
+  }
+  // Raw window: Append evicts against its own sample's horizon, and
+  // the horizons only grow along the run, so after the last Append
+  // exactly the samples older than the last horizon are gone — older
+  // archived samples first, then possibly the run's own head.
+  const SimTime horizon = first + interval * (count - 1) - raw_retention_;
+  EvictBefore(&series, horizon);
+  int64_t skip = 0;
+  if (step > 0 && first < horizon) {
+    skip = ((horizon - first).seconds() + step - 1) / step;
+  }
+  const size_t kept = static_cast<size_t>(count - skip);
+  EnsureRawCapacity(&series, series.count + kept);
+  const size_t mask = series.raw.size() - 1;
+  for (int64_t i = skip; i < count; ++i) {
+    series.raw[(series.head + series.count) & mask] =
+        LoadSample{first + interval * i, value};
+    ++series.count;
   }
   return Status::OK();
 }
 
-void LoadArchive::FoldIntoAggregate(Series* series,
-                                    const LoadSample& sample) {
-  int64_t bucket = sample.at.seconds() / aggregate_bucket_.seconds();
+void LoadArchive::FoldIntoAggregate(Series* series, int64_t bucket,
+                                    int64_t bucket_seconds, double value,
+                                    int64_t n) {
   if (series->open_bucket >= 0 && bucket != series->open_bucket) {
     // Close the previous bucket.
     series->aggregated.push_back(LoadSample{
-        SimTime::FromSeconds(series->open_bucket *
-                             aggregate_bucket_.seconds()),
+        SimTime::FromSeconds(series->open_bucket * bucket_seconds),
         series->open_sum / static_cast<double>(series->open_count)});
     series->open_sum = 0.0;
     series->open_count = 0;
   }
   series->open_bucket = bucket;
-  series->open_sum += sample.value;
-  ++series->open_count;
+  for (int64_t i = 0; i < n; ++i) series->open_sum += value;
+  series->open_count += n;
 }
 
 Result<double> LoadArchive::Latest(std::string_view key) const {

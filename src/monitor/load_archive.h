@@ -101,6 +101,15 @@ class LoadArchive {
   /// Samples must arrive in non-decreasing time order per key.
   Status Append(std::string_view key, SimTime at, double value);
   Status Append(Handle handle, SimTime at, double value);
+  /// Appends `count` copies of `value` at `first + i * interval` and
+  /// leaves exactly the state (raw window, aggregates, open bucket,
+  /// error) that `count` separate Append calls would. Aggregates fold
+  /// bucket-run by bucket-run with one sequential add per sample —
+  /// FP summation is order-sensitive, so `count * value` would not
+  /// do — but only the samples that survive retention are written to
+  /// the ring, and eviction runs once.
+  Status AppendRun(Handle handle, SimTime first, Duration interval,
+                   int64_t count, double value);
 
   /// Most recent value; NotFound when the key has no samples.
   Result<double> Latest(std::string_view key) const;
@@ -148,12 +157,20 @@ class LoadArchive {
   Duration aggregate_bucket() const { return aggregate_bucket_; }
 
  private:
-  void FoldIntoAggregate(Series* series, const LoadSample& sample);
+  /// Adds `n` samples of `value` that fall into aggregate bucket
+  /// `bucket`, closing the open bucket first when it is another one.
+  static void FoldIntoAggregate(Series* series, int64_t bucket,
+                                int64_t bucket_seconds, double value,
+                                int64_t n);
+  static Status OutOfOrder(const Series& series, SimTime at);
   const Series* FindSeries(std::string_view key) const;
   std::vector<LoadSample> AggregatedOf(const Series& series) const;
-  /// Grows the ring to hold one more sample (doubling, samples
+  /// Grows the ring to hold `samples` samples (doubling, samples
   /// re-laid-out in logical order). No-op while capacity suffices.
-  static void EnsureRawCapacity(Series* series);
+  static void EnsureRawCapacity(Series* series, size_t samples);
+  /// Drops the raw samples older than `horizon` (the ring just
+  /// advances its head — no deallocation).
+  static void EvictBefore(Series* series, SimTime horizon);
   /// Logical index of the first sample strictly after `t` (== count
   /// when none) — binary search over the time-ordered ring.
   static size_t FirstAfterIdx(const Series& series, SimTime t);

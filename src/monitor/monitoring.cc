@@ -189,20 +189,15 @@ Status LoadMonitoringSystem::MaterializeSubject(SubjectId subject) {
   }
   SubjectState& state = subjects_[static_cast<size_t>(subject)];
   if (state.pending_count == 0) return Status::OK();
-  // Replay the exact Append calls the skipped ticks would have made —
-  // same values, same times, same order — so retention eviction and
-  // aggregate folding land in a bit-identical archive state. (Note a
-  // single bulk insert of count * value would NOT be equivalent: FP
-  // summation inside the aggregate buckets is order-sensitive.)
+  // AppendRun leaves the archive exactly as the Append calls of the
+  // skipped ticks would have — same values, same times, same order —
+  // so retention eviction and aggregate folding stay bit-identical.
   if (!state.series) state.series = archive_->Acquire(state.key);
   int64_t count = state.pending_count;
   state.pending_count = 0;
-  for (int64_t i = 0; i < count; ++i) {
-    AG_RETURN_IF_ERROR(archive_->Append(
-        state.series, state.pending_first + state.pending_interval * i,
-        state.last_value));
-  }
-  return Status::OK();
+  return archive_->AppendRun(state.series, state.pending_first,
+                             state.pending_interval, count,
+                             state.last_value);
 }
 
 Status LoadMonitoringSystem::MaterializeAll() {

@@ -13,10 +13,9 @@ void Histogram::Observe(double value) {
   if (slot_ == nullptr) return;
   auto it = std::lower_bound(slot_->bounds.begin(), slot_->bounds.end(),
                              value);
-  size_t bucket = static_cast<size_t>(it - slot_->bounds.begin());
-  slot_->buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  slot_->count.fetch_add(1, std::memory_order_relaxed);
-  slot_->sum.fetch_add(value, std::memory_order_relaxed);
+  ++slot_->buckets[static_cast<size_t>(it - slot_->bounds.begin())];
+  ++slot_->count;
+  slot_->sum += value;
 }
 
 double HistogramSnapshot::Quantile(double q) const {
@@ -136,7 +135,6 @@ Status MetricsSnapshot::WriteJson(const std::string& path) const {
 }
 
 Counter MetricsRegistry::AddCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   for (CounterSlot& slot : counters_) {
     if (slot.name == name) return Counter(&slot.value);
   }
@@ -146,7 +144,6 @@ Counter MetricsRegistry::AddCounter(const std::string& name) {
 }
 
 Gauge MetricsRegistry::AddGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   for (GaugeSlot& slot : gauges_) {
     if (slot.name == name) return Gauge(&slot.value);
   }
@@ -157,7 +154,6 @@ Gauge MetricsRegistry::AddGauge(const std::string& name) {
 
 Histogram MetricsRegistry::AddHistogram(const std::string& name,
                                         std::vector<double> bucket_bounds) {
-  std::lock_guard<std::mutex> lock(mutex_);
   for (Histogram::Slot& slot : histograms_) {
     if (slot.name == name) return Histogram(&slot);
   }
@@ -170,38 +166,28 @@ Histogram MetricsRegistry::AddHistogram(const std::string& name,
   Histogram::Slot& slot = histograms_.back();
   slot.name = name;
   slot.bounds = std::move(bucket_bounds);
-  slot.buckets =
-      std::make_unique<std::atomic<uint64_t>[]>(slot.bounds.size() + 1);
-  for (size_t i = 0; i <= slot.bounds.size(); ++i) {
-    slot.buckets[i].store(0, std::memory_order_relaxed);
-  }
+  slot.buckets.assign(slot.bounds.size() + 1, 0);
   return Histogram(&slot);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snapshot;
   snapshot.counters.reserve(counters_.size());
   for (const CounterSlot& slot : counters_) {
-    snapshot.counters.emplace_back(
-        slot.name, slot.value.load(std::memory_order_relaxed));
+    snapshot.counters.emplace_back(slot.name, slot.value);
   }
   snapshot.gauges.reserve(gauges_.size());
   for (const GaugeSlot& slot : gauges_) {
-    snapshot.gauges.emplace_back(slot.name,
-                                 slot.value.load(std::memory_order_relaxed));
+    snapshot.gauges.emplace_back(slot.name, slot.value);
   }
   snapshot.histograms.reserve(histograms_.size());
   for (const Histogram::Slot& slot : histograms_) {
     HistogramSnapshot histogram;
     histogram.name = slot.name;
     histogram.bounds = slot.bounds;
-    histogram.counts.resize(slot.bounds.size() + 1);
-    for (size_t i = 0; i <= slot.bounds.size(); ++i) {
-      histogram.counts[i] = slot.buckets[i].load(std::memory_order_relaxed);
-    }
-    histogram.count = slot.count.load(std::memory_order_relaxed);
-    histogram.sum = slot.sum.load(std::memory_order_relaxed);
+    histogram.counts = slot.buckets;
+    histogram.count = slot.count;
+    histogram.sum = slot.sum;
     snapshot.histograms.push_back(std::move(histogram));
   }
   return snapshot;
@@ -217,11 +203,10 @@ Status MetricsRegistry::Restore(const MetricsSnapshot& snapshot) {
   for (const HistogramSnapshot& histogram : snapshot.histograms) {
     AddHistogram(histogram.name, histogram.bounds);
   }
-  std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, value] : snapshot.counters) {
     for (CounterSlot& slot : counters_) {
       if (slot.name == name) {
-        slot.value.store(value, std::memory_order_relaxed);
+        slot.value = value;
         break;
       }
     }
@@ -229,7 +214,7 @@ Status MetricsRegistry::Restore(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     for (GaugeSlot& slot : gauges_) {
       if (slot.name == name) {
-        slot.value.store(value, std::memory_order_relaxed);
+        slot.value = value;
         break;
       }
     }
@@ -238,18 +223,15 @@ Status MetricsRegistry::Restore(const MetricsSnapshot& snapshot) {
     for (Histogram::Slot& slot : histograms_) {
       if (slot.name != histogram.name) continue;
       if (slot.bounds != histogram.bounds ||
-          histogram.counts.size() != slot.bounds.size() + 1) {
+          histogram.counts.size() != slot.buckets.size()) {
         return Status::ParseError(StrFormat(
             "histogram \"%s\": snapshot buckets do not match the "
             "registered bounds",
             histogram.name.c_str()));
       }
-      for (size_t i = 0; i < histogram.counts.size(); ++i) {
-        slot.buckets[i].store(histogram.counts[i],
-                              std::memory_order_relaxed);
-      }
-      slot.count.store(histogram.count, std::memory_order_relaxed);
-      slot.sum.store(histogram.sum, std::memory_order_relaxed);
+      slot.buckets = histogram.counts;
+      slot.count = histogram.count;
+      slot.sum = histogram.sum;
       break;
     }
   }

@@ -1,11 +1,8 @@
 #ifndef AUTOGLOBE_OBS_METRICS_H_
 #define AUTOGLOBE_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,14 +10,18 @@
 
 namespace autoglobe::obs {
 
-/// One pillar of the observability subsystem: a process-local metrics
-/// registry. Metrics are registered once (under a mutex) into dense,
-/// address-stable slots; the handles returned are trivially copyable
-/// and their update paths are single atomic operations with relaxed
-/// ordering — lock-free, so the `FindCapacityAll` worker threads can
-/// update their per-run registries (or even share one) without
-/// contention. Aggregation across registries happens on immutable
-/// `MetricsSnapshot` values (see Merge).
+/// One pillar of the observability subsystem: a metrics registry.
+/// Metrics are registered once into dense, address-stable slots; the
+/// handles returned are trivially copyable and update plain cells —
+/// no atomics, no locks.
+///
+/// Threading contract: one registry per thread. A registry, its
+/// handles and its snapshots are used by the thread that owns them
+/// (each `SimulationRunner` owns one, and a runner is confined to one
+/// thread). Work spread over threads — the `FindCapacityAll` sweep,
+/// `table7_capacity`, the strategy matrix — gives every thread its own
+/// registry and aggregates the immutable `MetricsSnapshot` values with
+/// `MetricsSnapshot::Merge`.
 
 class MetricsRegistry;
 
@@ -32,16 +33,14 @@ class Counter {
   Counter() = default;
 
   void Increment(uint64_t n = 1) {
-    if (cell_ != nullptr) cell_->fetch_add(n, std::memory_order_relaxed);
+    if (cell_ != nullptr) *cell_ += n;
   }
-  uint64_t value() const {
-    return cell_ == nullptr ? 0 : cell_->load(std::memory_order_relaxed);
-  }
+  uint64_t value() const { return cell_ == nullptr ? 0 : *cell_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(std::atomic<uint64_t>* cell) : cell_(cell) {}
-  std::atomic<uint64_t>* cell_ = nullptr;
+  explicit Counter(uint64_t* cell) : cell_(cell) {}
+  uint64_t* cell_ = nullptr;
 };
 
 /// Last-written floating-point metric.
@@ -50,24 +49,21 @@ class Gauge {
   Gauge() = default;
 
   void Set(double value) {
-    if (cell_ != nullptr) cell_->store(value, std::memory_order_relaxed);
+    if (cell_ != nullptr) *cell_ = value;
   }
-  double value() const {
-    return cell_ == nullptr ? 0.0
-                            : cell_->load(std::memory_order_relaxed);
-  }
+  double value() const { return cell_ == nullptr ? 0.0 : *cell_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(std::atomic<double>* cell) : cell_(cell) {}
-  std::atomic<double>* cell_ = nullptr;
+  explicit Gauge(double* cell) : cell_(cell) {}
+  double* cell_ = nullptr;
 };
 
 /// Fixed-bucket histogram: bucket upper bounds are chosen at
 /// registration (ascending, `le` semantics — a sample lands in the
 /// first bucket whose bound is >= the value, or the implicit overflow
-/// bucket). Observe() is two relaxed atomic adds plus a branch-free
-/// bound search; no allocation, no lock.
+/// bucket). Observe() is a binary search over the bounds and three
+/// plain adds; no allocation, no lock.
 class Histogram {
  public:
   Histogram() = default;
@@ -115,10 +111,10 @@ struct MetricsSnapshot {
   Status WriteJson(const std::string& path) const;
 };
 
-/// Owns the metric slots. Registration and Snapshot() take a mutex;
-/// the returned handles never do. Slots live in deques so their
-/// addresses survive later registrations; handles stay valid for the
-/// registry's lifetime.
+/// Owns the metric slots (one registry per thread — see the contract
+/// at the top of this file). Slots live in deques so their addresses
+/// survive later registrations; handles stay valid for the registry's
+/// lifetime.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -144,14 +140,13 @@ class MetricsRegistry {
  private:
   struct CounterSlot {
     std::string name;
-    std::atomic<uint64_t> value{0};
+    uint64_t value = 0;
   };
   struct GaugeSlot {
     std::string name;
-    std::atomic<double> value{0.0};
+    double value = 0.0;
   };
 
-  mutable std::mutex mutex_;
   std::deque<CounterSlot> counters_;
   std::deque<GaugeSlot> gauges_;
   std::deque<Histogram::Slot> histograms_;
@@ -161,9 +156,10 @@ struct Histogram::Slot {
   std::string name;
   std::vector<double> bounds;
   /// bounds.size() + 1 cells; the last one is the overflow bucket.
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets;
-  std::atomic<uint64_t> count{0};
-  std::atomic<double> sum{0.0};
+  std::vector<uint64_t> buckets;
+  uint64_t count = 0;
+  /// One sequential += per sample, in observation order.
+  double sum = 0.0;
 };
 
 }  // namespace autoglobe::obs

@@ -180,8 +180,10 @@ const LandscapeIndex& DemandEngine::EnsureDataPlane() {
   }
 
   // Per-server load arrays: carry last-tick values over to the
-  // (possibly shifted) dense layout by name.
-  {
+  // shifted dense layout by name. The cluster only ever adds servers
+  // and dense server ids are name ranks, so an unchanged server count
+  // means an unchanged layout and the arrays stay as they are.
+  if (server_names_.size() != index.num_servers()) {
     std::vector<std::string> names;
     names.reserve(index.num_servers());
     for (size_t s = 0; s < index.num_servers(); ++s) {

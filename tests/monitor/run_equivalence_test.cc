@@ -1,0 +1,155 @@
+// Equivalence of LoadArchive::AppendRun with its one-sample-at-a-time
+// reference, a loop of Append: equal statuses and equal SaveState bytes.
+
+#include <cstdint>
+#include <memory>
+#include <random>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "monitor/load_archive.h"
+
+namespace autoglobe::monitor {
+namespace {
+
+SimTime Min(int m) { return SimTime::Start() + Duration::Minutes(m); }
+
+std::string ArchiveBytes(const LoadArchive& archive) {
+  ByteWriter w;
+  archive.SaveState(&w);
+  return w.Take();
+}
+
+/// Two archives with one series each: `bulk` takes AppendRun, `loop`
+/// the equivalent Append calls.
+class AppendRunTest : public ::testing::Test {
+ protected:
+  void Make(Duration retention, Duration bucket, size_t raw_hint) {
+    bulk_ = std::make_unique<LoadArchive>(retention, bucket);
+    loop_ = std::make_unique<LoadArchive>(retention, bucket);
+    bulk_->set_capacity_hints(raw_hint, 0);
+    loop_->set_capacity_hints(raw_hint, 0);
+    bulk_handle_ = bulk_->Acquire("server/s");
+    loop_handle_ = loop_->Acquire("server/s");
+  }
+
+  void Sample(SimTime at, double value) {
+    ASSERT_TRUE(bulk_->Append(bulk_handle_, at, value).ok());
+    ASSERT_TRUE(loop_->Append(loop_handle_, at, value).ok());
+  }
+
+  /// Appends the run both ways; the statuses must agree too.
+  void Run(SimTime first, Duration interval, int64_t count, double value) {
+    Status bulk =
+        bulk_->AppendRun(bulk_handle_, first, interval, count, value);
+    Status loop = Status::OK();
+    for (int64_t i = 0; i < count && loop.ok(); ++i) {
+      loop = loop_->Append(loop_handle_, first + interval * i, value);
+    }
+    EXPECT_EQ(bulk.ok(), loop.ok());
+    EXPECT_EQ(bulk.ToString(), loop.ToString());
+  }
+
+  void ExpectSameState() {
+    EXPECT_EQ(ArchiveBytes(*bulk_), ArchiveBytes(*loop_));
+  }
+
+  std::unique_ptr<LoadArchive> bulk_;
+  std::unique_ptr<LoadArchive> loop_;
+  LoadArchive::Handle bulk_handle_;
+  LoadArchive::Handle loop_handle_;
+};
+
+TEST_F(AppendRunTest, CrossesAggregateBucketBoundaries) {
+  Make(Duration::Hours(48), Duration::Minutes(15), 64);
+  // Minute 7 to minute 106: six 15-min bucket boundaries inside.
+  Run(Min(7), Duration::Minutes(1), 100, 0.37);
+  ExpectSameState();
+  // An interval that does not divide the bucket width.
+  Run(Min(110), Duration::Seconds(420), 40, 0.81);
+  ExpectSameState();
+}
+
+TEST_F(AppendRunTest, RunLongerThanRetention) {
+  Make(Duration::Hours(1), Duration::Minutes(15), 60);
+  for (int m = 0; m < 30; ++m) Sample(Min(m), 0.1 + 0.01 * m);
+  Run(Min(30), Duration::Minutes(1), 500, 0.6);
+  ExpectSameState();
+  // And one that evicts every earlier sample but keeps part of itself.
+  Run(Min(1000), Duration::Minutes(2), 45, 0.4);
+  ExpectSameState();
+}
+
+TEST_F(AppendRunTest, UnhintedEmptySeriesGrowsItsRing) {
+  Make(Duration::Hours(48), Duration::Minutes(15), 0);
+  Run(Min(1), Duration::Minutes(1), 1000, 0.55);
+  ExpectSameState();
+  Run(Min(1001), Duration::Minutes(1), 3000, 0.45);
+  ExpectSameState();
+}
+
+TEST_F(AppendRunTest, RunAfterOrdinarySamples) {
+  Make(Duration::Hours(2), Duration::Minutes(15), 120);
+  for (int m = 0; m < 50; ++m) Sample(Min(m), 0.2 + 0.003 * m);
+  Run(Min(50), Duration::Minutes(1), 20, 0.5);
+  Sample(Min(70), 0.9);
+  Run(Min(71), Duration::Minutes(1), 20, 0.9);
+  ExpectSameState();
+}
+
+TEST_F(AppendRunTest, SingleSampleRunAndDegenerateShapes) {
+  Make(Duration::Hours(1), Duration::Minutes(15), 60);
+  Run(Min(3), Duration::Minutes(1), 1, 0.25);
+  ExpectSameState();
+  Run(Min(3), Duration::Zero(), 7, 0.3);  // equal timestamps
+  ExpectSameState();
+  Run(Min(4), Duration::Minutes(1), 0, 0.9);  // no-op
+  ExpectSameState();
+  // A negative interval goes out of order at its second sample.
+  Run(Min(20), Duration::Minutes(-1), 3, 0.7);
+  ExpectSameState();
+}
+
+TEST_F(AppendRunTest, OutOfOrderRunIsRejectedLikeAppend) {
+  Make(Duration::Hours(1), Duration::Minutes(15), 60);
+  Sample(Min(10), 0.5);
+  Run(Min(5), Duration::Minutes(1), 10, 0.5);
+  EXPECT_FALSE(
+      bulk_->AppendRun(bulk_handle_, Min(9), Duration::Minutes(1), 3, 0.1)
+          .ok());
+  ExpectSameState();
+}
+
+TEST_F(AppendRunTest, SeededRunsMatchTheAppendLoop) {
+  for (uint32_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    auto uniform = [&rng](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    Duration retention = Duration::Minutes(uniform(5, 180));
+    Duration bucket = Duration::Minutes(uniform(1, 30));
+    int hint = uniform(0, 1) == 0 ? 0 : uniform(1, 200);
+    Make(retention, bucket, static_cast<size_t>(hint));
+    int64_t t = uniform(0, 600);
+    for (int step = 0; step < 30; ++step) {
+      double value = std::uniform_real_distribution<double>(0, 1)(rng);
+      if (uniform(0, 2) == 0) {
+        Sample(SimTime::FromSeconds(t), value);
+      } else {
+        int64_t seconds = uniform(0, 3) * 60;
+        if (uniform(0, 1) == 1) seconds += uniform(1, 59);
+        Duration interval = Duration::Seconds(seconds);
+        int64_t count = uniform(1, 400);
+        Run(SimTime::FromSeconds(t), interval, count, value);
+        t += interval.seconds() * (count - 1);
+      }
+      t += uniform(0, 300);
+      ASSERT_EQ(ArchiveBytes(*bulk_), ArchiveBytes(*loop_)) << step;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace autoglobe::monitor

@@ -220,27 +220,45 @@ TEST(MetricsSnapshotTest, EmptyRegistryJsonHasAllSections) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentUpdatesAreLossless) {
-  MetricsRegistry registry;
-  Counter counter = registry.AddCounter("hits");
-  Histogram histogram = registry.AddHistogram("h", {0.5});
+  // The threading contract: one registry per thread, snapshots merged
+  // afterwards. The merged totals equal one sequential registry fed
+  // the same updates.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
+  auto feed = [](MetricsRegistry* registry) {
+    Counter counter = registry->AddCounter("hits");
+    Histogram histogram = registry->AddHistogram("h", {0.5});
+    for (int i = 0; i < kPerThread; ++i) {
+      counter.Increment();
+      histogram.Observe(i % 2 == 0 ? 0.25 : 1.0);
+    }
+  };
+  std::vector<MetricsRegistry> registries(kThreads);
+  std::vector<MetricsSnapshot> parts(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter, &histogram] {
-      for (int i = 0; i < kPerThread; ++i) {
-        counter.Increment();
-        histogram.Observe(i % 2 == 0 ? 0.25 : 1.0);
-      }
+    threads.emplace_back([&feed, &registries, &parts, t] {
+      feed(&registries[t]);
+      parts[t] = registries[t].Snapshot();
     });
   }
   for (std::thread& thread : threads) thread.join();
 
-  EXPECT_EQ(counter.value(),
+  MetricsRegistry sequential;
+  for (int t = 0; t < kThreads; ++t) feed(&sequential);
+  MetricsSnapshot expected = sequential.Snapshot();
+  MetricsSnapshot merged = MetricsSnapshot::Merge(parts);
+
+  ASSERT_EQ(merged.counters.size(), 1u);
+  EXPECT_EQ(merged.counters[0].second,
             static_cast<uint64_t>(kThreads) * kPerThread);
-  HistogramSnapshot h = registry.Snapshot().histograms[0];
+  EXPECT_EQ(merged.counters, expected.counters);
+  ASSERT_EQ(merged.histograms.size(), 1u);
+  const HistogramSnapshot& h = merged.histograms[0];
   EXPECT_EQ(h.count, static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(h.counts, expected.histograms[0].counts);
   EXPECT_EQ(h.counts[0] + h.counts[1], h.count);
+  EXPECT_EQ(h.sum, expected.histograms[0].sum);
 }
 
 TEST(MetricsRegistryTest, HandlesSurviveLaterRegistrations) {
