@@ -49,10 +49,6 @@ Status BatchRunner::CheckEligibility(const RunnerConfig& config) {
     return Status::InvalidArgument(
         "batched runs have no trace/audit pipeline");
   }
-  if (config.monitor.load_epsilon != 0.0) {
-    return Status::InvalidArgument(
-        "batched runs replicate the archive only at load_epsilon 0");
-  }
   if (config.archive_retention < config.monitor.overload_watch_time ||
       config.archive_retention < config.monitor.idle_watch_time) {
     return Status::InvalidArgument(

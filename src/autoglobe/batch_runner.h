@@ -41,10 +41,10 @@ struct BatchLane {
 ///
 /// Eligibility: the shortcut is only valid when the run cannot feed
 /// back into the topology or demand — controller disabled, no fault
-/// plan, no legacy failure injection, no SLAs, no forecast, no
-/// tracing/audit. CheckEligibility returns InvalidArgument otherwise;
-/// ineligible configs must use SimulationRunner (availability
-/// scenarios batch at the rep level instead, see availability.h).
+/// plan, no SLAs, no forecast, no tracing/audit. CheckEligibility
+/// returns InvalidArgument otherwise; ineligible configs must use
+/// SimulationRunner (availability scenarios batch at the rep level
+/// instead, see availability.h).
 ///
 /// Steady state allocates nothing: every per-lane array is sized at
 /// Create, and Rerun re-arms them in place for the next batch.

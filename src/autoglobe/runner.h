@@ -115,7 +115,7 @@ struct RunnerConfig {
 
   /// Structured tracing and the controller decision audit trail (both
   /// off by default; the metrics registry is always on — its disabled
-  /// cost is a handful of relaxed atomic adds per tick).
+  /// cost is a handful of plain single-writer adds per tick).
   obs::ObservabilityConfig observability;
 
   /// Degraded-mode watchdog (off by default): when monitor-dropout

@@ -45,9 +45,10 @@ struct LaneKernels {
   void (*fresh_users_row)(double* fresh, const double* users,
                           double activity, double request_cost,
                           double per_unit, size_t n);
-  /// fresh[i] = usable[i] > 0 ? ab * scale[i] * perf / usable[i] : 0
-  /// (ab = batch_load_wu * activity, hoisted by the caller).
-  void (*fresh_batch_row)(double* fresh, const double* usable,
+  /// fresh[i] = usable > 0 ? ab * scale[i] * perf / usable : 0
+  /// (ab = batch_load_wu * activity, hoisted by the caller; usable is
+  /// the service's non-failed capacity, shared by every lane).
+  void (*fresh_batch_row)(double* fresh, double usable,
                           const double* scale, double ab, double perf,
                           size_t n);
   /// demand[i] = base_load + fresh[i] + backlog[i];
@@ -55,21 +56,21 @@ struct LaneKernels {
   void (*demand_plain_row)(double* demand, double* service_work,
                            const double* fresh, const double* backlog,
                            double base_load, size_t n);
-  /// queued = usable[i] > 0 && queue[i] > 0 ? queue[i]*perf/usable[i]
-  ///                                        : backlog[i];
+  /// queued = usable > 0 && queue[i] > 0 ? queue[i] * perf / usable
+  ///                                     : backlog[i];
   /// demand[i] = base_load + fresh[i] + queued;
   /// service_work[i] += fresh[i]
   void (*demand_shared_row)(double* demand, double* service_work,
                             const double* fresh, const double* backlog,
-                            const double* queue, const double* usable,
+                            const double* queue, double usable,
                             double base_load, double perf, size_t n);
   /// acc[i] += src[i]
   void (*add_row)(double* acc, const double* src, size_t n);
   /// w = factor * work[i];
-  /// demand[i] += (w > 0 && usable[i] > 0) ? w * perf / usable[i] : 0
+  /// demand[i] += (w > 0 && usable > 0) ? w * perf / usable : 0
   void (*distribute_row)(double* demand, const double* work,
-                         const double* usable, double factor,
-                         double perf, size_t n);
+                         double usable, double factor, double perf,
+                         size_t n);
   /// cpu[i] = min(1, total[i] / capacity); mem_row[i] = mem.
   /// Requires capacity > 0 (callers keep the degenerate server on the
   /// plain loop).

@@ -43,12 +43,11 @@ void FreshUsersRow(double* fresh, const double* users, double activity,
   }
 }
 
-void FreshBatchRow(double* fresh, const double* usable,
-                   const double* scale, double ab, double perf,
-                   size_t n) {
+void FreshBatchRow(double* fresh, double usable, const double* scale,
+                   double ab, double perf, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    double cand = ab * scale[i] * perf / usable[i];
-    fresh[i] = usable[i] > 0 ? cand : 0.0;
+    double cand = ab * scale[i] * perf / usable;
+    fresh[i] = usable > 0 ? cand : 0.0;
   }
 }
 
@@ -63,11 +62,11 @@ void DemandPlainRow(double* demand, double* service_work,
 
 void DemandSharedRow(double* demand, double* service_work,
                      const double* fresh, const double* backlog,
-                     const double* queue, const double* usable,
+                     const double* queue, double usable,
                      double base_load, double perf, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    double cand = queue[i] * perf / usable[i];
-    double queued = usable[i] > 0 && queue[i] > 0 ? cand : backlog[i];
+    double cand = queue[i] * perf / usable;
+    double queued = usable > 0 && queue[i] > 0 ? cand : backlog[i];
     demand[i] = base_load + fresh[i] + queued;
     service_work[i] += fresh[i];
   }
@@ -77,13 +76,12 @@ void AddRow(double* acc, const double* src, size_t n) {
   for (size_t i = 0; i < n; ++i) acc[i] += src[i];
 }
 
-void DistributeRow(double* demand, const double* work,
-                   const double* usable, double factor, double perf,
-                   size_t n) {
+void DistributeRow(double* demand, const double* work, double usable,
+                   double factor, double perf, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     double w = factor * work[i];
-    double cand = w * perf / usable[i];
-    demand[i] += w > 0 && usable[i] > 0 ? cand : 0.0;
+    double cand = w * perf / usable;
+    demand[i] += w > 0 && usable > 0 ? cand : 0.0;
   }
 }
 

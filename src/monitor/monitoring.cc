@@ -100,17 +100,12 @@ Status LoadMonitoringSystem::ObserveById(
         StrFormat("unregistered subject id %d", subject));
   }
   SubjectState& state = subjects_[static_cast<size_t>(subject)];
-  // Quiescent fast path: the sample is indistinguishable (within
-  // epsilon) from the carried value, cannot arm a watch (in-band),
-  // and extends the uniform cadence — record it as one more pending
-  // copy and skip evaluation. The in-band test uses the *actual*
-  // load, so arming decisions are exact even with epsilon > 0.
+  // Quiescent fast path: the sample equals the carried value, cannot
+  // arm a watch (in-band), and extends the uniform cadence — record it
+  // as one more pending copy and skip evaluation.
   if (config_.dirty_tracking && state.phase == Phase::kNormal &&
       !detection_load.has_value() && state.has_last &&
-      (config_.load_epsilon == 0.0
-           ? load == state.last_value
-           : load - state.last_value <= config_.load_epsilon &&
-                 state.last_value - load <= config_.load_epsilon) &&
+      load == state.last_value &&
       !(load > config_.overload_threshold) &&
       !(load < state.idle_threshold) &&
       (state.pending_count == 0 ||

@@ -63,19 +63,13 @@ struct MonitorConfig {
   /// failed — a single dropped report must not trigger recovery.
   int heartbeat_miss_threshold = 3;
   /// Dirty-subject tracking: a quiescent subject — phase kNormal, no
-  /// forecast signal, load within `load_epsilon` of its last archived
-  /// value, in-band (neither above the overload nor below the idle
+  /// forecast signal, load bitwise equal to its last archived value,
+  /// in-band (neither above the overload nor below the idle
   /// threshold), ticks uniformly spaced — is not re-evaluated. The
   /// run of skipped samples is held as (value, start, interval,
   /// count) and replayed into the archive verbatim before anything
-  /// reads it, so the archive stays bit-identical at epsilon 0.
+  /// reads it, so the archive stays bit-identical.
   bool dirty_tracking = true;
-  /// 0 (default) = only bitwise-equal loads may be skipped: every
-  /// observable value is exact. > 0 = loads within epsilon of the
-  /// carried value are also skipped; archived values then approximate
-  /// the true loads by at most epsilon, but trigger *arming* stays
-  /// exact because the in-band test always uses the actual load.
-  double load_epsilon = 0.0;
 };
 
 /// Dense id of a registered monitoring subject: its registration

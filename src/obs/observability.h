@@ -10,10 +10,10 @@
 namespace autoglobe::obs {
 
 /// Opt-in switches for the per-run observability surfaces. The
-/// metrics registry is always on (registration-time cost only, atomic
-/// updates on the hot path); tracing and decision auditing allocate
-/// real memory and are off by default so capacity sweeps running
-/// hundreds of 80-hour simulations pay nothing.
+/// metrics registry is always on (registration-time cost only, plain
+/// single-writer updates on the hot path); tracing and decision
+/// auditing allocate real memory and are off by default so capacity
+/// sweeps running hundreds of 80-hour simulations pay nothing.
 struct ObservabilityConfig {
   /// Capture typed trace events into a bounded ring buffer.
   bool enable_tracing = false;

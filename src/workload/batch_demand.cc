@@ -14,6 +14,24 @@ using infra::InstanceRef;
 using infra::InstanceState;
 using infra::LandscapeIndex;
 
+namespace {
+
+// Summed performance index of the non-failed instances: the capacity a
+// service's users and work are spread over (the scalar engine's sum,
+// in the same instance order).
+double UsablePerformance(const LandscapeIndex& index,
+                         std::span<const InstanceRef> instances) {
+  double total = 0.0;
+  for (const InstanceRef& ref : instances) {
+    if (ref.instance->state != InstanceState::kFailed) {
+      total += index.ServerPerformance(ref.server);
+    }
+  }
+  return total;
+}
+
+}  // namespace
+
 BatchDemandEngine::BatchDemandEngine(infra::Cluster* cluster, size_t lanes)
     : cluster_(cluster), lanes_(lanes), kernels_(&GetLaneKernels()) {
   AG_CHECK(cluster_ != nullptr);
@@ -101,35 +119,6 @@ void BatchDemandEngine::SetLaneUserScale(size_t lane, double scale) {
   user_scale_[lane] = scale;
 }
 
-Status BatchDemandEngine::SetLaneInstanceState(size_t lane, InstanceId id,
-                                               InstanceState state) {
-  if (lane >= lanes_) return Status::InvalidArgument("bad lane");
-  EnsureDataPlane();
-  size_t i = static_cast<size_t>(id);
-  if (i >= tracked_.size() || !tracked_[i]) {
-    return Status::NotFound(StrFormat(
-        "no instance %llu", static_cast<unsigned long long>(id)));
-  }
-  uint8_t& slot = override_[i * lanes_ + lane];
-  if (slot == kNoOverride) ++override_count_;
-  slot = static_cast<uint8_t>(state);
-  return Status::OK();
-}
-
-Status BatchDemandEngine::ClearLaneInstanceState(size_t lane,
-                                                 InstanceId id) {
-  if (lane >= lanes_) return Status::InvalidArgument("bad lane");
-  size_t i = static_cast<size_t>(id);
-  if (i >= tracked_.size()) {
-    return Status::NotFound(StrFormat(
-        "no instance %llu", static_cast<unsigned long long>(id)));
-  }
-  uint8_t& slot = override_[i * lanes_ + lane];
-  if (slot != kNoOverride) --override_count_;
-  slot = kNoOverride;
-  return Status::OK();
-}
-
 void BatchDemandEngine::ResetLanes() {
   std::fill(users_.begin(), users_.end(), 0.0);
   std::fill(backlog_wu_.begin(), backlog_wu_.end(), 0.0);
@@ -139,8 +128,6 @@ void BatchDemandEngine::ResetLanes() {
   std::fill(server_cpu_.begin(), server_cpu_.end(), 0.0);
   std::fill(server_mem_.begin(), server_mem_.end(), 0.0);
   std::fill(queue_wu_.begin(), queue_wu_.end(), 0.0);
-  std::fill(override_.begin(), override_.end(), kNoOverride);
-  override_count_ = 0;
   std::fill(lost_work_wu_.begin(), lost_work_wu_.end(), 0.0);
   std::fill(overload_minutes_.begin(), overload_minutes_.end(), 0.0);
 }
@@ -190,8 +177,6 @@ const LandscapeIndex& BatchDemandEngine::EnsureDataPlane() {
     demand_wu_.resize(bound * lanes_, 0.0);
     served_wu_.resize(bound * lanes_, 0.0);
     inst_load_.resize(bound * lanes_, 0.0);
-    state_.resize(bound * lanes_, 0);
-    override_.resize(bound * lanes_, kNoOverride);
     tracked_.resize(bound, 0);
   }
   // Untrack removed instances: zero every lane's state for the id,
@@ -209,8 +194,6 @@ const LandscapeIndex& BatchDemandEngine::EnsureDataPlane() {
         demand_wu_[row + lane] = 0.0;
         served_wu_[row + lane] = 0.0;
         inst_load_[row + lane] = 0.0;
-        if (override_[row + lane] != kNoOverride) --override_count_;
-        override_[row + lane] = kNoOverride;
       }
     }
     tracked_[id] = live[id];
@@ -247,11 +230,9 @@ const LandscapeIndex& BatchDemandEngine::EnsureDataPlane() {
   scratch_.app_work.assign(specs_.size() * lanes_, 0.0);
   scratch_.shared_unserved.assign(specs_.size() * lanes_, 0.0);
   scratch_.serve.assign(tracked_.size() * lanes_, 0.0);
-  scratch_.usable_cap.assign(lanes_, 0.0);
-  scratch_.weight_total.assign(lanes_, 0.0);
+  scratch_.tier_work.assign(lanes_, 0.0);
   scratch_.current_total.assign(lanes_, 0.0);
   scratch_.total_demand.assign(lanes_, 0.0);
-  scratch_.any_usable.assign(lanes_, 0);
   scratch_.best_score.assign(lanes_, 0.0);
   scratch_.best_id.assign(lanes_, 0);
   scratch_.moved.assign(lanes_, 0.0);
@@ -265,35 +246,13 @@ const LandscapeIndex& BatchDemandEngine::EnsureDataPlane() {
   return index;
 }
 
-void BatchDemandEngine::GatherStates(const LandscapeIndex& index) {
-  if (override_count_ == 0) {
-    // No lane diverges: broadcast the shared cluster state per row.
-    for (const InstanceRef& ref : index.Instances()) {
-      std::fill_n(state_.data() + static_cast<size_t>(ref.id) * lanes_,
-                  lanes_, static_cast<uint8_t>(ref.instance->state));
-    }
-    return;
-  }
-  for (const InstanceRef& ref : index.Instances()) {
-    size_t row = static_cast<size_t>(ref.id) * lanes_;
-    uint8_t base = static_cast<uint8_t>(ref.instance->state);
-    for (size_t lane = 0; lane < lanes_; ++lane) {
-      uint8_t over = override_[row + lane];
-      state_[row + lane] = over == kNoOverride ? base : over;
-    }
-  }
-}
-
 InstanceId BatchDemandEngine::LeastLoadedInstance(
     const LandscapeIndex& index,
     std::span<const InstanceRef> instances, size_t lane) const {
   InstanceId best = 0;
   double best_score = std::numeric_limits<double>::infinity();
   for (const InstanceRef& ref : instances) {
-    if (state_[static_cast<size_t>(ref.id) * lanes_ + lane] !=
-        static_cast<uint8_t>(InstanceState::kRunning)) {
-      continue;
-    }
+    if (ref.instance->state != InstanceState::kRunning) continue;
     double host_load = ServerCpuLoad(lane, ref.server);
     double users = users_[static_cast<size_t>(ref.id) * lanes_ + lane];
     double capacity = index.ServerPerformance(ref.server);
@@ -309,7 +268,6 @@ InstanceId BatchDemandEngine::LeastLoadedInstance(
 
 void BatchDemandEngine::SyncUsersSpecLane(const LandscapeIndex& index,
                                           size_t slot, size_t lane) {
-  const uint8_t kFailed = static_cast<uint8_t>(InstanceState::kFailed);
   const ServiceDemandSpec& spec = specs_[slot];
   std::span<const InstanceRef> instances =
       index.InstancesOfService(spec_service_id_[slot]);
@@ -318,7 +276,7 @@ void BatchDemandEngine::SyncUsersSpecLane(const LandscapeIndex& index,
   double current_total = 0.0;
   for (const InstanceRef& ref : instances) {
     size_t i = static_cast<size_t>(ref.id) * lanes_ + lane;
-    if (state_[i] == kFailed && users_[i] > 0) {
+    if (ref.instance->state == InstanceState::kFailed && users_[i] > 0) {
       InstanceId refuge = LeastLoadedInstance(index, instances, lane);
       if (refuge != 0 && refuge != ref.id) {
         users_[static_cast<size_t>(refuge) * lanes_ + lane] += users_[i];
@@ -329,19 +287,11 @@ void BatchDemandEngine::SyncUsersSpecLane(const LandscapeIndex& index,
   }
   double diff = target_total - current_total;
   if (diff > 1e-9) {
-    double weight_total = 0.0;
-    for (const InstanceRef& ref : instances) {
-      if (state_[static_cast<size_t>(ref.id) * lanes_ + lane] ==
-          kFailed) {
-        continue;
-      }
-      weight_total += index.ServerPerformance(ref.server);
-    }
+    double weight_total = UsablePerformance(index, instances);
     if (weight_total > 0) {
       for (const InstanceRef& ref : instances) {
-        size_t i = static_cast<size_t>(ref.id) * lanes_ + lane;
-        if (state_[i] == kFailed) continue;
-        users_[i] +=
+        if (ref.instance->state == InstanceState::kFailed) continue;
+        users_[static_cast<size_t>(ref.id) * lanes_ + lane] +=
             diff * index.ServerPerformance(ref.server) / weight_total;
       }
     } else {
@@ -358,7 +308,6 @@ void BatchDemandEngine::SyncUsersSpecLane(const LandscapeIndex& index,
 
 void BatchDemandEngine::SyncUsersAll(const LandscapeIndex& index) {
   const size_t L = lanes_;
-  const uint8_t kFailed = static_cast<uint8_t>(InstanceState::kFailed);
   // Sync modes per lane: nothing to do, top up, or scale down.
   enum : uint8_t { kNone = 0, kAdd = 1, kScale = 2, kSlow = 3 };
   for (size_t slot = 0; slot < specs_.size(); ++slot) {
@@ -369,69 +318,21 @@ void BatchDemandEngine::SyncUsersAll(const LandscapeIndex& index) {
     if (instances.empty()) continue;
     if (spec.base_users <= 0) continue;
 
-    // No override anywhere => every lane sees the shared cluster state
-    // => one state byte stands for a whole row.
-    const bool uniform = override_count_ == 0;
-
     if (distribution_ == UserDistribution::kDynamicRedistribution) {
-      uint8_t* usable = scratch_.any_usable.data();
-      double* wt = scratch_.weight_total.data();
-      if (uniform) {
-        bool any = false;
-        double weight_total = 0.0;
-        for (const InstanceRef& ref : instances) {
-          if (state_[static_cast<size_t>(ref.id) * L] != kFailed) {
-            any = true;
-            weight_total += index.ServerPerformance(ref.server);
-          }
-        }
-        if (!any || weight_total <= 0) continue;
-        for (const InstanceRef& ref : instances) {
-          std::fill_n(users_.data() + static_cast<size_t>(ref.id) * L, L,
-                      0.0);
-        }
-        for (const InstanceRef& ref : instances) {
-          size_t row = static_cast<size_t>(ref.id) * L;
-          if (state_[row] == kFailed) continue;
-          double perf = index.ServerPerformance(ref.server);
-          for (size_t lane = 0; lane < L; ++lane) {
-            users_[row + lane] =
-                spec.base_users * user_scale_[lane] * perf / weight_total;
-          }
-        }
-        continue;
-      }
-      std::fill_n(usable, L, uint8_t{0});
-      std::fill_n(wt, L, 0.0);
+      // No usable instance: every lane keeps its stale attachment.
+      double weight_total = UsablePerformance(index, instances);
+      if (weight_total <= 0) continue;
       for (const InstanceRef& ref : instances) {
+        std::fill_n(users_.data() + static_cast<size_t>(ref.id) * L, L,
+                    0.0);
+      }
+      for (const InstanceRef& ref : instances) {
+        if (ref.instance->state == InstanceState::kFailed) continue;
         size_t row = static_cast<size_t>(ref.id) * L;
         double perf = index.ServerPerformance(ref.server);
         for (size_t lane = 0; lane < L; ++lane) {
-          if (state_[row + lane] != kFailed) {
-            usable[lane] = 1;
-            wt[lane] += perf;
-          }
-        }
-      }
-      // Lanes without a usable instance keep their stale attachment —
-      // exactly the scalar `continue`.
-      for (size_t lane = 0; lane < L; ++lane) {
-        if (wt[lane] <= 0) usable[lane] = 0;
-      }
-      for (const InstanceRef& ref : instances) {
-        size_t row = static_cast<size_t>(ref.id) * L;
-        for (size_t lane = 0; lane < L; ++lane) {
-          if (usable[lane]) users_[row + lane] = 0.0;
-        }
-      }
-      for (const InstanceRef& ref : instances) {
-        size_t row = static_cast<size_t>(ref.id) * L;
-        double perf = index.ServerPerformance(ref.server);
-        for (size_t lane = 0; lane < L; ++lane) {
-          if (usable[lane] && state_[row + lane] != kFailed) {
-            users_[row + lane] =
-                spec.base_users * user_scale_[lane] * perf / wt[lane];
-          }
+          users_[row + lane] =
+              spec.base_users * user_scale_[lane] * perf / weight_total;
         }
       }
       continue;
@@ -439,28 +340,25 @@ void BatchDemandEngine::SyncUsersAll(const LandscapeIndex& index) {
 
     // Sticky sessions. Detection pass (read-only): per-lane attached
     // total, and a slow flag for the order-sensitive path — a failed
-    // instance still holding users, whose refuge hand-off interleaves
-    // with the total.
+    // instance still holding users in that lane, whose refuge hand-off
+    // interleaves with the total.
     double* current = scratch_.current_total.data();
     uint8_t* mode = scratch_.mode.data();
     std::fill_n(current, L, 0.0);
     std::fill_n(mode, L, kNone);
     for (const InstanceRef& ref : instances) {
-      size_t row = static_cast<size_t>(ref.id) * L;
-      if (uniform && state_[row] != kFailed) {
-        kernels_->add_row(current, users_.data() + row, L);
+      const double* users = users_.data() + static_cast<size_t>(ref.id) * L;
+      if (ref.instance->state != InstanceState::kFailed) {
+        kernels_->add_row(current, users, L);
         continue;
       }
       for (size_t lane = 0; lane < L; ++lane) {
-        if (state_[row + lane] == kFailed && users_[row + lane] > 0) {
-          mode[lane] = kSlow;
-        }
-        current[lane] += users_[row + lane];
+        if (users[lane] > 0) mode[lane] = kSlow;
+        current[lane] += users[lane];
       }
     }
 
     double* amount = scratch_.amount.data();
-    double* wt = scratch_.weight_total.data();
     bool any_add = false;
     bool any_apply = false;
     for (size_t lane = 0; lane < L; ++lane) {
@@ -484,38 +382,19 @@ void BatchDemandEngine::SyncUsersAll(const LandscapeIndex& index) {
     }
     // Steady state: every lane already holds its target attachment.
     if (!any_apply) continue;
-    if (any_add) {
-      // No lane on the fast path has a failed instance with users; a
-      // failed-but-empty instance still changes the weight sum, so the
-      // per-lane weights stay state-masked.
-      if (uniform) {
-        double weight_total = 0.0;
-        for (const InstanceRef& ref : instances) {
-          if (state_[static_cast<size_t>(ref.id) * L] != kFailed) {
-            weight_total += index.ServerPerformance(ref.server);
-          }
-        }
-        std::fill_n(wt, L, weight_total);
-      } else {
-        std::fill_n(wt, L, 0.0);
-        for (const InstanceRef& ref : instances) {
-          size_t row = static_cast<size_t>(ref.id) * L;
-          double perf = index.ServerPerformance(ref.server);
-          for (size_t lane = 0; lane < L; ++lane) {
-            if (state_[row + lane] != kFailed) wt[lane] += perf;
-          }
-        }
-      }
-    }
+    // No lane on the fast path has a failed instance with users; a
+    // failed-but-empty instance still drops out of the weight sum.
+    const double weight_total =
+        any_add ? UsablePerformance(index, instances) : 0.0;
     for (const InstanceRef& ref : instances) {
       size_t row = static_cast<size_t>(ref.id) * L;
       double perf = index.ServerPerformance(ref.server);
-      const bool row_failed = uniform && state_[row] == kFailed;
+      const bool row_failed = ref.instance->state == InstanceState::kFailed;
       for (size_t lane = 0; lane < L; ++lane) {
         if (mode[lane] == kAdd) {
-          if (wt[lane] > 0) {
-            if (!row_failed && state_[row + lane] != kFailed) {
-              users_[row + lane] += amount[lane] * perf / wt[lane];
+          if (weight_total > 0) {
+            if (!row_failed) {
+              users_[row + lane] += amount[lane] * perf / weight_total;
             }
           } else if (ref.id == instances.front().id) {
             users_[row + lane] += amount[lane];
@@ -531,7 +410,6 @@ void BatchDemandEngine::SyncUsersAll(const LandscapeIndex& index) {
 void BatchDemandEngine::ApplyFluctuationAll(const LandscapeIndex& index,
                                             double dt_minutes) {
   const size_t L = lanes_;
-  const uint8_t kRunning = static_cast<uint8_t>(InstanceState::kRunning);
   double fraction = std::min(1.0, fluctuation_per_minute_ * dt_minutes);
   for (size_t slot = 0; slot < specs_.size(); ++slot) {
     const ServiceDemandSpec& spec = specs_[slot];
@@ -546,30 +424,15 @@ void BatchDemandEngine::ApplyFluctuationAll(const LandscapeIndex& index,
     uint64_t* best_id = scratch_.best_id.data();
     std::fill_n(best_score, L, std::numeric_limits<double>::infinity());
     std::fill_n(best_id, L, uint64_t{0});
-    const bool uniform = override_count_ == 0;
     for (const InstanceRef& ref : instances) {
-      size_t row = static_cast<size_t>(ref.id) * L;
+      if (ref.instance->state != InstanceState::kRunning) continue;
       double denom = index.ServerPerformance(ref.server) *
                      kUsersPerPerformanceUnit;
-      const double* cpu_row =
-          server_cpu_.data() + static_cast<size_t>(ref.server) * L;
-      if (uniform) {
-        // All lanes share the cluster state: one check for the row.
-        if (state_[row] != kRunning) continue;
-        kernels_->least_loaded_row(best_score, best_id, cpu_row,
-                                   users_.data() + row, denom,
-                                   static_cast<uint64_t>(ref.id), L);
-        continue;
-      }
-      for (size_t lane = 0; lane < L; ++lane) {
-        if (state_[row + lane] != kRunning) continue;
-        double score =
-            cpu_row[lane] + 0.001 * users_[row + lane] / denom;
-        if (score < best_score[lane]) {
-          best_score[lane] = score;
-          best_id[lane] = static_cast<uint64_t>(ref.id);
-        }
-      }
+      kernels_->least_loaded_row(
+          best_score, best_id,
+          server_cpu_.data() + static_cast<size_t>(ref.server) * L,
+          users_.data() + static_cast<size_t>(ref.id) * L, denom,
+          static_cast<uint64_t>(ref.id), L);
     }
     double* moved = scratch_.moved.data();
     std::fill_n(moved, L, 0.0);
@@ -590,11 +453,8 @@ void BatchDemandEngine::ApplyFluctuationAll(const LandscapeIndex& index,
 
 void BatchDemandEngine::Tick(SimTime now, Duration dt) {
   const size_t L = lanes_;
-  const uint8_t kRunning = static_cast<uint8_t>(InstanceState::kRunning);
-  const uint8_t kFailed = static_cast<uint8_t>(InstanceState::kFailed);
   double dt_minutes = std::max(1e-9, dt.seconds() / 60.0);
   const LandscapeIndex& index = EnsureDataPlane();
-  GatherStates(index);
   // User attachment and fluctuation run lane-inner like everything
   // else; each lane still sees the scalar engine's exact arithmetic
   // and iteration order, and the one order-sensitive path (failed
@@ -607,11 +467,10 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
 
   // --- Fresh demand per instance (wu per minute) -----------------------
   // Lane-innermost from here on: the loop structure (spec spans,
-  // activity, spec lookups) is computed once per entity and amortized
-  // over the whole batch. With no per-lane state overrides anywhere
-  // (`uniform`), every state check collapses to one byte per row and
-  // the inner loops become straight-line arithmetic.
-  const bool uniform = override_count_ == 0;
+  // activity, spec lookups, instance states) is computed once per
+  // entity and amortized over the whole batch. Every lane shares the
+  // cluster's instance states, so each state check is one branch per
+  // row and the inner loops are straight-line arithmetic.
   std::fill(scratch_.app_work.begin(), scratch_.app_work.end(), 0.0);
   for (size_t slot = 0; slot < specs_.size(); ++slot) {
     const ServiceDemandSpec& spec = specs_[slot];
@@ -620,25 +479,7 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
     std::span<const InstanceRef> instances = index.InstancesOfService(sid);
     if (instances.empty()) continue;
     double activity = spec.pattern.Activity(now);
-    double* usable = scratch_.usable_cap.data();
-    if (uniform) {
-      double total = 0.0;
-      for (const InstanceRef& ref : instances) {
-        if (state_[static_cast<size_t>(ref.id) * L] != kFailed) {
-          total += index.ServerPerformance(ref.server);
-        }
-      }
-      std::fill_n(usable, L, total);
-    } else {
-      std::fill_n(usable, L, 0.0);
-      for (const InstanceRef& ref : instances) {
-        size_t row = static_cast<size_t>(ref.id) * L;
-        double perf = index.ServerPerformance(ref.server);
-        for (size_t lane = 0; lane < L; ++lane) {
-          if (state_[row + lane] != kFailed) usable[lane] += perf;
-        }
-      }
-    }
+    const double usable = UsablePerformance(index, instances);
     double* service_work = scratch_.app_work.data() + slot * L;
     // Spec-level branches (batch vs interactive, noisy or not) are
     // hoisted out of the lane loop: non-noisy specs become straight
@@ -649,28 +490,15 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
     for (const InstanceRef& ref : instances) {
       size_t row = static_cast<size_t>(ref.id) * L;
       double perf = index.ServerPerformance(ref.server);
-      // One state byte per row when uniform; per-lane otherwise.
-      const bool row_ok = !uniform || state_[row] != kFailed;
+      const bool row_ok = ref.instance->state != InstanceState::kFailed;
       double* fresh_all = scratch_.moved.data();
       if (spec.batch) {
-        if (uniform) {
-          if (row_ok) {
-            kernels_->fresh_batch_row(fresh_all, usable,
-                                      user_scale_.data(),
-                                      spec.batch_load_wu * activity, perf,
-                                      L);
-          } else {
-            std::fill_n(fresh_all, L, 0.0);
-          }
+        if (row_ok) {
+          kernels_->fresh_batch_row(fresh_all, usable, user_scale_.data(),
+                                    spec.batch_load_wu * activity, perf,
+                                    L);
         } else {
-          for (size_t lane = 0; lane < L; ++lane) {
-            bool ok = state_[row + lane] != kFailed;
-            fresh_all[lane] =
-                usable[lane] > 0 && ok
-                    ? spec.batch_load_wu * activity * user_scale_[lane] *
-                          perf / usable[lane]
-                    : 0.0;
-          }
+          std::fill_n(fresh_all, L, 0.0);
         }
       } else if (spec.base_users > 0) {
         kernels_->fresh_users_row(fresh_all, users_.data() + row,
@@ -694,31 +522,13 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
           }
         }
       }
-      if (spec.shared_queue) {
-        if (uniform && row_ok) {
-          kernels_->demand_shared_row(
-              demand_wu_.data() + row, service_work, fresh_all,
-              backlog_wu_.data() + row, queue_row, usable,
-              spec.base_load_wu, perf, L);
-        } else if (uniform) {
-          // Row failed in every lane: the shared queue never feeds it.
-          kernels_->demand_plain_row(demand_wu_.data() + row,
-                                     service_work, fresh_all,
-                                     backlog_wu_.data() + row,
-                                     spec.base_load_wu, L);
-        } else {
-          for (size_t lane = 0; lane < L; ++lane) {
-            bool ok = state_[row + lane] != kFailed;
-            double queued = backlog_wu_[row + lane];
-            if (usable[lane] > 0 && ok && queue_row[lane] > 0) {
-              queued = queue_row[lane] * perf / usable[lane];
-            }
-            demand_wu_[row + lane] =
-                spec.base_load_wu + fresh_all[lane] + queued;
-            service_work[lane] += fresh_all[lane];
-          }
-        }
+      if (spec.shared_queue && row_ok) {
+        kernels_->demand_shared_row(
+            demand_wu_.data() + row, service_work, fresh_all,
+            backlog_wu_.data() + row, queue_row, usable,
+            spec.base_load_wu, perf, L);
       } else {
+        // Private queues; the shared queue never feeds a failed row.
         kernels_->demand_plain_row(demand_wu_.data() + row, service_work,
                                    fresh_all, backlog_wu_.data() + row,
                                    spec.base_load_wu, L);
@@ -728,7 +538,7 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
 
   // --- Propagate through central instances and databases ----------------
   for (const SubsystemEdges& edge : edges_) {
-    double* work = scratch_.weight_total.data();  // per-lane tier work
+    double* work = scratch_.tier_work.data();
     std::fill_n(work, L, 0.0);
     for (int32_t app_slot : edge.app_specs) {
       if (app_slot < 0) continue;
@@ -749,47 +559,16 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
       }
       std::span<const InstanceRef> instances =
           index.InstancesOfService(sid);
-      double* usable = scratch_.usable_cap.data();
-      if (uniform) {
-        double total = 0.0;
-        for (const InstanceRef& ref : instances) {
-          if (state_[static_cast<size_t>(ref.id) * L] != kFailed) {
-            total += index.ServerPerformance(ref.server);
-          }
-        }
-        std::fill_n(usable, L, total);
-      } else {
-        std::fill_n(usable, L, 0.0);
-        for (const InstanceRef& ref : instances) {
-          size_t row = static_cast<size_t>(ref.id) * L;
-          double perf = index.ServerPerformance(ref.server);
-          for (size_t lane = 0; lane < L; ++lane) {
-            if (state_[row + lane] != kFailed) usable[lane] += perf;
-          }
-        }
-      }
+      const double usable = UsablePerformance(index, instances);
       for (size_t lane = 0; lane < L; ++lane) {
         double w = factor * work[lane];
-        if (w > 0 && usable[lane] <= 0) {
-          lost_work_wu_[lane] += w * dt_minutes;
-        }
+        if (w > 0 && usable <= 0) lost_work_wu_[lane] += w * dt_minutes;
       }
       for (const InstanceRef& ref : instances) {
-        size_t row = static_cast<size_t>(ref.id) * L;
-        double perf = index.ServerPerformance(ref.server);
-        if (uniform && state_[row] == kFailed) continue;
-        if (uniform) {
-          kernels_->distribute_row(demand_wu_.data() + row, work, usable,
-                                   factor, perf, L);
-          continue;
-        }
-        for (size_t lane = 0; lane < L; ++lane) {
-          double w = factor * work[lane];
-          if (w > 0 && usable[lane] > 0 &&
-              state_[row + lane] != kFailed) {
-            demand_wu_[row + lane] += w * perf / usable[lane];
-          }
-        }
+        if (ref.instance->state == InstanceState::kFailed) continue;
+        kernels_->distribute_row(
+            demand_wu_.data() + static_cast<size_t>(ref.id) * L, work,
+            usable, factor, index.ServerPerformance(ref.server), L);
       }
     };
     distribute(edge.ci_spec, edge.ci_factor);
@@ -808,18 +587,9 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
     std::fill_n(total_demand, L, 0.0);
     for (const InstanceRef& ref : instances) {
       size_t row = static_cast<size_t>(ref.id) * L;
-      if (uniform) {
-        std::fill_n(scratch_.serve.data() + row, L, 0.0);
-        if (state_[row] == kRunning) {
-          kernels_->add_row(total_demand, demand_wu_.data() + row, L);
-        }
-        continue;
-      }
-      for (size_t lane = 0; lane < L; ++lane) {
-        scratch_.serve[row + lane] = 0.0;
-        if (state_[row + lane] == kRunning) {
-          total_demand[lane] += demand_wu_[row + lane];
-        }
+      std::fill_n(scratch_.serve.data() + row, L, 0.0);
+      if (ref.instance->state == InstanceState::kRunning) {
+        kernels_->add_row(total_demand, demand_wu_.data() + row, L);
       }
     }
 
@@ -836,22 +606,13 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
       }
     }
 
-    // Fits: serve everything (lane-masked). Overloaded lanes keep
-    // serve at 0 here and water-fill below.
+    // Fits: serve everything. Overloaded lanes keep serve at 0 here
+    // and water-fill below.
     for (const InstanceRef& ref : instances) {
+      if (ref.instance->state != InstanceState::kRunning) continue;
       size_t row = static_cast<size_t>(ref.id) * L;
-      if (uniform && state_[row] != kRunning) continue;
-      if (uniform) {
-        kernels_->serve_fit_row(scratch_.serve.data() + row, total_demand,
-                                demand_wu_.data() + row, capacity, L);
-        continue;
-      }
-      for (size_t lane = 0; lane < L; ++lane) {
-        if (total_demand[lane] <= capacity &&
-            state_[row + lane] == kRunning) {
-          scratch_.serve[row + lane] = demand_wu_[row + lane];
-        }
-      }
+      kernels_->serve_fit_row(scratch_.serve.data() + row, total_demand,
+                              demand_wu_.data() + row, capacity, L);
     }
     for (size_t lane = 0; lane < L; ++lane) {
       if (total_demand[lane] <= capacity) continue;
@@ -860,8 +621,7 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
       double remaining = capacity;
       scratch_.unsatisfied.clear();
       for (size_t pos = 0; pos < instances.size(); ++pos) {
-        size_t i = static_cast<size_t>(instances[pos].id) * L + lane;
-        if (state_[i] == kRunning) {
+        if (instances[pos].instance->state == InstanceState::kRunning) {
           scratch_.unsatisfied.push_back(static_cast<uint32_t>(pos));
         }
       }

@@ -37,15 +37,15 @@ namespace autoglobe::workload {
 /// RNG draws stay strictly conditional (a lane draws noise exactly
 /// when the scalar path would), so stream positions never shift.
 ///
-/// Divergent per-lane control flow — fault masks flipping an
-/// instance's state in one lane only — executes masked: lanes gather
-/// their effective instance states per tick (shared topology, per-
-/// lane state bytes), and the branchy paths (sticky-session
-/// reconciliation, the water-filling CPU model) run per lane over the
-/// strided arrays. Structural topology changes apply to the shared
-/// cluster and therefore to every lane at once; per-lane *topology*
-/// divergence is out of scope here (the batch driver detaches such a
-/// lane to a scalar engine instead, see autoglobe/batch_runner.h).
+/// Instance states are read from the shared cluster, exactly as the
+/// scalar engine reads them, so every state check is one branch per
+/// row for all lanes. Topology and state changes apply to the shared
+/// cluster and therefore to every lane at once; runs whose faults or
+/// actions differ per lane do not batch (see autoglobe/batch_runner.h).
+/// Lanes diverge only in their loads, and the two paths whose control
+/// flow depends on a lane's loads run per lane over the strided
+/// arrays: the refuge hand-off of a failed instance that still holds
+/// users, and the water-filling CPU model of an overloaded server.
 class BatchDemandEngine : public DemandModelSink {
  public:
   /// `lanes` is fixed for the engine's lifetime (1..1024).
@@ -89,24 +89,14 @@ class BatchDemandEngine : public DemandModelSink {
     overload_threshold_ = threshold;
   }
 
-  // --- Per-lane fault masking ------------------------------------------
-  /// Overrides the state of `id` in `lane` only; other lanes keep
-  /// reading the shared cluster state. This is the masked execution
-  /// path for per-lane fault schedules (a crash in lane 3 must not
-  /// perturb lane 5). The override persists until cleared.
-  Status SetLaneInstanceState(size_t lane, infra::InstanceId id,
-                              infra::InstanceState state);
-  /// Removes a lane's override; the lane reads the cluster state again.
-  Status ClearLaneInstanceState(size_t lane, infra::InstanceId id);
-
   /// Advances every lane by `dt` ending at `now`. Allocation-free
   /// unless the topology changed since the previous tick.
   void Tick(SimTime now, Duration dt = Duration::Minutes(1));
 
   /// Rewinds every lane to its just-built state (zero users /
-  /// backlogs / queues / loads / metrics, overrides cleared) so the
-  /// engine can be re-armed for another batch without rebuilding the
-  /// data plane. Re-seed each lane afterwards.
+  /// backlogs / queues / loads / metrics) so the engine can be
+  /// re-armed for another batch without rebuilding the data plane.
+  /// Re-seed each lane afterwards.
   void ResetLanes();
 
   // --- Per-lane load views (mirror the scalar engine's views) ----------
@@ -168,9 +158,6 @@ class BatchDemandEngine : public DemandModelSink {
   int32_t SpecSlotOf(std::string_view service) const;
 
   const infra::LandscapeIndex& EnsureDataPlane();
-  /// Gathers each lane's effective instance states (cluster state
-  /// masked by per-lane overrides) into state_ for this tick.
-  void GatherStates(const infra::LandscapeIndex& index);
   /// Lane-inner user attachment for every lane at once. Falls back to
   /// SyncUsersSpecLane for (spec, lane) pairs on the order-sensitive
   /// failed-with-users path.
@@ -214,14 +201,6 @@ class BatchDemandEngine : public DemandModelSink {
   std::vector<double> served_wu_;
   std::vector<double> inst_load_;
   std::vector<uint8_t> tracked_;  // shared: topology-derived
-  /// Effective instance state per lane this tick (InstanceState byte).
-  std::vector<uint8_t> state_;
-  /// Per-lane state override; kNoOverride = read the cluster.
-  std::vector<uint8_t> override_;
-  /// Live override count; 0 lets GatherStates broadcast the shared
-  /// cluster state per instance instead of checking every lane.
-  size_t override_count_ = 0;
-  static constexpr uint8_t kNoOverride = 0xff;
 
   // Lane-strided per-server loads (layout = dense server ids).
   size_t num_servers_ = 0;
@@ -237,11 +216,9 @@ class BatchDemandEngine : public DemandModelSink {
     std::vector<double> app_work;         // [slot][lane]
     std::vector<double> shared_unserved;  // [slot][lane]
     std::vector<double> serve;            // [id][lane]
-    std::vector<double> usable_cap;       // [lane]
-    std::vector<double> weight_total;     // [lane]
+    std::vector<double> tier_work;        // [lane]
     std::vector<double> current_total;    // [lane]
     std::vector<double> total_demand;     // [lane]
-    std::vector<uint8_t> any_usable;      // [lane]
     std::vector<double> best_score;       // [lane] refuge search
     std::vector<uint64_t> best_id;        // [lane] refuge search
     std::vector<double> moved;            // [lane] fluctuation sums

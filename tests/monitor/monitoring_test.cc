@@ -224,33 +224,6 @@ TEST_F(MonitoringTest, OutOfBandLoadsAreNeverSkipped) {
   EXPECT_GE(triggers_.size(), 1u);
 }
 
-TEST_F(MonitoringTest, EpsilonSkipsNearbyValuesButArmingStaysExact) {
-  LoadArchive archive;
-  MonitorConfig config;
-  config.load_epsilon = 0.01;
-  LoadMonitoringSystem lms(&archive, config);
-  ASSERT_TRUE(
-      lms.RegisterSubject(TriggerKind::kServerOverloaded, "s", 1.0).ok());
-  ASSERT_TRUE(lms.Observe(Min(1), "s", 0.5).ok());
-  ASSERT_TRUE(lms.Observe(Min(2), "s", 0.509).ok());  // within epsilon
-  ASSERT_TRUE(lms.Observe(Min(3), "s", 0.492).ok());  // still within
-  ASSERT_TRUE(lms.Observe(Min(4), "s", 0.52).ok());   // breaks the run
-  EXPECT_EQ(lms.skips(), 2);
-  EXPECT_EQ(lms.evaluations(), 2);
-  auto raw = archive.RawBetween("server/s", Min(0), Min(4));
-  ASSERT_EQ(raw.size(), 4u);
-  // Skipped ticks carry the last evaluated value (the documented
-  // epsilon approximation); evaluated ticks store the exact load.
-  EXPECT_DOUBLE_EQ(raw[1].value, 0.5);
-  EXPECT_DOUBLE_EQ(raw[2].value, 0.5);
-  EXPECT_DOUBLE_EQ(raw[3].value, 0.52);
-  // An out-of-band value is evaluated even when inside epsilon of the
-  // carried value: 0.699 -> 0.701 crosses the threshold.
-  ASSERT_TRUE(lms.Observe(Min(5), "s", 0.699).ok());
-  ASSERT_TRUE(lms.Observe(Min(6), "s", 0.701).ok());
-  EXPECT_EQ(lms.evaluations(), 4);
-}
-
 TEST_F(MonitoringTest, DirtyTrackingOffEvaluatesEveryObserve) {
   LoadArchive archive;
   MonitorConfig config;

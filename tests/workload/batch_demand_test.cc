@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "autoglobe/landscape.h"
@@ -245,67 +247,110 @@ TEST(BatchDemandTest, MidRunTopologyChangesStayInLockstep) {
   tick_all(61, 90);
 }
 
-// --- Per-lane fault masking --------------------------------------------
+// --- Instance failures in the shared cluster ---------------------------
 
-TEST(BatchDemandTest, LaneFaultMaskDivergesOnlyThatLane) {
-  // World A hosts the batch engine and the healthy scalar twin; world
-  // B is an identical landscape whose instance actually fails, as the
-  // scalar twin of the masked lane. Identical placement sequences give
-  // identical InstanceIds.
-  SmallWorld world_a;
-  world_a.Populate();
-  std::vector<InstanceId> ids_a = world_a.PlaceInitial();
-  SmallWorld world_b;
-  world_b.Populate();
-  std::vector<InstanceId> ids_b = world_b.PlaceInitial();
-  ASSERT_EQ(ids_a, ids_b);
+// Every lane reads instance states from the shared cluster, so a failed
+// instance is failed in all lanes at once. The lanes still diverge in
+// what that does to them: they hold different users and loads, each
+// takes the refuge hand-off on its own, and under philox a lane whose
+// fresh work drops to zero skips its draw. Each lane must match a
+// scalar engine on the same cluster through the failure and recovery of
+// the users' app instance and of the only shared-queue db instance, and
+// through a db failure while a second db instance drains the queue.
+class SharedFailureParityTest
+    : public ::testing::TestWithParam<
+          std::tuple<RngKind, UserDistribution>> {};
 
-  BatchDemandEngine batch(&world_a.cluster, 2);
+TEST_P(SharedFailureParityTest, LanesMatchScalarThroughFailures) {
+  const auto [kind, distribution] = GetParam();
+  const std::vector<LaneSetup> lanes = {{42, 1.0}, {7, 1.3}, {2026, 0.7}};
+
+  SmallWorld world;
+  world.Populate();
+  // ids: app on s1, app on s2, ci on s2, db on s3.
+  std::vector<InstanceId> ids = world.PlaceInitial();
+
+  BatchDemandEngine batch(&world.cluster, lanes.size());
   SmallWorld::Register(&batch);
-  batch.SetLaneSeed(0, 42);
-  batch.SetLaneSeed(1, 42);
+  batch.set_rng_kind(kind);
+  batch.set_distribution(distribution);
+  std::vector<std::unique_ptr<DemandEngine>> scalars;
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    batch.SetLaneSeed(k, lanes[k].seed);
+    batch.SetLaneUserScale(k, lanes[k].scale);
+    auto scalar =
+        std::make_unique<DemandEngine>(&world.cluster, Rng(lanes[k].seed));
+    SmallWorld::Register(scalar.get());
+    scalar->SeedRng(lanes[k].seed, kind);
+    scalar->set_user_scale(lanes[k].scale);
+    scalar->set_distribution(distribution);
+    scalars.push_back(std::move(scalar));
+  }
 
-  DemandEngine healthy(&world_a.cluster, Rng(42));
-  SmallWorld::Register(&healthy);
-  DemandEngine faulty(&world_b.cluster, Rng(42));
-  SmallWorld::Register(&faulty);
-
-  auto tick_all = [&](int from, int to) {
-    for (int t = from; t <= to; ++t) {
-      SimTime now = SimTime::Start() + Duration::Minutes(t);
+  int minute = 0;
+  auto tick_30 = [&] {
+    for (int t = 0; t < 30; ++t) {
+      SimTime now = SimTime::Start() + Duration::Minutes(++minute);
       batch.Tick(now);
-      healthy.Tick(now);
-      faulty.Tick(now);
+      for (auto& scalar : scalars) scalar->Tick(now);
+    }
+    for (size_t k = 0; k < lanes.size(); ++k) {
+      ExpectLaneMatchesScalar(batch, k, *scalars[k], world.cluster);
     }
   };
+  auto step = [&](InstanceId id, InstanceState state) {
+    ASSERT_TRUE(world.cluster.SetInstanceState(id, state).ok());
+    tick_30();
+  };
 
-  tick_all(1, 30);
-  ExpectLaneMatchesScalar(batch, 0, healthy, world_a.cluster);
-  ExpectLaneMatchesScalar(batch, 1, faulty, world_b.cluster);
+  tick_30();  // attach users in every lane
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    ASSERT_GT(batch.InstanceUsers(k, ids[0]), 0.0) << "lane " << k;
+  }
 
-  // Fail the first app instance in lane 1 only; world B mirrors it.
-  ASSERT_TRUE(
-      batch.SetLaneInstanceState(1, ids_a[0], InstanceState::kFailed)
-          .ok());
-  ASSERT_TRUE(world_b.cluster
-                  .SetInstanceState(ids_b[0], InstanceState::kFailed)
-                  .ok());
-  tick_all(31, 60);
-  ExpectLaneMatchesScalar(batch, 0, healthy, world_a.cluster);
-  ExpectLaneMatchesScalar(batch, 1, faulty, world_b.cluster);
-  // Lane 1 genuinely diverged from lane 0.
-  EXPECT_NE(batch.InstanceUsers(1, ids_a[0]),
-            batch.InstanceUsers(0, ids_a[0]));
+  // The app instance fails while holding users: they move to the
+  // surviving app instance in every lane.
+  step(ids[0], InstanceState::kFailed);
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    EXPECT_EQ(batch.InstanceUsers(k, ids[0]), 0.0) << "lane " << k;
+  }
+  step(ids[0], InstanceState::kRunning);
 
-  // Recover.
-  ASSERT_TRUE(batch.ClearLaneInstanceState(1, ids_a[0]).ok());
-  ASSERT_TRUE(world_b.cluster
-                  .SetInstanceState(ids_b[0], InstanceState::kRunning)
-                  .ok());
-  tick_all(61, 90);
-  ExpectLaneMatchesScalar(batch, 0, healthy, world_a.cluster);
-  ExpectLaneMatchesScalar(batch, 1, faulty, world_b.cluster);
+  // The only db instance fails: the tier's work is lost in every lane.
+  std::vector<double> lost_before;
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    lost_before.push_back(batch.TotalLostWork(k));
+  }
+  step(ids[3], InstanceState::kFailed);
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    EXPECT_GT(batch.TotalLostWork(k), lost_before[k]) << "lane " << k;
+  }
+  step(ids[3], InstanceState::kRunning);
+
+  // A second db instance next to the busy app instance queues work;
+  // the shared queue then splits over the survivor only.
+  auto second_db = world.cluster.PlaceInstance(
+      "db", "s1", SimTime::Start() + Duration::Minutes(minute));
+  ASSERT_TRUE(second_db.ok()) << second_db.status();
+  tick_30();
+  step(ids[3], InstanceState::kFailed);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothPlanesBothModes, SharedFailureParityTest,
+    ::testing::Combine(
+        ::testing::Values(RngKind::kXoshiro, RngKind::kPhilox),
+        ::testing::Values(UserDistribution::kStickySessions,
+                          UserDistribution::kDynamicRedistribution)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param) == RngKind::kPhilox
+                             ? "Philox"
+                             : "Xoshiro";
+      name += std::get<1>(info.param) == UserDistribution::kStickySessions
+                  ? "Sticky"
+                  : "Dynamic";
+      return name;
+    });
 
 // --- Batch size never changes a lane's output --------------------------
 
@@ -508,74 +553,6 @@ TEST(BatchDemandTest, PhiloxBatchSizeInvariance) {
 
   expect_lane_equal(*b1, 0, *b64, 0);
   for (size_t k = 0; k < 8; ++k) expect_lane_equal(*b8, k, *b64, k);
-}
-
-// Per-lane fault masks zero some lanes' fresh demand, so those lanes
-// must skip their philox draws exactly like a scalar engine whose
-// instance failed — counters may not shear across lanes.
-TEST(BatchDemandTest, PhiloxLaneFaultMaskDivergesOnlyThatLane) {
-  SmallWorld world_batch;
-  world_batch.Populate();
-  std::vector<InstanceId> ids = world_batch.PlaceInitial();
-  SmallWorld world_a;
-  world_a.Populate();
-  world_a.PlaceInitial();
-  SmallWorld world_b;
-  world_b.Populate();
-  world_b.PlaceInitial();
-
-  BatchDemandEngine batch(&world_batch.cluster, 2);
-  SmallWorld::Register(&batch);
-  batch.set_rng_kind(RngKind::kPhilox);
-  batch.SetLaneSeed(0, 5);
-  batch.SetLaneSeed(1, 5);
-
-  DemandEngine healthy(&world_a.cluster, Rng(5));
-  SmallWorld::Register(&healthy);
-  healthy.SeedRng(5, RngKind::kPhilox);
-  DemandEngine faulty(&world_b.cluster, Rng(5));
-  SmallWorld::Register(&faulty);
-  faulty.SeedRng(5, RngKind::kPhilox);
-
-  for (int t = 1; t <= 30; ++t) {
-    SimTime now = SimTime::Start() + Duration::Minutes(t);
-    batch.Tick(now);
-    healthy.Tick(now);
-    faulty.Tick(now);
-  }
-
-  // Fail the first app instance in lane 1 only (mirrored by a real
-  // state change in faulty's own cluster).
-  ASSERT_TRUE(batch
-                  .SetLaneInstanceState(1, ids[0],
-                                        InstanceState::kFailed)
-                  .ok());
-  ASSERT_TRUE(
-      world_b.cluster.SetInstanceState(ids[0], InstanceState::kFailed)
-          .ok());
-
-  for (int t = 31; t <= 60; ++t) {
-    SimTime now = SimTime::Start() + Duration::Minutes(t);
-    batch.Tick(now);
-    healthy.Tick(now);
-    faulty.Tick(now);
-  }
-  ExpectLaneMatchesScalar(batch, 0, healthy, world_a.cluster);
-  ExpectLaneMatchesScalar(batch, 1, faulty, world_b.cluster);
-
-  // Recover and reconverge the masked lane.
-  ASSERT_TRUE(batch.ClearLaneInstanceState(1, ids[0]).ok());
-  ASSERT_TRUE(
-      world_b.cluster.SetInstanceState(ids[0], InstanceState::kRunning)
-          .ok());
-  for (int t = 61; t <= 90; ++t) {
-    SimTime now = SimTime::Start() + Duration::Minutes(t);
-    batch.Tick(now);
-    healthy.Tick(now);
-    faulty.Tick(now);
-  }
-  ExpectLaneMatchesScalar(batch, 0, healthy, world_a.cluster);
-  ExpectLaneMatchesScalar(batch, 1, faulty, world_b.cluster);
 }
 
 }  // namespace
