@@ -40,7 +40,7 @@ Result<Scenario> ParseScenario(std::string_view name) {
 }
 
 Status Landscape::Build(infra::Cluster* cluster,
-                        workload::DemandModelSink* engine) const {
+                        workload::DemandModel* engine) const {
   if (cluster != nullptr) {
     for (const ServerSpec& server : servers) {
       AG_RETURN_IF_ERROR(cluster->AddServer(server));

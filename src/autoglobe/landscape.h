@@ -8,7 +8,7 @@
 #include "common/result.h"
 #include "common/rng_kind.h"
 #include "infra/cluster.h"
-#include "workload/demand.h"
+#include "workload/demand_model.h"
 #include "xmlcfg/xml.h"
 
 namespace autoglobe {
@@ -51,10 +51,11 @@ struct Landscape {
   /// Materializes servers, services, and the initial allocation into
   /// a cluster, and registers demand specs and subsystems with the
   /// demand model (either pointer may be null to skip that part).
-  /// Any DemandModelSink works — the scalar DemandEngine or the
-  /// batched multi-run engine.
+  /// Registration belongs to the shared DemandModel, so either engine
+  /// works: the scalar DemandEngine (one lane) or the batched
+  /// BatchDemandEngine (one model, many lanes).
   Status Build(infra::Cluster* cluster,
-               workload::DemandModelSink* engine) const;
+               workload::DemandModel* engine) const;
 
   /// Serializes to / parses from the XML description language.
   void ToXml(xml::Element* out) const;

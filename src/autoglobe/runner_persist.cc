@@ -48,6 +48,7 @@ void WriteMetricsSnapshot(ByteWriter* w, const obs::MetricsSnapshot& snap) {
 
 Status ReadMetricsSnapshot(ByteReader* r, obs::MetricsSnapshot* snap) {
   AG_ASSIGN_OR_RETURN(uint32_t counter_count, r->U32());
+  AG_RETURN_IF_ERROR(r->CheckCount(counter_count, 4 + 8));
   snap->counters.reserve(counter_count);
   for (uint32_t i = 0; i < counter_count; ++i) {
     AG_ASSIGN_OR_RETURN(std::string name, r->Str());
@@ -55,6 +56,7 @@ Status ReadMetricsSnapshot(ByteReader* r, obs::MetricsSnapshot* snap) {
     snap->counters.emplace_back(std::move(name), value);
   }
   AG_ASSIGN_OR_RETURN(uint32_t gauge_count, r->U32());
+  AG_RETURN_IF_ERROR(r->CheckCount(gauge_count, 4 + 8));
   snap->gauges.reserve(gauge_count);
   for (uint32_t i = 0; i < gauge_count; ++i) {
     AG_ASSIGN_OR_RETURN(std::string name, r->Str());
@@ -62,16 +64,20 @@ Status ReadMetricsSnapshot(ByteReader* r, obs::MetricsSnapshot* snap) {
     snap->gauges.emplace_back(std::move(name), value);
   }
   AG_ASSIGN_OR_RETURN(uint32_t histogram_count, r->U32());
+  // Name prefix, two array counts, the total count and the sum.
+  AG_RETURN_IF_ERROR(r->CheckCount(histogram_count, 3 * 4 + 2 * 8));
   snap->histograms.reserve(histogram_count);
   for (uint32_t i = 0; i < histogram_count; ++i) {
     obs::HistogramSnapshot histogram;
     AG_ASSIGN_OR_RETURN(histogram.name, r->Str());
     AG_ASSIGN_OR_RETURN(uint32_t bound_count, r->U32());
+    AG_RETURN_IF_ERROR(r->CheckCount(bound_count, sizeof(double)));
     histogram.bounds.resize(bound_count);
     for (double& bound : histogram.bounds) {
       AG_ASSIGN_OR_RETURN(bound, r->F64());
     }
     AG_ASSIGN_OR_RETURN(uint32_t bucket_count, r->U32());
+    AG_RETURN_IF_ERROR(r->CheckCount(bucket_count, sizeof(uint64_t)));
     histogram.counts.resize(bucket_count);
     for (uint64_t& count : histogram.counts) {
       AG_ASSIGN_OR_RETURN(count, r->U64());
@@ -386,6 +392,7 @@ Status SimulationRunner::RestoreStateSections(
     AG_ASSIGN_OR_RETURN(metrics_.strategy_reward_updates, r.I64());
     AG_ASSIGN_OR_RETURN(metrics_.strategy_weight_updates, r.I64());
     AG_ASSIGN_OR_RETURN(uint32_t message_count, r.U32());
+    AG_RETURN_IF_ERROR(r.CheckCount(message_count, 4));
     messages_.clear();
     messages_.reserve(message_count);
     for (uint32_t i = 0; i < message_count; ++i) {
@@ -393,6 +400,8 @@ Status SimulationRunner::RestoreStateSections(
       messages_.push_back(std::move(message));
     }
     AG_ASSIGN_OR_RETURN(uint32_t history_count, r.U32());
+    // Service prefix, two bytes, three timestamps, two string prefixes.
+    AG_RETURN_IF_ERROR(r.CheckCount(history_count, 4 + 2 + 3 * 8 + 2 * 4));
     action_history_.clear();
     for (uint32_t i = 0; i < history_count; ++i) {
       AG_ASSIGN_OR_RETURN(std::string service, r.Str());
@@ -426,8 +435,16 @@ Status SimulationRunner::RestoreStateSections(
       AG_ASSIGN_OR_RETURN(stat.streak_minutes, r.F64());
       AG_ASSIGN_OR_RETURN(stat.window_sum, r.F64());
       AG_ASSIGN_OR_RETURN(uint64_t head, r.U64());
-      stat.head = static_cast<size_t>(head);
       AG_ASSIGN_OR_RETURN(uint64_t count, r.U64());
+      // The next tick indexes the ring at `head` once it is full.
+      if (head >= window_ticks_ || count > window_ticks_) {
+        return Status::ParseError(StrFormat(
+            "server-stat ring head %llu / count %llu outside its window "
+            "of %zu",
+            static_cast<unsigned long long>(head),
+            static_cast<unsigned long long>(count), window_ticks_));
+      }
+      stat.head = static_cast<size_t>(head);
       stat.count = static_cast<size_t>(count);
       for (double& sample : stat.window) {
         AG_ASSIGN_OR_RETURN(sample, r.F64());
@@ -439,6 +456,7 @@ Status SimulationRunner::RestoreStateSections(
     AG_ASSIGN_OR_RETURN(folded_weight_updates_, r.I64());
     AG_ASSIGN_OR_RETURN(watched_epoch_, r.U64());
     AG_ASSIGN_OR_RETURN(uint32_t watch_count, r.U32());
+    AG_RETURN_IF_ERROR(r.CheckCount(watch_count, 8 + 4));
     watched_instances_.clear();
     for (uint32_t i = 0; i < watch_count; ++i) {
       AG_ASSIGN_OR_RETURN(uint64_t id, r.U64());

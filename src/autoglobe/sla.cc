@@ -141,6 +141,7 @@ Status SlaTracker::RestoreState(ByteReader* r) {
     AG_ASSIGN_OR_RETURN(state.status.violation_episodes, r->I64());
     uint64_t sample_count = 0;
     AG_ASSIGN_OR_RETURN(sample_count, r->U64());
+    AG_RETURN_IF_ERROR(r->CheckCount(sample_count, 2 * 8));
     state.samples.clear();
     for (uint64_t j = 0; j < sample_count; ++j) {
       int64_t seconds = 0;

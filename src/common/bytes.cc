@@ -1,5 +1,6 @@
 #include "common/bytes.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/strings.h"
@@ -103,6 +104,19 @@ Status ByteReader::Raw(void* out, size_t n) {
   AG_RETURN_IF_ERROR(Need(n));
   std::memcpy(out, data_.data() + pos_, n);
   pos_ += n;
+  return Status::OK();
+}
+
+Status ByteReader::CheckCount(uint64_t count,
+                              size_t min_element_bytes) const {
+  size_t fit = remaining() / std::max<size_t>(min_element_bytes, 1);
+  if (count > fit) {
+    return Status::ParseError(StrFormat(
+        "corrupt count %llu at offset %zu: %zu byte(s) left hold at most "
+        "%zu element(s) of %zu byte(s)",
+        static_cast<unsigned long long>(count), pos_, remaining(), fit,
+        min_element_bytes));
+  }
   return Status::OK();
 }
 

@@ -54,6 +54,12 @@ class ByteReader {
   /// Reads exactly `n` raw bytes.
   Status Raw(void* out, size_t n);
 
+  /// Errors unless `count` elements of at least `min_element_bytes`
+  /// each fit in the unread bytes. Every count-prefixed read checks its
+  /// count here before sizing a container from it, so a corrupt count
+  /// fails as a ParseError instead of an allocation failure.
+  Status CheckCount(uint64_t count, size_t min_element_bytes) const;
+
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
   /// Errors unless every byte has been consumed — catches encoder/

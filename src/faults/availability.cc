@@ -143,6 +143,8 @@ void AvailabilityTracker::SaveState(ByteWriter* w) const {
 }
 
 Status AvailabilityTracker::RestoreState(ByteReader* r) {
+  // Service prefix, three timestamps and three flags.
+  constexpr size_t kMinEpisodeBytes = 4 + 3 * 8 + 3;
   auto read_episode = [r](Episode* episode) -> Status {
     AG_ASSIGN_OR_RETURN(episode->service, r->Str());
     int64_t seconds = 0;
@@ -163,6 +165,7 @@ Status AvailabilityTracker::RestoreState(ByteReader* r) {
   };
   uint64_t open_count = 0;
   AG_ASSIGN_OR_RETURN(open_count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(open_count, 8 + kMinEpisodeBytes));
   open_.clear();
   for (uint64_t i = 0; i < open_count; ++i) {
     uint64_t token = 0;
@@ -173,6 +176,7 @@ Status AvailabilityTracker::RestoreState(ByteReader* r) {
   }
   uint64_t closed_count = 0;
   AG_ASSIGN_OR_RETURN(closed_count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(closed_count, kMinEpisodeBytes));
   closed_.clear();
   closed_.reserve(closed_count);
   for (uint64_t i = 0; i < closed_count; ++i) {

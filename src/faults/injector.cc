@@ -233,6 +233,7 @@ Status FaultInjector::RestoreState(ByteReader* r) {
   action_fail_until_ = SimTime::FromSeconds(seconds);
   uint64_t dropouts = 0;
   AG_ASSIGN_OR_RETURN(dropouts, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(dropouts, 4 + 8));
   dropout_until_.clear();
   for (uint64_t i = 0; i < dropouts; ++i) {
     std::string server;

@@ -313,6 +313,7 @@ void RecoveryManager::SaveState(ByteWriter* w) const {
 Status RecoveryManager::RestoreState(ByteReader* r) {
   uint64_t episode_count = 0;
   AG_ASSIGN_OR_RETURN(episode_count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(episode_count, 8 + 4 + 2 * 8));
   episodes_.clear();
   for (uint64_t i = 0; i < episode_count; ++i) {
     uint64_t token = 0;
@@ -329,6 +330,7 @@ Status RecoveryManager::RestoreState(ByteReader* r) {
   }
   uint64_t host_count = 0;
   AG_ASSIGN_OR_RETURN(host_count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(host_count, 4 + 2 * 8));
   hosts_.clear();
   for (uint64_t i = 0; i < host_count; ++i) {
     std::string server;

@@ -496,6 +496,7 @@ void Cluster::SaveState(ByteWriter* w) const {
 Status Cluster::RestoreState(ByteReader* r) {
   server_down_.clear();
   AG_ASSIGN_OR_RETURN(uint64_t down_count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(down_count, 4 + 1));
   for (uint64_t i = 0; i < down_count; ++i) {
     AG_ASSIGN_OR_RETURN(std::string name, r->Str());
     AG_ASSIGN_OR_RETURN(uint8_t down, r->U8());
@@ -506,6 +507,8 @@ Status Cluster::RestoreState(ByteReader* r) {
   for (auto& [name, ids] : server_instances_) ids.clear();
   for (auto& [name, ids] : service_instances_) ids.clear();
   AG_ASSIGN_OR_RETURN(uint64_t instance_count, r->U64());
+  // Id, three string prefixes, the state byte and the placement time.
+  AG_RETURN_IF_ERROR(r->CheckCount(instance_count, 8 + 3 * 4 + 1 + 8));
   for (uint64_t i = 0; i < instance_count; ++i) {
     ServiceInstance instance;
     AG_ASSIGN_OR_RETURN(instance.id, r->U64());
@@ -533,6 +536,7 @@ Status Cluster::RestoreState(ByteReader* r) {
   }
   priorities_.clear();
   AG_ASSIGN_OR_RETURN(uint64_t priority_count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(priority_count, 4 + 8));
   for (uint64_t i = 0; i < priority_count; ++i) {
     AG_ASSIGN_OR_RETURN(std::string name, r->Str());
     AG_ASSIGN_OR_RETURN(double priority, r->F64());
@@ -540,6 +544,7 @@ Status Cluster::RestoreState(ByteReader* r) {
   }
   server_protection_.clear();
   AG_ASSIGN_OR_RETURN(uint64_t sp_count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(sp_count, 4 + 8));
   for (uint64_t i = 0; i < sp_count; ++i) {
     AG_ASSIGN_OR_RETURN(std::string name, r->Str());
     AG_ASSIGN_OR_RETURN(int64_t until_s, r->I64());
@@ -548,6 +553,7 @@ Status Cluster::RestoreState(ByteReader* r) {
   }
   service_protection_.clear();
   AG_ASSIGN_OR_RETURN(uint64_t svc_count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(svc_count, 4 + 8));
   for (uint64_t i = 0; i < svc_count; ++i) {
     AG_ASSIGN_OR_RETURN(std::string name, r->Str());
     AG_ASSIGN_OR_RETURN(int64_t until_s, r->I64());

@@ -269,6 +269,8 @@ void ActionExecutor::SaveState(ByteWriter* w) const {
 Status ActionExecutor::RestoreState(ByteReader* r) {
   log_.clear();
   AG_ASSIGN_OR_RETURN(uint64_t count, r->U64());
+  // Two fixed-width words, two bytes and four string prefixes.
+  AG_RETURN_IF_ERROR(r->CheckCount(count, 2 * 8 + 2 + 4 * 4));
   log_.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     ActionRecord record;

@@ -362,6 +362,8 @@ Status LoadArchive::RestoreState(ByteReader* r) {
   ClearSamples();
   uint64_t series_count = 0;
   AG_ASSIGN_OR_RETURN(series_count, r->U64());
+  // Key prefix, two sample counts and the open bucket.
+  AG_RETURN_IF_ERROR(r->CheckCount(series_count, 4 + 2 * 8 + 3 * 8));
   for (uint64_t s = 0; s < series_count; ++s) {
     std::string key;
     AG_ASSIGN_OR_RETURN(key, r->Str());
@@ -369,6 +371,7 @@ Status LoadArchive::RestoreState(ByteReader* r) {
     Series& series = *handle.series_;
     uint64_t raw_count = 0;
     AG_ASSIGN_OR_RETURN(raw_count, r->U64());
+    AG_RETURN_IF_ERROR(r->CheckCount(raw_count, 2 * 8));
     size_t capacity = series.raw.size();
     if (capacity < raw_count) capacity = RoundUpPow2(raw_count);
     if (capacity != series.raw.size()) {
@@ -385,6 +388,7 @@ Status LoadArchive::RestoreState(ByteReader* r) {
     }
     uint64_t aggregated_count = 0;
     AG_ASSIGN_OR_RETURN(aggregated_count, r->U64());
+    AG_RETURN_IF_ERROR(r->CheckCount(aggregated_count, 2 * 8));
     series.aggregated.clear();
     series.aggregated.reserve(aggregated_count);
     for (uint64_t i = 0; i < aggregated_count; ++i) {

@@ -357,6 +357,8 @@ void LoadMonitoringSystem::SaveState(ByteWriter* w) const {
 Status LoadMonitoringSystem::RestoreState(ByteReader* r) {
   uint64_t subject_count = 0;
   AG_ASSIGN_OR_RETURN(subject_count, r->U64());
+  // Name prefix, two flags and six fixed-width words.
+  AG_RETURN_IF_ERROR(r->CheckCount(subject_count, 4 + 2 + 6 * 8));
   if (subject_count != subjects_.size()) {
     return Status::ParseError(StrFormat(
         "snapshot has %llu monitoring subjects, landscape has %zu",
@@ -395,6 +397,8 @@ Status LoadMonitoringSystem::RestoreState(ByteReader* r) {
   }
   uint64_t heartbeat_count = 0;
   AG_ASSIGN_OR_RETURN(heartbeat_count, r->U64());
+  // Three flags, two string prefixes and two fixed-width words.
+  AG_RETURN_IF_ERROR(r->CheckCount(heartbeat_count, 3 + 2 * 4 + 2 * 8));
   std::vector<HeartbeatState> heartbeats;
   std::map<std::string, size_t, std::less<>> heartbeat_ids;
   heartbeats.reserve(heartbeat_count);

@@ -66,6 +66,7 @@ Result<SnapshotData> DecodeSnapshot(std::string_view bytes) {
   SnapshotData data;
   AG_ASSIGN_OR_RETURN(data.fingerprint, r.U64());
   AG_ASSIGN_OR_RETURN(uint32_t section_count, r.U32());
+  AG_RETURN_IF_ERROR(r.CheckCount(section_count, 4 + 2 * 8));
   struct TableEntry {
     std::string name;
     uint64_t size = 0;

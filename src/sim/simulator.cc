@@ -255,11 +255,14 @@ Status Simulator::RestoreState(ByteReader* r,
   AG_ASSIGN_OR_RETURN(dispatched_, r->U64());
   AG_ASSIGN_OR_RETURN(uint64_t live_count, r->U64());
   AG_ASSIGN_OR_RETURN(uint64_t state_size, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(state_size, sizeof(EventState)));
   now_ = SimTime::FromSeconds(now_s);
   state_.assign(state_size, EventState::kDone);
   AG_RETURN_IF_ERROR(r->Raw(state_.data(), state_size));
   heap_.clear();
   AG_ASSIGN_OR_RETURN(uint64_t pending, r->U64());
+  // Eight fixed-width words and three string length prefixes.
+  AG_RETURN_IF_ERROR(r->CheckCount(pending, 8 * 8 + 3 * 4));
   if (pending != live_count) {
     return Status::ParseError(StrFormat(
         "snapshot lists %llu pending event(s) but a live count of %llu",

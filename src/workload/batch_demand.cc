@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace autoglobe::workload {
 
@@ -33,9 +32,7 @@ double UsablePerformance(const LandscapeIndex& index,
 }  // namespace
 
 BatchDemandEngine::BatchDemandEngine(infra::Cluster* cluster, size_t lanes)
-    : cluster_(cluster), lanes_(lanes), kernels_(&GetLaneKernels()) {
-  AG_CHECK(cluster_ != nullptr);
-  AG_CHECK(lanes_ >= 1 && lanes_ <= 1024);
+    : DemandModel(cluster, lanes), kernels_(&GetLaneKernels()) {
   rng_.reserve(lanes_);
   philox_.Resize(lanes_);
   for (size_t lane = 0; lane < lanes_; ++lane) {
@@ -43,69 +40,6 @@ BatchDemandEngine::BatchDemandEngine(infra::Cluster* cluster, size_t lanes)
     philox_.SeedLane(lane, static_cast<uint64_t>(lane));
   }
   user_scale_.assign(lanes_, 1.0);
-  lost_work_wu_.assign(lanes_, 0.0);
-  overload_minutes_.assign(lanes_, 0.0);
-}
-
-int32_t BatchDemandEngine::SpecSlotOf(std::string_view service) const {
-  auto it = std::lower_bound(
-      specs_.begin(), specs_.end(), service,
-      [](const ServiceDemandSpec& spec, std::string_view name) {
-        return spec.service < name;
-      });
-  if (it == specs_.end() || it->service != service) return -1;
-  return static_cast<int32_t>(it - specs_.begin());
-}
-
-Status BatchDemandEngine::AddService(ServiceDemandSpec spec) {
-  AG_RETURN_IF_ERROR(cluster_->FindService(spec.service).status());
-  if (SpecSlotOf(spec.service) >= 0) {
-    return Status::AlreadyExists(StrFormat(
-        "demand spec for \"%s\" already registered", spec.service.c_str()));
-  }
-  if (spec.base_users < 0 || spec.request_cost < 0 ||
-      spec.base_load_wu < 0 || spec.batch_load_wu < 0 ||
-      spec.noise_stddev < 0) {
-    return Status::InvalidArgument(StrFormat(
-        "demand spec for \"%s\" has negative parameters",
-        spec.service.c_str()));
-  }
-  auto it = std::lower_bound(
-      specs_.begin(), specs_.end(), spec.service,
-      [](const ServiceDemandSpec& existing, const std::string& name) {
-        return existing.service < name;
-      });
-  size_t slot = static_cast<size_t>(it - specs_.begin());
-  specs_.insert(it, std::move(spec));
-  queue_wu_.insert(queue_wu_.begin() +
-                       static_cast<ptrdiff_t>(slot * lanes_),
-                   lanes_, 0.0);
-  plane_dirty_ = true;
-  return Status::OK();
-}
-
-Status BatchDemandEngine::AddSubsystem(SubsystemSpec spec) {
-  for (const std::string& app : spec.app_services) {
-    if (SpecSlotOf(app) < 0) {
-      return Status::NotFound(StrFormat(
-          "subsystem \"%s\": unknown app service \"%s\"",
-          spec.name.c_str(), app.c_str()));
-    }
-  }
-  if (!spec.central_instance.empty() &&
-      SpecSlotOf(spec.central_instance) < 0) {
-    return Status::NotFound(StrFormat(
-        "subsystem \"%s\": unknown central instance \"%s\"",
-        spec.name.c_str(), spec.central_instance.c_str()));
-  }
-  if (!spec.database.empty() && SpecSlotOf(spec.database) < 0) {
-    return Status::NotFound(StrFormat(
-        "subsystem \"%s\": unknown database \"%s\"", spec.name.c_str(),
-        spec.database.c_str()));
-  }
-  subsystems_.push_back(std::move(spec));
-  plane_dirty_ = true;
-  return Status::OK();
 }
 
 void BatchDemandEngine::SetLaneSeed(size_t lane, uint64_t seed) {
@@ -119,114 +53,7 @@ void BatchDemandEngine::SetLaneUserScale(size_t lane, double scale) {
   user_scale_[lane] = scale;
 }
 
-void BatchDemandEngine::ResetLanes() {
-  std::fill(users_.begin(), users_.end(), 0.0);
-  std::fill(backlog_wu_.begin(), backlog_wu_.end(), 0.0);
-  std::fill(demand_wu_.begin(), demand_wu_.end(), 0.0);
-  std::fill(served_wu_.begin(), served_wu_.end(), 0.0);
-  std::fill(inst_load_.begin(), inst_load_.end(), 0.0);
-  std::fill(server_cpu_.begin(), server_cpu_.end(), 0.0);
-  std::fill(server_mem_.begin(), server_mem_.end(), 0.0);
-  std::fill(queue_wu_.begin(), queue_wu_.end(), 0.0);
-  std::fill(lost_work_wu_.begin(), lost_work_wu_.end(), 0.0);
-  std::fill(overload_minutes_.begin(), overload_minutes_.end(), 0.0);
-}
-
-const LandscapeIndex& BatchDemandEngine::EnsureDataPlane() {
-  const LandscapeIndex& index = cluster_->Index();
-  if (!plane_dirty_ && plane_epoch_ == cluster_->topology_epoch()) {
-    return index;
-  }
-
-  spec_service_id_.assign(specs_.size(), infra::kNoDenseId);
-  spec_of_service_.assign(index.num_services(), -1);
-  for (size_t slot = 0; slot < specs_.size(); ++slot) {
-    infra::DenseId sid = index.ServiceIdOf(specs_[slot].service);
-    spec_service_id_[slot] = sid;
-    if (sid >= 0) {
-      spec_of_service_[static_cast<size_t>(sid)] =
-          static_cast<int32_t>(slot);
-    }
-  }
-
-  edges_.clear();
-  edges_.reserve(subsystems_.size());
-  for (const SubsystemSpec& subsystem : subsystems_) {
-    SubsystemEdges edge;
-    edge.app_specs.reserve(subsystem.app_services.size());
-    for (const std::string& app : subsystem.app_services) {
-      edge.app_specs.push_back(SpecSlotOf(app));
-    }
-    if (!subsystem.central_instance.empty()) {
-      edge.ci_spec = SpecSlotOf(subsystem.central_instance);
-    }
-    if (!subsystem.database.empty()) {
-      edge.db_spec = SpecSlotOf(subsystem.database);
-    }
-    edge.ci_factor = subsystem.ci_factor;
-    edge.db_factor = subsystem.db_factor;
-    edges_.push_back(std::move(edge));
-  }
-
-  // Per-instance SoA state, lane-strided by raw InstanceId. Growth
-  // keeps existing values; ids are never reused.
-  size_t bound = static_cast<size_t>(index.instance_id_bound());
-  if (tracked_.size() < bound) {
-    users_.resize(bound * lanes_, 0.0);
-    backlog_wu_.resize(bound * lanes_, 0.0);
-    demand_wu_.resize(bound * lanes_, 0.0);
-    served_wu_.resize(bound * lanes_, 0.0);
-    inst_load_.resize(bound * lanes_, 0.0);
-    tracked_.resize(bound, 0);
-  }
-  // Untrack removed instances: zero every lane's state for the id,
-  // mirroring the scalar engine's reconciliation semantics.
-  std::vector<uint8_t> live(tracked_.size(), 0);
-  for (const InstanceRef& ref : index.Instances()) {
-    live[static_cast<size_t>(ref.id)] = 1;
-  }
-  for (size_t id = 0; id < tracked_.size(); ++id) {
-    if (tracked_[id] && !live[id]) {
-      size_t row = id * lanes_;
-      for (size_t lane = 0; lane < lanes_; ++lane) {
-        users_[row + lane] = 0.0;
-        backlog_wu_[row + lane] = 0.0;
-        demand_wu_[row + lane] = 0.0;
-        served_wu_[row + lane] = 0.0;
-        inst_load_[row + lane] = 0.0;
-      }
-    }
-    tracked_[id] = live[id];
-  }
-
-  // Per-server lane-strided loads; carry last-tick values over to the
-  // (possibly shifted) dense layout by name.
-  {
-    std::vector<std::string> names;
-    names.reserve(index.num_servers());
-    for (size_t s = 0; s < index.num_servers(); ++s) {
-      names.push_back(index.ServerName(static_cast<infra::DenseId>(s)));
-    }
-    std::vector<double> cpu(names.size() * lanes_, 0.0);
-    std::vector<double> mem(names.size() * lanes_, 0.0);
-    for (size_t s = 0; s < names.size(); ++s) {
-      auto it = std::lower_bound(server_names_.begin(),
-                                 server_names_.end(), names[s]);
-      if (it != server_names_.end() && *it == names[s]) {
-        size_t old_slot =
-            static_cast<size_t>(it - server_names_.begin());
-        for (size_t lane = 0; lane < lanes_; ++lane) {
-          cpu[s * lanes_ + lane] = server_cpu_[old_slot * lanes_ + lane];
-          mem[s * lanes_ + lane] = server_mem_[old_slot * lanes_ + lane];
-        }
-      }
-    }
-    server_names_ = std::move(names);
-    server_cpu_ = std::move(cpu);
-    server_mem_ = std::move(mem);
-    num_servers_ = server_names_.size();
-  }
-
+void BatchDemandEngine::ResizeScratch(const LandscapeIndex& index) {
   scratch_.app_work.assign(specs_.size() * lanes_, 0.0);
   scratch_.shared_unserved.assign(specs_.size() * lanes_, 0.0);
   scratch_.serve.assign(tracked_.size() * lanes_, 0.0);
@@ -240,30 +67,6 @@ const LandscapeIndex& BatchDemandEngine::EnsureDataPlane() {
   scratch_.mode.assign(lanes_, 0);
   scratch_.unsatisfied.reserve(index.max_instances_per_server());
   scratch_.still_unsatisfied.reserve(index.max_instances_per_server());
-
-  plane_epoch_ = cluster_->topology_epoch();
-  plane_dirty_ = false;
-  return index;
-}
-
-InstanceId BatchDemandEngine::LeastLoadedInstance(
-    const LandscapeIndex& index,
-    std::span<const InstanceRef> instances, size_t lane) const {
-  InstanceId best = 0;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const InstanceRef& ref : instances) {
-    if (ref.instance->state != InstanceState::kRunning) continue;
-    double host_load = ServerCpuLoad(lane, ref.server);
-    double users = users_[static_cast<size_t>(ref.id) * lanes_ + lane];
-    double capacity = index.ServerPerformance(ref.server);
-    double score = host_load + 0.001 * users / (capacity *
-                                                kUsersPerPerformanceUnit);
-    if (score < best_score) {
-      best_score = score;
-      best = ref.id;
-    }
-  }
-  return best;
 }
 
 void BatchDemandEngine::SyncUsersSpecLane(const LandscapeIndex& index,
@@ -454,7 +257,8 @@ void BatchDemandEngine::ApplyFluctuationAll(const LandscapeIndex& index,
 void BatchDemandEngine::Tick(SimTime now, Duration dt) {
   const size_t L = lanes_;
   double dt_minutes = std::max(1e-9, dt.seconds() / 60.0);
-  const LandscapeIndex& index = EnsureDataPlane();
+  const LandscapeIndex& index = cluster_->Index();
+  if (EnsureDataPlane()) ResizeScratch(index);
   // User attachment and fluctuation run lane-inner like everything
   // else; each lane still sees the scalar engine's exact arithmetic
   // and iteration order, and the one order-sensitive path (failed
@@ -744,27 +548,6 @@ void BatchDemandEngine::Tick(SimTime now, Duration dt) {
   }
 }
 
-double BatchDemandEngine::ServiceLoad(size_t lane,
-                                      infra::DenseId service) const {
-  const LandscapeIndex& index = cluster_->Index();
-  if (service < 0 ||
-      static_cast<size_t>(service) >= index.num_services()) {
-    return 0.0;
-  }
-  std::span<const InstanceRef> instances =
-      index.InstancesOfService(service);
-  if (instances.empty()) return 0.0;
-  double total = 0.0;
-  int count = 0;
-  for (const InstanceRef& ref : instances) {
-    size_t id = static_cast<size_t>(ref.id);
-    if (id >= tracked_.size() || !tracked_[id]) continue;
-    total += inst_load_[id * lanes_ + lane];
-    ++count;
-  }
-  return count > 0 ? total / count : 0.0;
-}
-
 void BatchDemandEngine::ServiceLoadAll(infra::DenseId service,
                                        double* out) const {
   const size_t L = lanes_;
@@ -789,37 +572,6 @@ void BatchDemandEngine::ServiceLoadAll(infra::DenseId service,
   }
   double inv_count = static_cast<double>(count);
   for (size_t lane = 0; lane < L; ++lane) out[lane] /= inv_count;
-}
-
-double BatchDemandEngine::ServiceSatisfaction(
-    size_t lane, infra::DenseId service) const {
-  const LandscapeIndex& index = cluster_->Index();
-  if (service < 0 ||
-      static_cast<size_t>(service) >= index.num_services()) {
-    return 1.0;
-  }
-  double requested = 0.0;
-  double served = 0.0;
-  for (const InstanceRef& ref : index.InstancesOfService(service)) {
-    size_t id = static_cast<size_t>(ref.id);
-    if (id >= tracked_.size() || !tracked_[id]) continue;
-    size_t i = id * lanes_ + lane;
-    requested += demand_wu_[i];
-    served += std::min(served_wu_[i], demand_wu_[i]);
-  }
-  if (requested <= 1e-12) return 1.0;
-  return std::clamp(served / requested, 0.0, 1.0);
-}
-
-double BatchDemandEngine::TotalBacklog(size_t lane) const {
-  double total = 0.0;
-  for (size_t id = 0; id < tracked_.size(); ++id) {
-    if (tracked_[id]) total += backlog_wu_[id * lanes_ + lane];
-  }
-  for (size_t slot = 0; slot < specs_.size(); ++slot) {
-    total += queue_wu_[slot * lanes_ + lane];
-  }
-  return total;
 }
 
 }  // namespace autoglobe::workload

@@ -2,8 +2,6 @@
 #define AUTOGLOBE_WORKLOAD_BATCH_DEMAND_H_
 
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "common/lane_kernels.h"
@@ -14,18 +12,19 @@
 #include "common/sim_time.h"
 #include "infra/cluster.h"
 #include "infra/ids.h"
-#include "workload/demand.h"
+#include "workload/demand_model.h"
 
 namespace autoglobe::workload {
 
 /// Batched multi-run demand engine: steps B independent simulation
-/// runs ("lanes") in lockstep on one thread. All lanes share one
-/// topology (the cluster and its LandscapeIndex) and the registered
-/// demand specs; each lane owns its dynamic state — users, backlogs,
-/// queues, loads, quality metrics, and an RNG stream — laid out
-/// SoA-across-runs as `[entity * lanes + lane]` contiguous arrays so
-/// the per-tick inner loops iterate lane-innermost (branch-light,
-/// auto-vectorizable, zero steady-state allocation).
+/// runs ("lanes") in lockstep on one thread. It is the B-lane
+/// DemandModel (workload/demand_model.h) stepped by lane-inner row
+/// loops: all lanes share one topology (the cluster and its
+/// LandscapeIndex) and the registered demand specs; each lane owns its
+/// dynamic state — users, backlogs, queues, loads, quality metrics —
+/// in the model's `[entity * lanes + lane]` arrays, and an RNG stream
+/// here, so the per-tick inner loops iterate lane-innermost
+/// (branch-light, auto-vectorizable, zero steady-state allocation).
 ///
 /// Bit-identity contract: lane `k` of a batched Tick sequence is
 /// bit-identical to a scalar DemandEngine constructed with
@@ -46,19 +45,10 @@ namespace autoglobe::workload {
 /// flow depends on a lane's loads run per lane over the strided
 /// arrays: the refuge hand-off of a failed instance that still holds
 /// users, and the water-filling CPU model of an overloaded server.
-class BatchDemandEngine : public DemandModelSink {
+class BatchDemandEngine : public DemandModel {
  public:
   /// `lanes` is fixed for the engine's lifetime (1..1024).
   BatchDemandEngine(infra::Cluster* cluster, size_t lanes);
-
-  BatchDemandEngine(const BatchDemandEngine&) = delete;
-  BatchDemandEngine& operator=(const BatchDemandEngine&) = delete;
-
-  // --- DemandModelSink (shared across lanes) ---------------------------
-  Status AddService(ServiceDemandSpec spec) override;
-  Status AddSubsystem(SubsystemSpec spec) override;
-
-  size_t lanes() const { return lanes_; }
 
   /// Re-seeds a lane's RNG stream (matches a scalar engine built with
   /// `Rng(seed)` — or, in philox mode, `PhiloxRng(seed)`). Both
@@ -78,86 +68,19 @@ class BatchDemandEngine : public DemandModelSink {
   void SetLaneUserScale(size_t lane, double scale);
   double LaneUserScale(size_t lane) const { return user_scale_[lane]; }
 
-  void set_distribution(UserDistribution distribution) {
-    distribution_ = distribution;
-  }
-  UserDistribution distribution() const { return distribution_; }
-  void set_fluctuation_per_minute(double fraction) {
-    fluctuation_per_minute_ = fraction;
-  }
-  void set_overload_threshold(double threshold) {
-    overload_threshold_ = threshold;
-  }
-
   /// Advances every lane by `dt` ending at `now`. Allocation-free
   /// unless the topology changed since the previous tick.
   void Tick(SimTime now, Duration dt = Duration::Minutes(1));
 
-  /// Rewinds every lane to its just-built state (zero users /
-  /// backlogs / queues / loads / metrics) so the engine can be
-  /// re-armed for another batch without rebuilding the data plane.
-  /// Re-seed each lane afterwards.
-  void ResetLanes();
-
-  // --- Per-lane load views (mirror the scalar engine's views) ----------
-  double ServerCpuLoad(size_t lane, infra::DenseId server) const {
-    size_t s = static_cast<size_t>(server);
-    return s < num_servers_ ? server_cpu_[s * lanes_ + lane] : 0.0;
-  }
-  double ServerMemLoad(size_t lane, infra::DenseId server) const {
-    size_t s = static_cast<size_t>(server);
-    return s < num_servers_ ? server_mem_[s * lanes_ + lane] : 0.0;
-  }
-  double InstanceLoad(size_t lane, infra::InstanceId id) const {
-    size_t i = static_cast<size_t>(id);
-    return i < tracked_.size() && tracked_[i]
-               ? inst_load_[i * lanes_ + lane]
-               : 0.0;
-  }
-  double InstanceUsers(size_t lane, infra::InstanceId id) const {
-    size_t i = static_cast<size_t>(id);
-    return i < tracked_.size() && tracked_[i] ? users_[i * lanes_ + lane]
-                                              : 0.0;
-  }
-  double ServiceLoad(size_t lane, infra::DenseId service) const;
   /// All lanes of ServiceLoad in one instance pass: `out[lane]` gets
   /// exactly ServiceLoad(lane, service) (same accumulation order), but
   /// the instance span and tracked checks are walked once instead of
   /// once per lane. `out` must hold lanes() doubles.
   void ServiceLoadAll(infra::DenseId service, double* out) const;
-  /// Contiguous per-lane CPU loads of one server (lanes() doubles);
-  /// `server` must be a valid dense id.
-  const double* ServerCpuRow(infra::DenseId server) const {
-    return server_cpu_.data() + static_cast<size_t>(server) * lanes_;
-  }
-  double ServiceSatisfaction(size_t lane, infra::DenseId service) const;
-  double TotalBacklog(size_t lane) const;
-  double TotalLostWork(size_t lane) const { return lost_work_wu_[lane]; }
-  double OverloadMinutes(size_t lane) const {
-    return overload_minutes_[lane];
-  }
-  /// Clears one lane's cumulative quality counters (warmup end).
-  void ResetQualityMetrics(size_t lane) {
-    lost_work_wu_[lane] = 0.0;
-    overload_minutes_[lane] = 0.0;
-  }
-
-  size_t num_servers() const { return num_servers_; }
 
  private:
-  /// Mirrors DemandEngine::SubsystemEdges: propagation lowered to
-  /// registered-spec slots.
-  struct SubsystemEdges {
-    std::vector<int32_t> app_specs;
-    int32_t ci_spec = -1;
-    int32_t db_spec = -1;
-    double ci_factor = 0.0;
-    double db_factor = 0.0;
-  };
-
-  int32_t SpecSlotOf(std::string_view service) const;
-
-  const infra::LandscapeIndex& EnsureDataPlane();
+  /// Re-sizes the scratch to the data plane just synced.
+  void ResizeScratch(const infra::LandscapeIndex& index);
   /// Lane-inner user attachment for every lane at once. Falls back to
   /// SyncUsersSpecLane for (spec, lane) pairs on the order-sensitive
   /// failed-with-users path.
@@ -169,12 +92,7 @@ class BatchDemandEngine : public DemandModelSink {
   /// Lane-inner session fluctuation for every lane at once.
   void ApplyFluctuationAll(const infra::LandscapeIndex& index,
                            double dt_minutes);
-  infra::InstanceId LeastLoadedInstance(
-      const infra::LandscapeIndex& index,
-      std::span<const infra::InstanceRef> instances, size_t lane) const;
 
-  infra::Cluster* cluster_;
-  const size_t lanes_;
   std::vector<Rng> rng_;  // one legacy stream per lane
   PhiloxLanes philox_;    // lane-strided counter-based streams
   RngKind rng_kind_ = RngKind::kXoshiro;
@@ -182,34 +100,7 @@ class BatchDemandEngine : public DemandModelSink {
   /// construction; all uniform-row hot loops dispatch through it.
   const LaneKernels* kernels_;
 
-  // Registered demand specs, sorted by service name (shared).
-  std::vector<ServiceDemandSpec> specs_;
-  std::vector<infra::DenseId> spec_service_id_;
-  std::vector<int32_t> spec_of_service_;
-  std::vector<SubsystemSpec> subsystems_;
-  std::vector<SubsystemEdges> edges_;
-
   std::vector<double> user_scale_;  // per lane
-  UserDistribution distribution_ = UserDistribution::kStickySessions;
-  double fluctuation_per_minute_ = 0.01;
-  double overload_threshold_ = 0.8;
-
-  // Lane-strided per-instance state: x_[id * lanes_ + lane].
-  std::vector<double> users_;
-  std::vector<double> backlog_wu_;
-  std::vector<double> demand_wu_;
-  std::vector<double> served_wu_;
-  std::vector<double> inst_load_;
-  std::vector<uint8_t> tracked_;  // shared: topology-derived
-
-  // Lane-strided per-server loads (layout = dense server ids).
-  size_t num_servers_ = 0;
-  std::vector<std::string> server_names_;
-  std::vector<double> server_cpu_;
-  std::vector<double> server_mem_;
-
-  // Lane-strided shared service queues: queue_wu_[slot * lanes_ + lane].
-  std::vector<double> queue_wu_;
 
   /// Pre-sized per-tick temporaries (all lane-strided or per-lane).
   struct Scratch {
@@ -228,12 +119,6 @@ class BatchDemandEngine : public DemandModelSink {
     std::vector<uint32_t> still_unsatisfied;  // (capacity pre-reserved)
   };
   Scratch scratch_;
-
-  uint64_t plane_epoch_ = 0;
-  bool plane_dirty_ = true;
-
-  std::vector<double> lost_work_wu_;      // per lane
-  std::vector<double> overload_minutes_;  // per lane
 };
 
 }  // namespace autoglobe::workload

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <span>
+#include <string>
+#include <utility>
 
-#include "common/logging.h"
 #include "common/strings.h"
 
 namespace autoglobe::workload {
@@ -14,77 +15,7 @@ using infra::InstanceRef;
 using infra::LandscapeIndex;
 
 DemandEngine::DemandEngine(infra::Cluster* cluster, Rng rng)
-    : cluster_(cluster), rng_(rng) {
-  AG_CHECK(cluster_ != nullptr);
-}
-
-int32_t DemandEngine::SpecSlotOf(std::string_view service) const {
-  auto it = std::lower_bound(
-      specs_.begin(), specs_.end(), service,
-      [](const ServiceDemandSpec& spec, std::string_view name) {
-        return spec.service < name;
-      });
-  if (it == specs_.end() || it->service != service) return -1;
-  return static_cast<int32_t>(it - specs_.begin());
-}
-
-int32_t DemandEngine::ServerSlotOf(std::string_view server) const {
-  auto it = std::lower_bound(server_names_.begin(), server_names_.end(),
-                             server);
-  if (it == server_names_.end() || *it != server) return -1;
-  return static_cast<int32_t>(it - server_names_.begin());
-}
-
-Status DemandEngine::AddService(ServiceDemandSpec spec) {
-  AG_RETURN_IF_ERROR(cluster_->FindService(spec.service).status());
-  if (SpecSlotOf(spec.service) >= 0) {
-    return Status::AlreadyExists(StrFormat(
-        "demand spec for \"%s\" already registered", spec.service.c_str()));
-  }
-  if (spec.base_users < 0 || spec.request_cost < 0 ||
-      spec.base_load_wu < 0 || spec.batch_load_wu < 0 ||
-      spec.noise_stddev < 0) {
-    return Status::InvalidArgument(StrFormat(
-        "demand spec for \"%s\" has negative parameters",
-        spec.service.c_str()));
-  }
-  // Keep specs sorted by service name: a slot is the service's rank,
-  // and iterating slots reproduces the old name-keyed map order.
-  auto it = std::lower_bound(
-      specs_.begin(), specs_.end(), spec.service,
-      [](const ServiceDemandSpec& existing, const std::string& name) {
-        return existing.service < name;
-      });
-  size_t slot = static_cast<size_t>(it - specs_.begin());
-  specs_.insert(it, std::move(spec));
-  queue_wu_.insert(queue_wu_.begin() + static_cast<ptrdiff_t>(slot), 0.0);
-  plane_dirty_ = true;
-  return Status::OK();
-}
-
-Status DemandEngine::AddSubsystem(SubsystemSpec spec) {
-  for (const std::string& app : spec.app_services) {
-    if (SpecSlotOf(app) < 0) {
-      return Status::NotFound(StrFormat(
-          "subsystem \"%s\": unknown app service \"%s\"",
-          spec.name.c_str(), app.c_str()));
-    }
-  }
-  if (!spec.central_instance.empty() &&
-      SpecSlotOf(spec.central_instance) < 0) {
-    return Status::NotFound(StrFormat(
-        "subsystem \"%s\": unknown central instance \"%s\"",
-        spec.name.c_str(), spec.central_instance.c_str()));
-  }
-  if (!spec.database.empty() && SpecSlotOf(spec.database) < 0) {
-    return Status::NotFound(StrFormat(
-        "subsystem \"%s\": unknown database \"%s\"", spec.name.c_str(),
-        spec.database.c_str()));
-  }
-  subsystems_.push_back(std::move(spec));
-  plane_dirty_ = true;
-  return Status::OK();
-}
+    : DemandModel(cluster, 1), rng_(rng) {}
 
 void DemandEngine::SeedRng(uint64_t seed, RngKind kind) {
   rng_ = Rng(seed);
@@ -93,148 +24,16 @@ void DemandEngine::SeedRng(uint64_t seed, RngKind kind) {
 }
 
 void DemandEngine::ResetRunState(uint64_t seed, RngKind kind) {
-  ResetRunState(Rng(seed));
-  philox_.Reseed(seed);
-  rng_kind_ = kind;
+  ResetLanes();
+  SeedRng(seed, kind);
 }
 
-void DemandEngine::ResetRunState(Rng rng) {
-  rng_ = rng;
-  std::fill(users_.begin(), users_.end(), 0.0);
-  std::fill(backlog_wu_.begin(), backlog_wu_.end(), 0.0);
-  std::fill(demand_wu_.begin(), demand_wu_.end(), 0.0);
-  std::fill(served_wu_.begin(), served_wu_.end(), 0.0);
-  std::fill(inst_load_.begin(), inst_load_.end(), 0.0);
-  std::fill(server_cpu_.begin(), server_cpu_.end(), 0.0);
-  std::fill(server_mem_.begin(), server_mem_.end(), 0.0);
-  std::fill(queue_wu_.begin(), queue_wu_.end(), 0.0);
-  lost_work_wu_ = 0.0;
-  overload_minutes_ = 0.0;
-}
-
-const LandscapeIndex& DemandEngine::EnsureDataPlane() {
-  const LandscapeIndex& index = cluster_->Index();
-  if (!plane_dirty_ && plane_epoch_ == cluster_->topology_epoch()) {
-    return index;
-  }
-
-  // Spec slot <-> cluster service id views.
-  spec_service_id_.assign(specs_.size(), infra::kNoDenseId);
-  spec_of_service_.assign(index.num_services(), -1);
-  for (size_t slot = 0; slot < specs_.size(); ++slot) {
-    infra::DenseId sid = index.ServiceIdOf(specs_[slot].service);
-    spec_service_id_[slot] = sid;
-    if (sid >= 0) {
-      spec_of_service_[static_cast<size_t>(sid)] =
-          static_cast<int32_t>(slot);
-    }
-  }
-
-  // Lower subsystem propagation to flat spec-slot edges.
-  edges_.clear();
-  edges_.reserve(subsystems_.size());
-  for (const SubsystemSpec& subsystem : subsystems_) {
-    SubsystemEdges edge;
-    edge.app_specs.reserve(subsystem.app_services.size());
-    for (const std::string& app : subsystem.app_services) {
-      edge.app_specs.push_back(SpecSlotOf(app));
-    }
-    if (!subsystem.central_instance.empty()) {
-      edge.ci_spec = SpecSlotOf(subsystem.central_instance);
-    }
-    if (!subsystem.database.empty()) {
-      edge.db_spec = SpecSlotOf(subsystem.database);
-    }
-    edge.ci_factor = subsystem.ci_factor;
-    edge.db_factor = subsystem.db_factor;
-    edges_.push_back(std::move(edge));
-  }
-
-  // Per-instance SoA state, indexed by raw InstanceId. Growth keeps
-  // the existing values; ids are never reused, so no remap is needed.
-  size_t bound = static_cast<size_t>(index.instance_id_bound());
-  if (users_.size() < bound) {
-    users_.resize(bound, 0.0);
-    backlog_wu_.resize(bound, 0.0);
-    demand_wu_.resize(bound, 0.0);
-    served_wu_.resize(bound, 0.0);
-    inst_load_.resize(bound, 0.0);
-    tracked_.resize(bound, 0);
-  }
-  // Untrack removed instances, zeroing their state — their users are
-  // gone, and the per-service target reconciliation in SyncUsers
-  // re-adds them elsewhere (the old engine erased the map entries).
-  std::vector<uint8_t> live(users_.size(), 0);
-  for (const InstanceRef& ref : index.Instances()) {
-    live[static_cast<size_t>(ref.id)] = 1;
-  }
-  for (size_t id = 0; id < users_.size(); ++id) {
-    if (tracked_[id] && !live[id]) {
-      users_[id] = 0.0;
-      backlog_wu_[id] = 0.0;
-      demand_wu_[id] = 0.0;
-      served_wu_[id] = 0.0;
-      inst_load_[id] = 0.0;
-    }
-    tracked_[id] = live[id];
-  }
-
-  // Per-server load arrays: carry last-tick values over to the
-  // shifted dense layout by name. The cluster only ever adds servers
-  // and dense server ids are name ranks, so an unchanged server count
-  // means an unchanged layout and the arrays stay as they are.
-  if (server_names_.size() != index.num_servers()) {
-    std::vector<std::string> names;
-    names.reserve(index.num_servers());
-    for (size_t s = 0; s < index.num_servers(); ++s) {
-      names.push_back(index.ServerName(static_cast<infra::DenseId>(s)));
-    }
-    std::vector<double> cpu(names.size(), 0.0);
-    std::vector<double> mem(names.size(), 0.0);
-    for (size_t s = 0; s < names.size(); ++s) {
-      int32_t old_slot = ServerSlotOf(names[s]);
-      if (old_slot >= 0) {
-        cpu[s] = server_cpu_[static_cast<size_t>(old_slot)];
-        mem[s] = server_mem_[static_cast<size_t>(old_slot)];
-      }
-    }
-    server_names_ = std::move(names);
-    server_cpu_ = std::move(cpu);
-    server_mem_ = std::move(mem);
-  }
-
-  // Pre-size every per-tick temporary so Tick stays off the heap.
+void DemandEngine::ResizeScratch(const LandscapeIndex& index) {
   scratch_.app_work.assign(specs_.size(), 0.0);
   scratch_.shared_unserved.assign(specs_.size(), 0.0);
   scratch_.serve.assign(users_.size(), 0.0);
   scratch_.unsatisfied.reserve(index.max_instances_per_server());
   scratch_.still_unsatisfied.reserve(index.max_instances_per_server());
-
-  plane_epoch_ = cluster_->topology_epoch();
-  plane_dirty_ = false;
-  return index;
-}
-
-InstanceId DemandEngine::LeastLoadedInstance(
-    const LandscapeIndex& index,
-    std::span<const InstanceRef> instances) const {
-  InstanceId best = 0;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (const InstanceRef& ref : instances) {
-    if (ref.instance->state != infra::InstanceState::kRunning) continue;
-    // Score by the host's CPU load from the previous tick; break ties
-    // toward emptier instances relative to host capacity.
-    double host_load = ServerCpuLoadById(ref.server);
-    double users = users_[static_cast<size_t>(ref.id)];
-    double capacity = index.ServerPerformance(ref.server);
-    double score = host_load + 0.001 * users / (capacity *
-                                                kUsersPerPerformanceUnit);
-    if (score < best_score) {
-      best_score = score;
-      best = ref.id;
-    }
-  }
-  return best;
 }
 
 void DemandEngine::SyncUsers(const LandscapeIndex& index) {
@@ -285,7 +84,7 @@ void DemandEngine::SyncUsers(const LandscapeIndex& index) {
       size_t id = static_cast<size_t>(ref.id);
       if (ref.instance->state == infra::InstanceState::kFailed &&
           users_[id] > 0) {
-        InstanceId refuge = LeastLoadedInstance(index, instances);
+        InstanceId refuge = LeastLoadedInstance(index, instances, 0);
         if (refuge != 0 && refuge != ref.id) {
           users_[static_cast<size_t>(refuge)] += users_[id];
           users_[id] = 0.0;
@@ -334,7 +133,7 @@ void DemandEngine::ApplyFluctuation(const LandscapeIndex& index,
     if (sid < 0) continue;
     std::span<const InstanceRef> instances = index.InstancesOfService(sid);
     if (instances.size() < 2) continue;
-    InstanceId refuge = LeastLoadedInstance(index, instances);
+    InstanceId refuge = LeastLoadedInstance(index, instances, 0);
     if (refuge == 0) continue;
     double moved = 0.0;
     for (const InstanceRef& ref : instances) {
@@ -350,7 +149,8 @@ void DemandEngine::ApplyFluctuation(const LandscapeIndex& index,
 
 void DemandEngine::Tick(SimTime now, Duration dt) {
   double dt_minutes = std::max(1e-9, dt.seconds() / 60.0);
-  const LandscapeIndex& index = EnsureDataPlane();
+  const LandscapeIndex& index = cluster_->Index();
+  if (EnsureDataPlane()) ResizeScratch(index);
   SyncUsers(index);
   ApplyFluctuation(index, dt_minutes);
 
@@ -419,7 +219,7 @@ void DemandEngine::Tick(SimTime now, Duration dt) {
       if (spec_slot < 0 || work <= 0) return;
       infra::DenseId sid = spec_service_id_[static_cast<size_t>(spec_slot)];
       if (sid < 0) {
-        lost_work_wu_ += work * dt_minutes;
+        lost_work_wu_[0] += work * dt_minutes;
         return;
       }
       std::span<const InstanceRef> instances =
@@ -431,7 +231,7 @@ void DemandEngine::Tick(SimTime now, Duration dt) {
         }
       }
       if (usable_capacity <= 0) {
-        lost_work_wu_ += work * dt_minutes;  // nobody to serve the tier
+        lost_work_wu_[0] += work * dt_minutes;  // nobody to serve the tier
         return;
       }
       for (const InstanceRef& ref : instances) {
@@ -546,13 +346,13 @@ void DemandEngine::Tick(SimTime now, Duration dt) {
       }
       double cap = slot >= 0 ? specs_[slot].backlog_cap_wu : 2.0;
       if (new_backlog > cap) {
-        lost_work_wu_ += new_backlog - cap;
+        lost_work_wu_[0] += new_backlog - cap;
         new_backlog = cap;
       }
       backlog_wu_[id] = new_backlog;
     }
 
-    if (cpu_load > overload_threshold_) overload_minutes_ += dt_minutes;
+    if (cpu_load > overload_threshold_) overload_minutes_[0] += dt_minutes;
   }
 
   // Commit shared queues (cap per service; overflow is lost work).
@@ -560,7 +360,7 @@ void DemandEngine::Tick(SimTime now, Duration dt) {
     double queued = scratch_.shared_unserved[slot];
     double cap = specs_[slot].backlog_cap_wu;
     if (queued > cap) {
-      lost_work_wu_ += queued - cap;
+      lost_work_wu_[0] += queued - cap;
       queued = cap;
     }
     queue_wu_[slot] = queued > 0 ? queued : 0.0;
@@ -568,67 +368,19 @@ void DemandEngine::Tick(SimTime now, Duration dt) {
 }
 
 double DemandEngine::ServerCpuLoad(std::string_view server) const {
-  int32_t slot = ServerSlotOf(server);
-  return slot < 0 ? 0.0 : server_cpu_[static_cast<size_t>(slot)];
+  return ServerCpuLoadById(ServerSlotOf(server));
 }
 
 double DemandEngine::ServerMemLoad(std::string_view server) const {
-  int32_t slot = ServerSlotOf(server);
-  return slot < 0 ? 0.0 : server_mem_[static_cast<size_t>(slot)];
-}
-
-double DemandEngine::InstanceLoad(infra::InstanceId id) const {
-  size_t i = static_cast<size_t>(id);
-  return i < tracked_.size() && tracked_[i] ? inst_load_[i] : 0.0;
-}
-
-double DemandEngine::ServiceSatisfactionById(infra::DenseId service) const {
-  const LandscapeIndex& index = cluster_->Index();
-  if (service < 0 || static_cast<size_t>(service) >= index.num_services()) {
-    return 1.0;  // nothing requested
-  }
-  double requested = 0.0;
-  double served = 0.0;
-  for (const InstanceRef& ref : index.InstancesOfService(service)) {
-    size_t id = static_cast<size_t>(ref.id);
-    if (id >= tracked_.size() || !tracked_[id]) continue;
-    requested += demand_wu_[id];
-    served += std::min(served_wu_[id], demand_wu_[id]);
-  }
-  if (requested <= 1e-12) return 1.0;
-  return std::clamp(served / requested, 0.0, 1.0);
+  return ServerMemLoadById(ServerSlotOf(server));
 }
 
 double DemandEngine::ServiceSatisfaction(std::string_view service) const {
   return ServiceSatisfactionById(cluster_->Index().ServiceIdOf(service));
 }
 
-double DemandEngine::ServiceLoadById(infra::DenseId service) const {
-  const LandscapeIndex& index = cluster_->Index();
-  if (service < 0 || static_cast<size_t>(service) >= index.num_services()) {
-    return 0.0;
-  }
-  std::span<const InstanceRef> instances =
-      index.InstancesOfService(service);
-  if (instances.empty()) return 0.0;
-  double total = 0.0;
-  int count = 0;
-  for (const InstanceRef& ref : instances) {
-    size_t id = static_cast<size_t>(ref.id);
-    if (id >= tracked_.size() || !tracked_[id]) continue;
-    total += inst_load_[id];
-    ++count;
-  }
-  return count > 0 ? total / count : 0.0;
-}
-
 double DemandEngine::ServiceLoad(std::string_view service) const {
   return ServiceLoadById(cluster_->Index().ServiceIdOf(service));
-}
-
-double DemandEngine::InstanceUsers(infra::InstanceId id) const {
-  size_t i = static_cast<size_t>(id);
-  return i < tracked_.size() && tracked_[i] ? users_[i] : 0.0;
 }
 
 double DemandEngine::ServiceUsers(std::string_view service) const {
@@ -642,15 +394,6 @@ double DemandEngine::ServiceUsers(std::string_view service) const {
   return total;
 }
 
-double DemandEngine::TotalBacklog() const {
-  double total = 0.0;
-  for (size_t id = 0; id < tracked_.size(); ++id) {
-    if (tracked_[id]) total += backlog_wu_[id];
-  }
-  for (double queued : queue_wu_) total += queued;
-  return total;
-}
-
 namespace {
 
 void WriteDoubles(ByteWriter* w, const std::vector<double>& values) {
@@ -659,8 +402,8 @@ void WriteDoubles(ByteWriter* w, const std::vector<double>& values) {
 }
 
 Status ReadDoubles(ByteReader* r, std::vector<double>* values) {
-  uint64_t count;
-  AG_ASSIGN_OR_RETURN(count, r->U64());
+  AG_ASSIGN_OR_RETURN(uint64_t count, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(count, sizeof(double)));
   values->assign(count, 0.0);
   for (uint64_t i = 0; i < count; ++i) {
     AG_ASSIGN_OR_RETURN((*values)[i], r->F64());
@@ -697,8 +440,8 @@ void DemandEngine::SaveState(ByteWriter* w) const {
   WriteDoubles(w, server_cpu_);
   WriteDoubles(w, server_mem_);
   WriteDoubles(w, queue_wu_);
-  w->F64(lost_work_wu_);
-  w->F64(overload_minutes_);
+  w->F64(lost_work_wu_[0]);
+  w->F64(overload_minutes_[0]);
 }
 
 Status DemandEngine::RestoreState(ByteReader* r) {
@@ -709,7 +452,6 @@ Status DemandEngine::RestoreState(ByteReader* r) {
   AG_ASSIGN_OR_RETURN(uint8_t have_normal, r->U8());
   rng.have_cached_normal = have_normal != 0;
   AG_ASSIGN_OR_RETURN(rng.cached_normal, r->F64());
-  rng_.RestoreState(rng);
   PhiloxRng::State philox;
   AG_ASSIGN_OR_RETURN(philox.key0, r->U32());
   AG_ASSIGN_OR_RETURN(philox.key1, r->U32());
@@ -718,31 +460,70 @@ Status DemandEngine::RestoreState(ByteReader* r) {
   AG_ASSIGN_OR_RETURN(philox.cache, r->F64());
   AG_ASSIGN_OR_RETURN(uint8_t cache_valid, r->U8());
   philox.cache_valid = cache_valid != 0;
-  philox_.RestoreState(philox);
   AG_ASSIGN_OR_RETURN(uint8_t kind, r->U8());
-  rng_kind_ = static_cast<RngKind>(kind);
 
-  AG_RETURN_IF_ERROR(ReadDoubles(r, &users_));
-  AG_RETURN_IF_ERROR(ReadDoubles(r, &backlog_wu_));
-  AG_RETURN_IF_ERROR(ReadDoubles(r, &demand_wu_));
-  AG_RETURN_IF_ERROR(ReadDoubles(r, &served_wu_));
-  AG_RETURN_IF_ERROR(ReadDoubles(r, &inst_load_));
+  std::vector<double> users, backlog, demand, served, inst_load;
+  for (std::vector<double>* values :
+       {&users, &backlog, &demand, &served, &inst_load}) {
+    AG_RETURN_IF_ERROR(ReadDoubles(r, values));
+  }
   AG_ASSIGN_OR_RETURN(uint64_t tracked_count, r->U64());
-  tracked_.assign(tracked_count, 0);
-  AG_RETURN_IF_ERROR(r->Raw(tracked_.data(), tracked_count));
+  AG_RETURN_IF_ERROR(r->CheckCount(tracked_count, 1));
+  std::vector<uint8_t> tracked(tracked_count, 0);
+  AG_RETURN_IF_ERROR(r->Raw(tracked.data(), tracked_count));
 
   AG_ASSIGN_OR_RETURN(uint64_t name_count, r->U64());
-  server_names_.clear();
-  server_names_.reserve(name_count);
+  AG_RETURN_IF_ERROR(r->CheckCount(name_count, sizeof(uint32_t)));
+  std::vector<std::string> names;
+  names.reserve(name_count);
   for (uint64_t i = 0; i < name_count; ++i) {
     AG_ASSIGN_OR_RETURN(std::string name, r->Str());
-    server_names_.push_back(std::move(name));
+    names.push_back(std::move(name));
   }
-  AG_RETURN_IF_ERROR(ReadDoubles(r, &server_cpu_));
-  AG_RETURN_IF_ERROR(ReadDoubles(r, &server_mem_));
-  AG_RETURN_IF_ERROR(ReadDoubles(r, &queue_wu_));
-  AG_ASSIGN_OR_RETURN(lost_work_wu_, r->F64());
-  AG_ASSIGN_OR_RETURN(overload_minutes_, r->F64());
+  std::vector<double> cpu, mem, queue;
+  for (std::vector<double>* values : {&cpu, &mem, &queue}) {
+    AG_RETURN_IF_ERROR(ReadDoubles(r, values));
+  }
+  AG_ASSIGN_OR_RETURN(double lost_work, r->F64());
+  AG_ASSIGN_OR_RETURN(double overload_minutes, r->F64());
+
+  // The tick indexes every per-instance array by the tracked ids, the
+  // server arrays by the server layout and the queues by spec slot.
+  for (const std::vector<double>* values :
+       {&users, &backlog, &demand, &served, &inst_load}) {
+    if (values->size() != tracked.size()) {
+      return Status::ParseError(StrFormat(
+          "demand state: a per-instance array holds %zu value(s) for %zu "
+          "tracked id(s)",
+          values->size(), tracked.size()));
+    }
+  }
+  if (cpu.size() != names.size() || mem.size() != names.size()) {
+    return Status::ParseError(StrFormat(
+        "demand state: %zu/%zu server load(s) for %zu server name(s)",
+        cpu.size(), mem.size(), names.size()));
+  }
+  if (queue.size() != specs_.size()) {
+    return Status::ParseError(StrFormat(
+        "demand state: %zu shared queue(s) for %zu registered spec(s)",
+        queue.size(), specs_.size()));
+  }
+
+  rng_.RestoreState(rng);
+  philox_.RestoreState(philox);
+  rng_kind_ = static_cast<RngKind>(kind);
+  users_ = std::move(users);
+  backlog_wu_ = std::move(backlog);
+  demand_wu_ = std::move(demand);
+  served_wu_ = std::move(served);
+  inst_load_ = std::move(inst_load);
+  tracked_ = std::move(tracked);
+  server_names_ = std::move(names);
+  server_cpu_ = std::move(cpu);
+  server_mem_ = std::move(mem);
+  queue_wu_ = std::move(queue);
+  lost_work_wu_[0] = lost_work;
+  overload_minutes_[0] = overload_minutes;
 
   // The dense plane re-syncs against the restored cluster on the next
   // Tick; the sync carries per-instance state by id and per-server

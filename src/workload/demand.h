@@ -2,8 +2,7 @@
 #define AUTOGLOBE_WORKLOAD_DEMAND_H_
 
 #include <cstdint>
-#include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -14,135 +13,35 @@
 #include "common/sim_time.h"
 #include "infra/cluster.h"
 #include "infra/ids.h"
-#include "workload/load_pattern.h"
+#include "workload/demand_model.h"
 
 namespace autoglobe::workload {
-
-/// Work is measured in *work units* (wu): 1 wu is the work a
-/// performance-index-1 server completes per minute at 100 % CPU. The
-/// paper dimensions a standard blade to "handle at most 150 users of
-/// one service" (§5.1), so a fully active user of request cost 1.0
-/// consumes 1/150 wu per minute, and a server of performance index p
-/// delivers p wu per minute.
-inline constexpr double kUsersPerPerformanceUnit = 150.0;
-
-/// Demand model of one service (the paper's service-specific
-/// simulation parameters, §5.1: "the load caused by a single request
-/// depends on the specific service").
-struct ServiceDemandSpec {
-  std::string service;
-  LoadPattern pattern;
-  /// Connected users at 100 % scale (Table 4). Zero for batch and
-  /// derived (CI/DB) services.
-  double base_users = 0.0;
-  /// Relative app-server work per active user ("an FI request
-  /// produces lower load than a BW request").
-  double request_cost = 1.0;
-  /// Idle work per running instance ("every application server itself
-  /// induces a basic load").
-  double base_load_wu = 0.02;
-  /// Batch-style service (BW): demand scales with job size, not with
-  /// a user count.
-  bool batch = false;
-  /// Total batch work across all instances at activity 1.0, scale 1.0.
-  double batch_load_wu = 0.0;
-  /// Relative per-tick demand noise (creates the "short load peaks"
-  /// the watchTime mechanism must ride out).
-  double noise_stddev = 0.02;
-  /// Queue bound (wu). Interactive services keep this small — users
-  /// give up / postpone rather than queue indefinitely ("requests
-  /// will be delayed till next day"); batch and database tiers queue
-  /// generously. Overflow counts as lost work.
-  double backlog_cap_wu = 2.0;
-  /// Batch and derived tiers pull from one shared queue, so unserved
-  /// work migrates to whichever instance has spare capacity;
-  /// interactive sessions queue at their own instance.
-  bool shared_queue = false;
-};
-
-/// Three-tier request propagation (paper §5.1): before an application
-/// request reaches the database, the central instance's lock
-/// management is consulted — so CI and DB demand derive from the
-/// subsystem's application work.
-struct SubsystemSpec {
-  std::string name;              // e.g. "ERP"
-  std::vector<std::string> app_services;
-  std::string central_instance;  // service name, may be empty
-  std::string database;          // service name, may be empty
-  double ci_factor = 0.05;       // CI wu per app wu
-  double db_factor = 0.25;       // DB wu per app wu
-};
-
-/// Registration surface of a demand model. Landscape::Build feeds
-/// service demand specs and subsystem wiring through this interface,
-/// so the scalar DemandEngine and the batched multi-run engine
-/// (workload/batch_demand.h) are interchangeable at setup time.
-class DemandModelSink {
- public:
-  virtual ~DemandModelSink() = default;
-  /// Registers the demand model of a service (which must exist in the
-  /// cluster).
-  virtual Status AddService(ServiceDemandSpec spec) = 0;
-  /// Registers a subsystem; all referenced services must be known.
-  virtual Status AddSubsystem(SubsystemSpec spec) = 0;
-};
-
-/// How users attach to service instances (the key difference between
-/// the CM and FM scenarios, §5.1).
-enum class UserDistribution {
-  /// Users stay logged in to one instance for their whole session;
-  /// only the slow fluctuation re-balances (static / CM scenarios).
-  kStickySessions,
-  /// Users are equally redistributed across all instances whenever
-  /// the instance set changes (FM scenario).
-  kDynamicRedistribution,
-};
-
-/// Per-server load sample of one tick.
-struct ServerLoad {
-  double cpu = 0.0;  // [0, 1]; 1.0 means saturated
-  double mem = 0.0;  // [0, 1]
-};
 
 /// The flow-level workload engine: each tick it distributes users,
 /// derives per-instance work, propagates it through the three tiers,
 /// applies the proportional-share CPU model with service priorities,
 /// and records per-server and per-instance loads plus backlog.
 ///
-/// The engine runs on the cluster's dense-id data plane: every
-/// server, service, and instance resolves to an integer id at setup
-/// time (infra::LandscapeIndex), all per-entity state lives in flat
-/// SoA arrays, subsystem propagation is compiled into a flat edge
-/// list, and the per-tick temporaries come from a pre-sized scratch —
-/// the steady-state Tick performs zero heap allocations. Topology
-/// changes (instance start/stop/move) re-sync the data plane on the
-/// next Tick; results are bit-identical to the string-keyed engine
-/// because every loop preserves its iteration order (services in
-/// name order, instances in InstanceId order, servers in name order).
-class DemandEngine : public DemandModelSink {
+/// The engine is the 1-lane DemandModel (workload/demand_model.h)
+/// stepped by a scalar tick loop: the model owns the registrations,
+/// the dense-id data plane and the run state; this class adds the RNG
+/// streams, the per-tick scratch and the loop. Every server, service
+/// and instance resolves to an integer id (infra::LandscapeIndex),
+/// subsystem propagation is a flat edge list, and the per-tick
+/// temporaries come from a pre-sized scratch — the steady-state Tick
+/// performs zero heap allocations. Topology changes (instance
+/// start/stop/move) re-sync the data plane on the next Tick; every
+/// loop preserves its iteration order (services in name order,
+/// instances in InstanceId order, servers in name order).
+class DemandEngine : public DemandModel {
  public:
   DemandEngine(infra::Cluster* cluster, Rng rng);
 
-  DemandEngine(const DemandEngine&) = delete;
-  DemandEngine& operator=(const DemandEngine&) = delete;
-
-  /// Registers the demand model of a service (which must exist in the
-  /// cluster).
-  Status AddService(ServiceDemandSpec spec) override;
-  /// Registers a subsystem; all referenced services must be known.
-  Status AddSubsystem(SubsystemSpec spec) override;
-
-  /// Rewinds the engine to its just-built state — zero users,
-  /// backlogs, queues, loads, and quality metrics, with a fresh RNG —
-  /// while keeping the registered specs and the synced data plane.
-  /// After a reset on an unchanged topology, a run is bit-identical
-  /// to one on a newly constructed engine (see
-  /// SimulationRunner::ResetForRerun).
-  void ResetRunState(Rng rng);
-
-  /// ResetRunState variant that also selects the draw discipline:
-  /// both generators are re-seeded from `seed` and subsequent noise
-  /// draws flow through `kind` (see RunnerConfig::rng_kind).
+  /// Rewinds the engine to its just-built state (ResetLanes) and
+  /// re-seeds both generators from `seed`, with subsequent noise draws
+  /// flowing through `kind` (see RunnerConfig::rng_kind). After a reset
+  /// on an unchanged topology, a run is bit-identical to one on a newly
+  /// constructed engine (see SimulationRunner::ResetForRerun).
   void ResetRunState(uint64_t seed, RngKind kind);
 
   /// Selects the draw discipline and re-seeds both generators without
@@ -154,79 +53,39 @@ class DemandEngine : public DemandModelSink {
   void set_user_scale(double scale) { user_scale_ = scale; }
   double user_scale() const { return user_scale_; }
 
-  void set_distribution(UserDistribution distribution) {
-    distribution_ = distribution;
-  }
-  UserDistribution distribution() const { return distribution_; }
-
-  /// Fraction of each instance's users that log off and reconnect to
-  /// the least-loaded instance per minute (paper §5.1: "users
-  /// infrequently log themselves off ... and reconnect to the
-  /// currently least-loaded server").
-  void set_fluctuation_per_minute(double fraction) {
-    fluctuation_per_minute_ = fraction;
-  }
-
   /// Advances the model by `dt` ending at time `now`, recomputing all
   /// loads. Allocation-free unless the topology changed since the
   /// previous tick.
   void Tick(SimTime now, Duration dt = Duration::Minutes(1));
 
   // --- Load views of the last tick -------------------------------------
+  // The model's lane-0 views, keyed by name or by the cluster index's
+  // dense ids (the `ById` twins hash and compare no strings).
   double ServerCpuLoad(std::string_view server) const;
   double ServerMemLoad(std::string_view server) const;
-  /// Fraction of the host's capacity the instance demands, in [0, 1].
-  double InstanceLoad(infra::InstanceId id) const;
-  /// Average load of all instances of a service (Table 1's
-  /// serviceLoad input).
+  double InstanceLoad(infra::InstanceId id) const {
+    return DemandModel::InstanceLoad(0, id);
+  }
   double ServiceLoad(std::string_view service) const;
-  /// Fraction of the service's requested work that was actually served
-  /// in the last tick, in [0, 1] (1.0 when nothing was requested).
-  /// This is the response-quality proxy the QoS/SLA extension
-  /// monitors: it drops below 1 exactly when requests queue or drop.
   double ServiceSatisfaction(std::string_view service) const;
-
-  // --- Dense-id load views ----------------------------------------------
-  // Hot-path twins of the name-based views, keyed by the cluster
-  // index's dense ids; no hashing, no string compares. Server ids
-  // refer to the engine's last-tick layout (the server set is fixed
-  // after setup); service ids are the cluster index's current ids.
   double ServerCpuLoadById(infra::DenseId server) const {
-    size_t i = static_cast<size_t>(server);
-    return i < server_cpu_.size() ? server_cpu_[i] : 0.0;
+    return DemandModel::ServerCpuLoad(0, server);
   }
   double ServerMemLoadById(infra::DenseId server) const {
-    size_t i = static_cast<size_t>(server);
-    return i < server_mem_.size() ? server_mem_[i] : 0.0;
+    return DemandModel::ServerMemLoad(0, server);
   }
-  double ServiceLoadById(infra::DenseId service) const;
-  double ServiceSatisfactionById(infra::DenseId service) const;
-  /// Number of servers in the last-tick load arrays.
-  size_t num_server_loads() const { return server_cpu_.size(); }
+  double ServiceLoadById(infra::DenseId service) const {
+    return DemandModel::ServiceLoad(0, service);
+  }
+  double ServiceSatisfactionById(infra::DenseId service) const {
+    return DemandModel::ServiceSatisfaction(0, service);
+  }
 
   // --- User bookkeeping -------------------------------------------------
-  double InstanceUsers(infra::InstanceId id) const;
+  double InstanceUsers(infra::InstanceId id) const {
+    return DemandModel::InstanceUsers(0, id);
+  }
   double ServiceUsers(std::string_view service) const;
-
-  // --- Quality metrics ----------------------------------------------------
-  /// Work that missed its tick and waits in instance backlogs (wu).
-  double TotalBacklog() const;
-  /// Work dropped because backlogs overflowed — the paper's "requests
-  /// will be delayed till next day" (wu, cumulative).
-  double TotalLostWork() const { return lost_work_wu_; }
-  /// Cumulative server-minutes with CPU load above the overload
-  /// threshold (default 0.8 — the paper's "CPU load of more than 80%
-  /// for a long time" criterion).
-  double OverloadMinutes() const { return overload_minutes_; }
-  /// Clears the cumulative quality counters (overload minutes, lost
-  /// work). Used to exclude a warm-up period from run verdicts.
-  void ResetQualityMetrics() {
-    overload_minutes_ = 0.0;
-    lost_work_wu_ = 0.0;
-  }
-  void set_overload_threshold(double threshold) {
-    overload_threshold_ = threshold;
-  }
 
   // --- Checkpoint/restore ----------------------------------------------
   /// Serializes the run state: both RNG streams, the per-instance SoA
@@ -236,20 +95,11 @@ class DemandEngine : public DemandModelSink {
   void SaveState(ByteWriter* w) const;
   /// Restores a SaveState image; the dense data plane re-syncs on the
   /// next Tick (value-carrying, so the continuation is bit-identical).
+  /// Rejects counts the image cannot hold and array lengths that
+  /// disagree with each other or with the registered specs.
   Status RestoreState(ByteReader* r);
 
  private:
-  /// Subsystem propagation lowered to registered-spec slots: summing
-  /// the app tier and fanning work out to the CI / DB tiers touches
-  /// no names at tick time.
-  struct SubsystemEdges {
-    std::vector<int32_t> app_specs;  // spec slots, declared order
-    int32_t ci_spec = -1;
-    int32_t db_spec = -1;
-    double ci_factor = 0.0;
-    double db_factor = 0.0;
-  };
-
   /// Pre-sized per-tick temporaries; reused across ticks so the
   /// steady-state Tick never touches the heap.
   struct Scratch {
@@ -260,65 +110,18 @@ class DemandEngine : public DemandModelSink {
     std::vector<uint32_t> still_unsatisfied;  // (capacity pre-reserved)
   };
 
-  /// Registered spec slot for a service name, or -1. Slots enumerate
-  /// specs in sorted-name order.
-  int32_t SpecSlotOf(std::string_view service) const;
-  /// Engine-side dense server slot for a name (last-built layout).
-  int32_t ServerSlotOf(std::string_view server) const;
-
-  /// Re-syncs the engine's dense arrays with the cluster topology;
-  /// no-op (two integer compares) when nothing changed.
-  const infra::LandscapeIndex& EnsureDataPlane();
+  /// Re-sizes the scratch to the data plane just synced.
+  void ResizeScratch(const infra::LandscapeIndex& index);
 
   void SyncUsers(const infra::LandscapeIndex& index);
   void ApplyFluctuation(const infra::LandscapeIndex& index,
                         double dt_minutes);
-  infra::InstanceId LeastLoadedInstance(
-      const infra::LandscapeIndex& index,
-      std::span<const infra::InstanceRef> instances) const;
 
-  infra::Cluster* cluster_;
   Rng rng_;
   PhiloxRng philox_;
   RngKind rng_kind_ = RngKind::kXoshiro;
-
-  // Registered demand specs, sorted by service name (slot == rank).
-  std::vector<ServiceDemandSpec> specs_;
-  std::vector<infra::DenseId> spec_service_id_;  // slot -> cluster id
-  std::vector<int32_t> spec_of_service_;         // cluster id -> slot | -1
-  std::vector<SubsystemSpec> subsystems_;
-  std::vector<SubsystemEdges> edges_;
-
   double user_scale_ = 1.0;
-  UserDistribution distribution_ = UserDistribution::kStickySessions;
-  double fluctuation_per_minute_ = 0.01;
-
-  // SoA per-instance state, indexed by raw InstanceId. `tracked_`
-  // mirrors the old map's "has a state entry": a removed instance
-  // keeps its values until the next data-plane sync, exactly like the
-  // map entry used to linger until the next Tick erased it.
-  std::vector<double> users_;
-  std::vector<double> backlog_wu_;
-  std::vector<double> demand_wu_;  // last tick, per minute
-  std::vector<double> served_wu_;  // last tick, per minute
-  std::vector<double> inst_load_;  // demand / host capacity, clamped
-  std::vector<uint8_t> tracked_;
-
-  // Last-tick per-server loads; layout = sorted server names.
-  std::vector<std::string> server_names_;
-  std::vector<double> server_cpu_;
-  std::vector<double> server_mem_;
-
-  // Shared service queues (wu), per spec slot; persists across ticks.
-  std::vector<double> queue_wu_;
-
   Scratch scratch_;
-  uint64_t plane_epoch_ = 0;  // cluster epoch the arrays match
-  bool plane_dirty_ = true;   // engine-side registrations changed
-
-  double overload_threshold_ = 0.8;
-  double lost_work_wu_ = 0.0;
-  double overload_minutes_ = 0.0;
 };
 
 }  // namespace autoglobe::workload

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "workload/demand.h"
+
 namespace autoglobe {
 namespace {
 

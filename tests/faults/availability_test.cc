@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+
 namespace autoglobe::faults {
 namespace {
 
@@ -99,6 +101,16 @@ TEST(AvailabilityReportTest, RenderMentionsTheHeadlines) {
   EXPECT_NE(text.find("MTTD"), std::string::npos);
   EXPECT_NE(text.find("unavailability"), std::string::npos);
   EXPECT_NE(text.find("server failures 1"), std::string::npos);
+}
+
+TEST(AvailabilityTrackerTest, RestoreRejectsACountTheImageCannotHold) {
+  ByteWriter w;
+  w.U64(0);                  // open episodes
+  w.U64(uint64_t{1} << 61);  // closed episodes, none behind the count
+  AvailabilityTracker tracker;
+  ByteReader r(w.data());
+  Status status = tracker.RestoreState(&r);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
 }
 
 }  // namespace

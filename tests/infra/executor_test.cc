@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
+#include "common/bytes.h"
 
 namespace autoglobe::infra {
 namespace {
@@ -332,6 +333,14 @@ TEST_F(ExecutorTest, LaunchAndRestartConsultTheInjector) {
             InstanceState::kRunning);
   EXPECT_EQ(cluster_.FindInstance(*launched).value()->state,
             InstanceState::kRunning);
+}
+
+TEST_F(ExecutorTest, RestoreRejectsACountTheImageCannotHold) {
+  ByteWriter w;
+  w.U64(uint64_t{1} << 61);  // action-log length, no records behind it
+  ByteReader r(w.data());
+  Status status = executor_->RestoreState(&r);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+
 namespace autoglobe::monitor {
 namespace {
 
@@ -151,6 +153,23 @@ TEST(LoadArchiveTest, LoadRejectsGarbage) {
     out << "not an archive\n";
   }
   EXPECT_FALSE(LoadArchive::Load(path).ok());
+}
+
+TEST(LoadArchiveTest, RestoreRejectsACountTheImageCannotHold) {
+  // One series with no raw samples, 2^61 aggregated buckets and the
+  // open-bucket fields: the bucket count cannot fit in what is left.
+  ByteWriter w;
+  w.U64(1);
+  w.Str("server/Blade1/cpu");
+  w.U64(0);
+  w.U64(uint64_t{1} << 61);
+  w.I64(0);
+  w.F64(0.0);
+  w.I64(0);
+  LoadArchive archive;
+  ByteReader r(w.data());
+  Status status = archive.RestoreState(&r);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
 }
 
 }  // namespace

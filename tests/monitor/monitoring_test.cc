@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+
 namespace autoglobe::monitor {
 namespace {
 
@@ -379,6 +381,17 @@ TEST_F(HeartbeatTest, DenseIdPathMatchesTheKeyedPath) {
   // A tombstoned slot rejects dense-id beats too.
   ASSERT_TRUE(lms_->UnwatchHeartbeat("s/Blade1").ok());
   EXPECT_FALSE(lms_->RecordHeartbeatById(*id, Min(40)).ok());
+}
+
+TEST_F(MonitoringTest, RestoreRejectsACountTheImageCannotHold) {
+  // No subjects, then 2^61 heartbeats with nothing behind them.
+  LoadMonitoringSystem fresh(&archive_, MonitorConfig{});
+  ByteWriter w;
+  w.U64(0);
+  w.U64(uint64_t{1} << 61);
+  ByteReader r(w.data());
+  Status status = fresh.RestoreState(&r);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
 }
 
 }  // namespace

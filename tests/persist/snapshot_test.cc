@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 
 #include "autoglobe/capacity.h"
 #include "autoglobe/landscape.h"
+#include "common/bytes.h"
 #include "common/fileio.h"
 #include "persist/checkpoint_store.h"
 #include "persist/runner_checkpoint.h"
@@ -216,6 +218,73 @@ TEST(CheckpointStoreTest, AllCorruptReportsEveryCandidate) {
   EXPECT_NE(loaded.status().ToString().find("checkpoint-000002"),
             std::string::npos)
       << loaded.status();
+}
+
+// Offset of the first server's smoothing-ring head in the runner
+// section: past the 15 RunMetrics fields, the message log, the
+// oscillation history, the ring layout and that ring's two sums.
+size_t FirstRingHeadOffset(std::string_view runner) {
+  ByteReader r(runner);
+  for (int i = 0; i < 15; ++i) EXPECT_TRUE(r.U64().ok());
+  const uint32_t messages = r.U32().value_or(0);
+  for (uint32_t i = 0; i < messages; ++i) EXPECT_TRUE(r.Str().ok());
+  const uint32_t histories = r.U32().value_or(0);
+  for (uint32_t i = 0; i < histories; ++i) {
+    EXPECT_TRUE(r.Str().ok());
+    for (int field = 0; field < 2; ++field) {
+      EXPECT_TRUE(r.U8().ok());
+      EXPECT_TRUE(r.I64().ok());
+    }
+    EXPECT_TRUE(r.Str().ok());
+    EXPECT_TRUE(r.Str().ok());
+    EXPECT_TRUE(r.I64().ok());
+  }
+  EXPECT_TRUE(r.U32().ok());  // server count
+  EXPECT_TRUE(r.U64().ok());  // window ticks
+  EXPECT_TRUE(r.F64().ok());  // streak minutes
+  EXPECT_TRUE(r.F64().ok());  // window sum
+  return runner.size() - r.remaining();
+}
+
+TEST(SnapshotTest, HostileRunnerCountsAndRingHeadsAreParseErrors) {
+  Landscape landscape = MakePaperLandscape(Scenario::kStatic);
+  RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0, 42);
+  config.duration = Duration::Hours(1);
+  auto runner = SimulationRunner::Create(landscape, config);
+  ASSERT_TRUE(runner.ok()) << runner.status();
+  ASSERT_TRUE((*runner)->RunUntil(SimTime::Start() + Duration::Minutes(30))
+                  .ok());
+  SnapshotData snapshot;
+  snapshot.fingerprint = (*runner)->StateFingerprint();
+  ASSERT_TRUE((*runner)->SaveStateSections(&snapshot.sections).ok());
+  ASSERT_TRUE(persist::RestoreRunner(landscape, config, snapshot).ok());
+
+  // Each site gets 0xffffffff in its first four bytes: the runner
+  // section's message-log count (after the 15 fixed-width RunMetrics
+  // fields), the metrics section's counter count, and the first
+  // server's smoothing-ring head, which the next tick would use as an
+  // index into its ring.
+  auto runner_section = std::find_if(
+      snapshot.sections.begin(), snapshot.sections.end(),
+      [](const auto& entry) { return entry.first == "runner"; });
+  ASSERT_NE(runner_section, snapshot.sections.end());
+  const std::pair<std::string, size_t> sites[] = {
+      {"runner", 15 * 8},
+      {"metrics", 0},
+      {"runner", FirstRingHeadOffset(runner_section->second)}};
+  for (const auto& [name, offset] : sites) {
+    SnapshotData hostile = snapshot;
+    auto section = std::find_if(
+        hostile.sections.begin(), hostile.sections.end(),
+        [&name](const auto& entry) { return entry.first == name; });
+    ASSERT_NE(section, hostile.sections.end()) << name;
+    ASSERT_GE(section->second.size(), offset + 4) << name;
+    section->second.replace(offset, 4, "\xff\xff\xff\xff");
+    auto restored = persist::RestoreRunner(landscape, config, hostile);
+    ASSERT_FALSE(restored.ok()) << name;
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
+        << name << ": " << restored.status();
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+
 namespace autoglobe::sim {
 namespace {
 
@@ -247,6 +249,22 @@ TEST_P(SimulatorOrderProperty, MonotonicDispatch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOrderProperty,
                          ::testing::Range(1, 11));
+
+TEST(SimulatorTest, RestoreRejectsACountTheImageCannotHold) {
+  // Clock, sequence/id/dispatch counters and live count, then a
+  // liveness-array length of 2^61 with nothing behind it.
+  ByteWriter w;
+  w.I64(0);
+  for (int i = 0; i < 4; ++i) w.U64(0);
+  w.U64(uint64_t{1} << 61);
+  Simulator simulator;
+  ByteReader r(w.data());
+  Status status = simulator.RestoreState(
+      &r, [](const EventDesc&) -> Result<Simulator::Callback> {
+        return Status::Internal("no pending events expected");
+      });
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
+}
 
 }  // namespace
 }  // namespace autoglobe::sim

@@ -65,7 +65,7 @@ struct SmallWorld {
     return ids;
   }
 
-  static void Register(DemandModelSink* sink) {
+  static void Register(DemandModel* sink) {
     ServiceDemandSpec app;
     app.service = "app";
     app.pattern = LoadPattern::Flat(0.8);
@@ -245,6 +245,54 @@ TEST(BatchDemandTest, MidRunTopologyChangesStayInLockstep) {
   // ...and remove one of the original instances.
   ASSERT_TRUE(world.cluster.RemoveInstance(ids[0]).ok());
   tick_all(61, 90);
+}
+
+// A server added mid-run whose name sorts first shifts every dense
+// server id, so both engines must carry each lane's last-tick server
+// loads over to the new layout by name (the refuge search reads them).
+TEST(BatchDemandTest, ServerAddedMidRunRemapsEveryLane) {
+  SmallWorld world;
+  world.Populate();
+  world.PlaceInitial();
+
+  const std::vector<LaneSetup> lanes = {{42, 1.0}, {7, 1.3}, {2026, 0.7}};
+  BatchDemandEngine batch(&world.cluster, lanes.size());
+  SmallWorld::Register(&batch);
+  std::vector<std::unique_ptr<DemandEngine>> scalars;
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    batch.SetLaneSeed(k, lanes[k].seed);
+    batch.SetLaneUserScale(k, lanes[k].scale);
+    auto scalar =
+        std::make_unique<DemandEngine>(&world.cluster, Rng(lanes[k].seed));
+    SmallWorld::Register(scalar.get());
+    scalar->set_user_scale(lanes[k].scale);
+    scalars.push_back(std::move(scalar));
+  }
+
+  int minute = 0;
+  auto tick = [&](int ticks) {
+    for (int t = 0; t < ticks; ++t) {
+      SimTime now = SimTime::Start() + Duration::Minutes(++minute);
+      batch.Tick(now);
+      for (auto& scalar : scalars) scalar->Tick(now);
+      for (size_t k = 0; k < lanes.size(); ++k) {
+        ExpectLaneMatchesScalar(batch, k, *scalars[k], world.cluster);
+      }
+    }
+  };
+
+  tick(30);
+  ASSERT_TRUE(world.cluster.AddServer(MakeServer("s0", 2)).ok());
+  ASSERT_EQ(world.cluster.Index().ServerIdOf("s0"), 0);
+  // One tick on the shifted layout before s0 hosts anything: its
+  // refuge search picks among the old instances by their carried-over
+  // host loads.
+  tick(1);
+  ASSERT_TRUE(world.cluster
+                  .PlaceInstance("app", "s0",
+                                 SimTime::Start() + Duration::Minutes(minute))
+                  .ok());
+  tick(60);
 }
 
 // --- Instance failures in the shared cluster ---------------------------

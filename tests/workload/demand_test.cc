@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
+#include "common/bytes.h"
+
 namespace autoglobe::workload {
 namespace {
 
@@ -340,6 +345,103 @@ TEST_F(DemandTest, DeterministicGivenSeed) {
                      engine3.ServerCpuLoad("s1"))
         << "diverged at minute " << i;
   }
+}
+
+
+// --- Restore on hostile images -------------------------------------------
+
+// Bytes in front of the first count of a SaveState image: the xoshiro
+// words and cached normal, the philox state, the draw-discipline byte.
+constexpr size_t kRngStateBytes = 4 * 8 + 1 + 8 + (2 * 4 + 3 * 8 + 1) + 1;
+
+// Array lengths of a hand-built demand image; the defaults are
+// consistent with one tracked-id bound of 3, two servers and one spec.
+struct ImageShape {
+  uint64_t users = 3;
+  uint64_t per_instance = 3;  // backlog, demand, served, load
+  uint64_t tracked = 3;
+  uint64_t names = 2;
+  uint64_t cpu = 2;
+  uint64_t mem = 2;
+  uint64_t queue = 1;
+};
+
+std::string DemandImage(std::string_view rng_state, const ImageShape& shape) {
+  ByteWriter w;
+  w.Raw(rng_state.data(), rng_state.size());
+  auto doubles = [&w](uint64_t count) {
+    w.U64(count);
+    for (uint64_t i = 0; i < count; ++i) w.F64(0.0);
+  };
+  doubles(shape.users);
+  for (int i = 0; i < 4; ++i) doubles(shape.per_instance);
+  w.U64(shape.tracked);
+  for (uint64_t i = 0; i < shape.tracked; ++i) w.U8(0);
+  w.U64(shape.names);
+  for (uint64_t i = 0; i < shape.names; ++i) {
+    w.Str("s" + std::to_string(i + 1));
+  }
+  doubles(shape.cpu);
+  doubles(shape.mem);
+  doubles(shape.queue);
+  w.F64(0.0);  // lost work
+  w.F64(0.0);  // overload minutes
+  return w.Take();
+}
+
+TEST_F(DemandTest, RestoreRejectsACountTheImageCannotHold) {
+  ASSERT_TRUE(engine_->AddService(InteractiveSpec("app", 450, 1.0)).ok());
+  Place("app", "s1");
+  TickMinutes(5);
+  const double cpu = engine_->ServerCpuLoad("s1");
+  ByteWriter w;
+  engine_->SaveState(&w);
+  std::string image = w.Take();
+  ASSERT_GT(image.size(), kRngStateBytes + 8);
+
+  // A users count of 2^61 doubles must fail before anything is sized
+  // from it.
+  ByteWriter count;
+  count.U64(uint64_t{1} << 61);
+  image.replace(kRngStateBytes, 8, count.data());
+  ByteReader r(image);
+  Status status = engine_->RestoreState(&r);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
+
+  // A rejected image leaves the run state as it was.
+  EXPECT_EQ(engine_->ServerCpuLoad("s1"), cpu);
+  TickMinutes(1, SimTime::Start() + Duration::Minutes(5));
+}
+
+TEST_F(DemandTest, RestoreRejectsArraysOfDisagreeingLengths) {
+  ASSERT_TRUE(engine_->AddService(InteractiveSpec("app", 100, 0.5)).ok());
+  Place("app", "s1");
+  Place("app", "s2");
+  ByteWriter w;
+  engine_->SaveState(&w);
+  const std::string rng_state = w.data().substr(0, kRngStateBytes);
+
+  {  // The consistent shape restores, so the rejections below are real.
+    std::string image = DemandImage(rng_state, {});
+    ByteReader r(image);
+    ASSERT_TRUE(engine_->RestoreState(&r).ok());
+    EXPECT_TRUE(r.AtEnd());
+  }
+  auto expect_rejected = [&](const ImageShape& shape, const char* what) {
+    std::string image = DemandImage(rng_state, shape);
+    ByteReader r(image);
+    Status status = engine_->RestoreState(&r);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << what << ": "
+                                                      << status;
+  };
+  expect_rejected({.users = 2}, "users shorter than tracked");
+  expect_rejected({.per_instance = 4}, "backlog longer than tracked");
+  expect_rejected({.tracked = 2}, "tracked shorter than the arrays");
+  expect_rejected({.cpu = 1}, "cpu loads shorter than the names");
+  expect_rejected({.mem = 3}, "mem loads longer than the names");
+  expect_rejected({.names = 3}, "more names than loads");
+  expect_rejected({.queue = 2}, "more queues than specs");
+  TickMinutes(1);
 }
 
 }  // namespace
