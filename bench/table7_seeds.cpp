@@ -11,7 +11,11 @@
 // measured on the batched engine — bit-identical to the scalar sweep
 // by BatchRunner's parity contract. Emits BENCH_seeds.json.
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "autoglobe/capacity.h"
@@ -24,15 +28,34 @@
 using namespace autoglobe;
 
 int main(int argc, char** argv) {
-  // Optional draw discipline: `table7_seeds [xoshiro|philox]`. Philox
-  // runs the same protocol on the counter-based plane (DESIGN.md §16);
-  // the default keeps the legacy stream and its pinned numbers.
+  // Optional draw discipline and seed range:
+  // `table7_seeds [xoshiro|philox] [first_seed last_seed]`. Philox runs
+  // the same protocol on the counter-based plane (DESIGN.md §16); the
+  // default keeps the legacy stream and its pinned numbers, and the
+  // default seeds are 42, 7 and 2026. A range reports the per-seed
+  // distribution of each cell (EXPERIMENTS.md).
   RngKind rng_kind = RngKind::kXoshiro;
-  if (argc > 1 && !ParseRngKind(argv[1], &rng_kind)) {
-    std::fprintf(stderr, "usage: table7_seeds [xoshiro|philox]\n");
+  std::vector<uint64_t> seeds = {42, 7, 2026};
+  bool usage_ok = argc == 1 || argc == 2 || argc == 4;
+  if (usage_ok && argc > 1) usage_ok = ParseRngKind(argv[1], &rng_kind);
+  if (usage_ok && argc == 4) {
+    char* end_first = nullptr;
+    char* end_last = nullptr;
+    unsigned long long first = std::strtoull(argv[2], &end_first, 10);
+    unsigned long long last = std::strtoull(argv[3], &end_last, 10);
+    usage_ok = *end_first == '\0' && *end_last == '\0' && first <= last &&
+               last - first < 4096;
+    seeds.clear();
+    for (unsigned long long seed = first; usage_ok && seed <= last; ++seed) {
+      seeds.push_back(seed);
+    }
+  }
+  if (!usage_ok) {
+    std::fprintf(stderr,
+                 "usage: table7_seeds [xoshiro|philox] [first_seed "
+                 "last_seed]\n");
     return 2;
   }
-  const uint64_t seeds[] = {42, 7, 2026};
   const Scenario scenarios[] = {Scenario::kStatic,
                                 Scenario::kConstrainedMobility,
                                 Scenario::kFullMobility};
@@ -85,6 +108,29 @@ int main(int argc, char** argv) {
       records.push_back(std::move(record));
     }
   }
+  // Per-cell distribution: how many seeds measured each capacity.
+  std::printf("\n");
+  size_t violated = 0;
+  for (size_t c = 0; c < std::size(scenarios); ++c) {
+    std::map<int, int, std::greater<int>> counts;  // capacity % -> seeds
+    for (size_t s = 0; s < std::size(seeds); ++s) {
+      double capacity = results[s * std::size(scenarios) + c];
+      ++counts[static_cast<int>(std::lround(capacity * 100))];
+    }
+    std::printf("# %-6s", scenario_names[c]);
+    for (const auto& [percent, count] : counts) {
+      std::printf(" %d%% x%d", percent, count);
+    }
+    std::printf("\n");
+  }
+  for (size_t s = 0; s < std::size(seeds); ++s) {
+    const double* capacity = &results[s * std::size(scenarios)];
+    if (!(capacity[0] < capacity[1] && capacity[1] < capacity[2])) {
+      ++violated;
+    }
+  }
+  std::printf("# ordering violated in %zu/%zu seeds\n", violated,
+              std::size(seeds));
   std::printf("\n# wall-clock: %.2f s for %zu sweeps on %zu worker(s) "
               "(%.2f sweeps/s)\n",
               wall_seconds, num_sweeps, pool.thread_count(),

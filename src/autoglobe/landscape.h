@@ -51,9 +51,8 @@ struct Landscape {
   /// Materializes servers, services, and the initial allocation into
   /// a cluster, and registers demand specs and subsystems with the
   /// demand model (either pointer may be null to skip that part).
-  /// Registration belongs to the shared DemandModel, so either engine
-  /// works: the scalar DemandEngine (one lane) or the batched
-  /// BatchDemandEngine (one model, many lanes).
+  /// Registration belongs to the shared DemandModel, so any engine
+  /// works: DemandEngine (one lane) or BatchDemandEngine (many lanes).
   Status Build(infra::Cluster* cluster,
                workload::DemandModel* engine) const;
 

@@ -19,35 +19,9 @@ namespace {
 
 #include "common/lane_kernels_inl.h"
 
-constexpr LaneKernels kScalarKernels = {
-    "scalar",
-    FreshUsersRow,
-    FreshBatchRow,
-    DemandPlainRow,
-    DemandSharedRow,
-    AddRow,
-    DistributeRow,
-    CpuMemRow,
-    ServeFitRow,
-    BacklogRow,
-    SharedBacklogRow,
-    OverloadRow,
-    QueueCommitRow,
-    SmoothFullRow,
-    SmoothFillRow,
-    StreakRow,
-    LeastLoadedRow,
-    FluctMoveRow,
-    BandMaskRow,
-    WindowSumRows,
-    PhiloxUniformEventRowScalar,
-    PhiloxNormalEventRowScalar,
-    PhiloxNoiseRowScalar,
-};
-
 }  // namespace
 
-const LaneKernels& GetLaneKernelsScalar() { return kScalarKernels; }
+const LaneKernels& GetLaneKernelsScalar() { return kPortableLaneKernels; }
 
 const LaneKernels* GetLaneKernelsAvx2() {
 #ifdef AUTOGLOBE_HAVE_AVX2_TU

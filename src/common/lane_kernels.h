@@ -26,16 +26,17 @@ inline PhiloxLaneView MakePhiloxLaneView(PhiloxLanes& lanes) {
                         lanes.cache.data(),      lanes.cache_valid.data()};
 }
 
-/// The batched engine's hot `[dense_id][lane]` row loops as a
+/// The demand tick's hot `[dense_id][lane]` row loops as a
 /// dispatch-selected kernel table. Two implementations exist: the
 /// scalar/SSE2 baseline and an AVX2 build of the *same source* (plus
-/// hand-written AVX2 philox kernels). Neither may use FMA or
-/// reassociate (`-ffp-contract=off`, no fast-math), so both tiers
-/// produce bit-identical doubles — tier selection is a throughput
-/// knob, never a semantic one (DESIGN.md §16).
+/// hand-written AVX2 philox kernels); the tick's 1-lane build compiles
+/// that source inline a third time. None may use FMA or reassociate
+/// (`-ffp-contract=off`, no fast-math), so every tier produces
+/// bit-identical doubles — tier selection is a throughput knob, never
+/// a semantic one (DESIGN.md §16).
 ///
-/// Every kernel's arithmetic mirrors the scalar engine's expression
-/// order exactly; the conditional updates are written as selects and
+/// Every kernel applies the demand model's per-lane expression order
+/// exactly; the conditional updates are written as selects and
 /// `+ 0.0` no-op accumulations that are proven exact for the value
 /// ranges involved (accumulators never hold -0.0).
 struct LaneKernels {
@@ -72,23 +73,26 @@ struct LaneKernels {
                          double usable, double factor, double perf,
                          size_t n);
   /// cpu[i] = min(1, total[i] / capacity); mem_row[i] = mem.
-  /// Requires capacity > 0 (callers keep the degenerate server on the
-  /// plain loop).
+  /// Every capacity argument is a server's performance index, which
+  /// ServerSpec::Validate keeps finite and > 0 for every server a
+  /// cluster admits, so no kernel guards its division.
   void (*cpu_mem_row)(double* cpu, double* mem_row, const double* total,
                       double capacity, double mem, size_t n);
-  /// serve[i] = total[i] <= capacity ? demand[i] : serve[i]
-  void (*serve_fit_row)(double* serve, const double* total,
-                        const double* demand, double capacity, size_t n);
-  /// Per-instance backlog update (private queue). Requires
-  /// capacity > 0. base_load is 0 for spec-less instances (the extra
-  /// max() is exact on the already-non-negative unserved).
+  /// total[i] += demand[i]; serve[i] = demand[i]: a running instance
+  /// is granted its whole demand, which it gets wherever its server
+  /// fits (water-filling re-grants the overloaded lanes).
+  void (*serve_all_row)(double* total, double* serve, const double* demand,
+                        size_t n);
+  /// Per-instance backlog update (private queue). base_load is 0 for
+  /// spec-less instances (the extra max() is exact on the
+  /// already-non-negative unserved).
   void (*backlog_row)(double* inst_load, double* served, double* backlog,
                       double* lost, const double* demand,
                       const double* serve, double capacity,
                       double base_load, double cap, double dt_minutes,
                       size_t n);
   /// Shared-queue variant: backlog zeroes, unserved drains into the
-  /// service sink. Requires capacity > 0.
+  /// service sink.
   void (*shared_backlog_row)(double* inst_load, double* served,
                              double* backlog, double* shared_sink,
                              const double* demand, const double* serve,
@@ -116,7 +120,7 @@ struct LaneKernels {
                      size_t n);
   /// Least-loaded argmin update: score = cpu[i] + 0.001 * users[i] /
   /// denom; strict-less winners take (score, id). Same instance-visit
-  /// order as the scalar LeastLoadedInstance, so ties resolve
+  /// order as DemandModel::LeastLoadedInstance, so ties resolve
   /// identically.
   void (*least_loaded_row)(double* best_score, uint64_t* best_id,
                            const double* cpu, const double* users,
@@ -151,7 +155,8 @@ struct LaneKernels {
                                   size_t n);
   /// fresh[i] *= max(0, 1 + stddev * NormalUnit()) for every lane with
   /// fresh[i] > 0; other lanes draw nothing (their counters stand
-  /// still, exactly like the scalar engine's conditional draw site).
+  /// still, exactly like PhiloxRng::NormalUnit at a conditional draw
+  /// site).
   void (*philox_noise_row)(PhiloxLaneView lanes, double* fresh,
                            double stddev, size_t n);
 };

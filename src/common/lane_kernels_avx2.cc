@@ -593,7 +593,7 @@ constexpr LaneKernels kAvx2Kernels = {
     AddRow,
     DistributeRow,
     CpuMemRow,
-    ServeFitRow,
+    ServeAllRow,
     BacklogRow,
     SharedBacklogRow,
     OverloadRow,

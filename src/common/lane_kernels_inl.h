@@ -1,10 +1,11 @@
 // Shared source of the lane-kernel tier bodies. Included inside an
-// anonymous namespace by each tier's translation unit (scalar and
-// AVX2) so the *same* C++ compiles to both tiers — the compiler may
-// not reassociate or contract (both TUs build with -ffp-contract=off
-// and without fast-math), so the tiers are bit-identical by
-// construction. No include guard and no #includes on purpose: the
-// including .cc owns both.
+// anonymous namespace by each translation unit that compiles them (the
+// scalar and AVX2 tiers, and the demand tick for its inline 1-lane
+// build) so the *same* C++ compiles everywhere — the compiler may not
+// reassociate or contract (every such TU builds with
+// AUTOGLOBE_KERNEL_FLAGS: -ffp-contract=off and no fast-math), so the
+// builds are bit-identical by construction. No include guard and no
+// #includes on purpose: the including .cc owns both.
 //
 // Conditional updates are written as selects / `+ 0.0` accumulations;
 // see lane_kernels.h for why each is exact for the value ranges the
@@ -93,10 +94,11 @@ void CpuMemRow(double* cpu, double* mem_row, const double* total,
   }
 }
 
-void ServeFitRow(double* serve, const double* total, const double* demand,
-                 double capacity, size_t n) {
+void ServeAllRow(double* total, double* serve, const double* demand,
+                 size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    serve[i] = total[i] <= capacity ? demand[i] : serve[i];
+    total[i] += demand[i];
+    serve[i] = demand[i];
   }
 }
 
@@ -142,7 +144,8 @@ void QueueCommitRow(double* queue, double* lost, const double* collected,
                     double cap, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     double queued = collected[i];
-    lost[i] += std::max(0.0, queued - cap);
+    const double over = queued - cap;
+    if (over > 0) lost[i] += over;
     queued = std::min(queued, cap);
     queue[i] = queued > 0 ? queued : 0.0;
   }
@@ -259,3 +262,32 @@ void PhiloxNoiseRowScalar(PhiloxLaneView lanes, double* fresh,
     }
   }
 }
+
+// The portable tier: lane_kernels.cc publishes it as the scalar tier,
+// and the 1-lane demand tick calls it through this constant table so
+// the compiler resolves and inlines every row.
+constexpr LaneKernels kPortableLaneKernels = {
+    "scalar",
+    FreshUsersRow,
+    FreshBatchRow,
+    DemandPlainRow,
+    DemandSharedRow,
+    AddRow,
+    DistributeRow,
+    CpuMemRow,
+    ServeAllRow,
+    BacklogRow,
+    SharedBacklogRow,
+    OverloadRow,
+    QueueCommitRow,
+    SmoothFullRow,
+    SmoothFillRow,
+    StreakRow,
+    LeastLoadedRow,
+    FluctMoveRow,
+    BandMaskRow,
+    WindowSumRows,
+    PhiloxUniformEventRowScalar,
+    PhiloxNormalEventRowScalar,
+    PhiloxNoiseRowScalar,
+};

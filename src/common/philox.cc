@@ -112,9 +112,23 @@ void PhiloxLanes::SeedLane(std::size_t lane, uint64_t seed) {
   key0[lane] = static_cast<uint32_t>(key);
   key1[lane] = static_cast<uint32_t>(key >> 32);
   ctr[lane] = 0;
-  cache_block[lane] = 0;
-  cache[lane] = 0.0;
   cache_valid[lane] = 0;
+}
+
+PhiloxRng::State PhiloxLanes::LaneState(std::size_t lane) const {
+  return PhiloxRng::State{key0[lane],        key1[lane],
+                          ctr[lane],         cache_block[lane],
+                          cache[lane],       cache_valid[lane] != 0};
+}
+
+void PhiloxLanes::SetLaneState(std::size_t lane,
+                               const PhiloxRng::State& state) {
+  key0[lane] = state.key0;
+  key1[lane] = state.key1;
+  ctr[lane] = state.counter;
+  cache_block[lane] = state.cache_block;
+  cache[lane] = state.cache;
+  cache_valid[lane] = state.cache_valid ? 1 : 0;
 }
 
 void FillUniform(PhiloxLanes& lanes, std::size_t draws, double* out) {

@@ -156,7 +156,12 @@ struct PhiloxLanes {
 
   std::size_t size() const { return ctr.size(); }
   void Resize(std::size_t lanes);
+  /// PhiloxRng::Reseed on one lane: re-keys it and rewinds its
+  /// counter; like Reseed it leaves the (invalidated) cache words.
   void SeedLane(std::size_t lane, uint64_t seed);
+  /// One lane as a PhiloxRng checkpoint state, and back.
+  PhiloxRng::State LaneState(std::size_t lane) const;
+  void SetLaneState(std::size_t lane, const PhiloxRng::State& state);
 };
 
 /// Fills out[draw * lanes.size() + lane] with the next `draws`

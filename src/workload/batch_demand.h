@@ -2,6 +2,7 @@
 #define AUTOGLOBE_WORKLOAD_BATCH_DEMAND_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/lane_kernels.h"
@@ -16,31 +17,37 @@
 
 namespace autoglobe::workload {
 
-/// Batched multi-run demand engine: steps B independent simulation
-/// runs ("lanes") in lockstep on one thread. It is the B-lane
-/// DemandModel (workload/demand_model.h) stepped by lane-inner row
-/// loops: all lanes share one topology (the cluster and its
-/// LandscapeIndex) and the registered demand specs; each lane owns its
-/// dynamic state — users, backlogs, queues, loads, quality metrics —
-/// in the model's `[entity * lanes + lane]` arrays, and an RNG stream
-/// here, so the per-tick inner loops iterate lane-innermost
-/// (branch-light, auto-vectorizable, zero steady-state allocation).
+/// The demand engine: steps B independent simulation runs ("lanes")
+/// in lockstep on one thread. It is the B-lane DemandModel
+/// (workload/demand_model.h) stepped by the one demand tick loop, whose
+/// inner loops run lane-innermost: all lanes share one topology (the
+/// cluster and its LandscapeIndex) and the registered demand specs;
+/// each lane owns its dynamic state — users, backlogs, queues, loads,
+/// quality metrics — in the model's `[entity * lanes + lane]` arrays,
+/// and an RNG stream here (zero steady-state allocation).
 ///
-/// Bit-identity contract: lane `k` of a batched Tick sequence is
-/// bit-identical to a scalar DemandEngine constructed with
-/// `Rng(seed_k)` and the same registrations, scale, and distribution,
-/// ticked at the same times. Every per-lane loop preserves the scalar
-/// engine's iteration order (specs in name order, instances in
-/// InstanceId span order, servers in dense-id order), every per-lane
-/// floating-point accumulator sees the same operation sequence, and
+/// The loop is a template on the lane count with two builds, picked
+/// from lanes() on every Tick: the 1-lane build (DemandEngine, or any
+/// 1-lane engine) has the count a compile-time 1, calls the portable
+/// row kernels inline and keeps its per-lane accumulators in locals;
+/// the L-lane build dispatches the rows through the active kernel tier
+/// (AVX2 where available).
+///
+/// Bit-identity contract: lane `k` of an L-lane Tick sequence is
+/// bit-identical to a DemandEngine constructed with `Rng(seed_k)` and
+/// the same registrations, scale, and distribution, ticked at the same
+/// times. Both builds run the same source in the same iteration order
+/// (specs in name order, instances in InstanceId span order, servers
+/// in dense-id order), every per-lane floating-point accumulator sees
+/// the same operation sequence in either build and kernel tier, and
 /// RNG draws stay strictly conditional (a lane draws noise exactly
-/// when the scalar path would), so stream positions never shift.
+/// when its fresh work is positive), so stream positions never shift.
 ///
-/// Instance states are read from the shared cluster, exactly as the
-/// scalar engine reads them, so every state check is one branch per
-/// row for all lanes. Topology and state changes apply to the shared
-/// cluster and therefore to every lane at once; runs whose faults or
-/// actions differ per lane do not batch (see autoglobe/batch_runner.h).
+/// Instance states are read from the shared cluster, so every state
+/// check is one branch per row for all lanes. Topology and state
+/// changes apply to the shared cluster and therefore to every lane at
+/// once; runs whose faults or actions differ per lane do not batch
+/// (see autoglobe/batch_runner.h).
 /// Lanes diverge only in their loads, and the two paths whose control
 /// flow depends on a lane's loads run per lane over the strided
 /// arrays: the refuge hand-off of a failed instance that still holds
@@ -50,17 +57,16 @@ class BatchDemandEngine : public DemandModel {
   /// `lanes` is fixed for the engine's lifetime (1..1024).
   BatchDemandEngine(infra::Cluster* cluster, size_t lanes);
 
-  /// Re-seeds a lane's RNG stream (matches a scalar engine built with
-  /// `Rng(seed)` — or, in philox mode, `PhiloxRng(seed)`). Both
-  /// disciplines are re-seeded so set_rng_kind can be called in
-  /// either order.
+  /// Re-seeds a lane's RNG stream (the legacy `Rng(seed)`, or in
+  /// philox mode `PhiloxRng(seed)`). Both disciplines are re-seeded so
+  /// set_rng_kind can be called in either order.
   void SetLaneSeed(size_t lane, uint64_t seed);
   /// Selects the draw discipline for every lane (default kXoshiro,
   /// the legacy sequential streams). In kPhilox mode noise draws run
   /// through the lane-strided counter-based streams — evaluated 4
   /// lanes at a time by the AVX2 row kernels where available, and
-  /// bit-identical to a scalar DemandEngine in philox mode lane by
-  /// lane (DESIGN.md §16).
+  /// bit-identical to a 1-lane engine in philox mode lane by lane
+  /// (DESIGN.md §16).
   void set_rng_kind(RngKind kind) { rng_kind_ = kind; }
   RngKind rng_kind() const { return rng_kind_; }
   /// Per-lane user multiplier (the capacity sweep's +5 % knob — lanes
@@ -78,35 +84,48 @@ class BatchDemandEngine : public DemandModel {
   /// once per lane. `out` must hold lanes() doubles.
   void ServiceLoadAll(infra::DenseId service, double* out) const;
 
- private:
-  /// Re-sizes the scratch to the data plane just synced.
-  void ResizeScratch(const infra::LandscapeIndex& index);
-  /// Lane-inner user attachment for every lane at once. Falls back to
-  /// SyncUsersSpecLane for (spec, lane) pairs on the order-sensitive
-  /// failed-with-users path.
-  void SyncUsersAll(const infra::LandscapeIndex& index);
-  /// Scalar-order sticky reconciliation of one spec in one lane (the
-  /// rare path: a failed instance still holds users).
-  void SyncUsersSpecLane(const infra::LandscapeIndex& index, size_t slot,
-                         size_t lane);
-  /// Lane-inner session fluctuation for every lane at once.
-  void ApplyFluctuationAll(const infra::LandscapeIndex& index,
-                           double dt_minutes);
-
+ protected:
   std::vector<Rng> rng_;  // one legacy stream per lane
   PhiloxLanes philox_;    // lane-strided counter-based streams
   RngKind rng_kind_ = RngKind::kXoshiro;
-  /// Active row-kernel tier (scalar or AVX2), resolved once at
-  /// construction; all uniform-row hot loops dispatch through it.
-  const LaneKernels* kernels_;
-
   std::vector<double> user_scale_;  // per lane
+
+ private:
+  /// The tick loop, built for a compile-time lane count (1) or for
+  /// the lane count fixed at construction (kAnyLanes).
+  template <size_t kLanes>
+  void TickLanes(SimTime now, double dt_minutes);
+  /// Lane-inner user attachment for every lane at once. Falls back to
+  /// SyncUsersSpecLane for (spec, lane) pairs on the order-sensitive
+  /// failed-with-users path.
+  template <size_t kLanes>
+  void SyncUsersAll(const infra::LandscapeIndex& index);
+  /// Sticky reconciliation of one spec in one lane, instance by
+  /// instance (the rare path: a failed instance still holds users).
+  void SyncUsersSpecLane(const infra::LandscapeIndex& index, size_t slot,
+                         size_t lane);
+  /// Lane-inner session fluctuation for every lane at once.
+  template <size_t kLanes>
+  void ApplyFluctuationAll(const infra::LandscapeIndex& index,
+                           double dt_minutes);
+  /// Priority-weighted water-filling (3 rounds) of one server in every
+  /// lane whose running demand `total[lane]` exceeds `capacity`: the
+  /// running instances share the capacity in scratch_.serve.
+  void WaterFill(const infra::LandscapeIndex& index,
+                 std::span<const infra::InstanceRef> instances,
+                 double capacity, const double* total);
+  /// Re-sizes the scratch to the data plane just synced.
+  void ResizeScratch(const infra::LandscapeIndex& index);
+
+  /// Active row-kernel tier (scalar or AVX2), resolved once at
+  /// construction; the L-lane build's row loops dispatch through it.
+  const LaneKernels* kernels_;
 
   /// Pre-sized per-tick temporaries (all lane-strided or per-lane).
   struct Scratch {
     std::vector<double> app_work;         // [slot][lane]
     std::vector<double> shared_unserved;  // [slot][lane]
-    std::vector<double> serve;            // [id][lane]
+    std::vector<double> serve;            // [id][lane] granted work
     std::vector<double> tier_work;        // [lane]
     std::vector<double> current_total;    // [lane]
     std::vector<double> total_demand;     // [lane]
@@ -115,8 +134,9 @@ class BatchDemandEngine : public DemandModel {
     std::vector<double> moved;            // [lane] fluctuation sums
     std::vector<double> amount;           // [lane] sync diff / keep
     std::vector<uint8_t> mode;            // [lane] sync dispatch
-    std::vector<uint32_t> unsatisfied;        // per-lane, sequential use
-    std::vector<uint32_t> still_unsatisfied;  // (capacity pre-reserved)
+    std::vector<uint32_t> running;            // water-filling worklists
+    std::vector<uint32_t> unsatisfied;        // (capacity pre-reserved)
+    std::vector<uint32_t> still_unsatisfied;
   };
   Scratch scratch_;
 };

@@ -1,8 +1,5 @@
 #include "workload/demand.h"
 
-#include <algorithm>
-#include <cmath>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -10,361 +7,22 @@
 
 namespace autoglobe::workload {
 
-using infra::InstanceId;
 using infra::InstanceRef;
 using infra::LandscapeIndex;
 
 DemandEngine::DemandEngine(infra::Cluster* cluster, Rng rng)
-    : DemandModel(cluster, 1), rng_(rng) {}
+    : BatchDemandEngine(cluster, 1) {
+  rng_[0] = rng;
+}
 
 void DemandEngine::SeedRng(uint64_t seed, RngKind kind) {
-  rng_ = Rng(seed);
-  philox_.Reseed(seed);
-  rng_kind_ = kind;
+  SetLaneSeed(0, seed);
+  set_rng_kind(kind);
 }
 
 void DemandEngine::ResetRunState(uint64_t seed, RngKind kind) {
   ResetLanes();
   SeedRng(seed, kind);
-}
-
-void DemandEngine::ResizeScratch(const LandscapeIndex& index) {
-  scratch_.app_work.assign(specs_.size(), 0.0);
-  scratch_.shared_unserved.assign(specs_.size(), 0.0);
-  scratch_.serve.assign(users_.size(), 0.0);
-  scratch_.unsatisfied.reserve(index.max_instances_per_server());
-  scratch_.still_unsatisfied.reserve(index.max_instances_per_server());
-}
-
-void DemandEngine::SyncUsers(const LandscapeIndex& index) {
-  for (size_t slot = 0; slot < specs_.size(); ++slot) {
-    const ServiceDemandSpec& spec = specs_[slot];
-    infra::DenseId sid = spec_service_id_[slot];
-    if (sid < 0) continue;
-    std::span<const InstanceRef> instances = index.InstancesOfService(sid);
-    if (instances.empty()) continue;
-    if (spec.base_users <= 0) continue;  // batch / derived services
-
-    double target_total = spec.base_users * user_scale_;
-
-    if (distribution_ == UserDistribution::kDynamicRedistribution) {
-      // FM: users are redistributed across all serving instances
-      // whenever anything changes. The paper says "equally"; we weigh
-      // the shares by host capacity so that equal *load* results on
-      // the heterogeneous blades (an equal head-count split would
-      // systematically overload the PI-1 hosts).
-      bool any_usable = false;
-      double weight_total = 0.0;
-      for (const InstanceRef& ref : instances) {
-        if (ref.instance->state != infra::InstanceState::kFailed) {
-          any_usable = true;
-          weight_total += index.ServerPerformance(ref.server);
-        }
-      }
-      if (!any_usable || weight_total <= 0) continue;
-      for (const InstanceRef& ref : instances) {
-        users_[static_cast<size_t>(ref.id)] = 0.0;
-      }
-      for (const InstanceRef& ref : instances) {
-        if (ref.instance->state == infra::InstanceState::kFailed) continue;
-        users_[static_cast<size_t>(ref.id)] =
-            target_total * index.ServerPerformance(ref.server) /
-            weight_total;
-      }
-      continue;
-    }
-
-    // Sticky sessions: users stay where they are. Users of failed
-    // instances re-login at the least-loaded instance. Scale changes
-    // and users lost with removed instances reconcile against the
-    // target total: shortfalls log in at the least-loaded instance,
-    // excess logs off proportionally.
-    double current_total = 0.0;
-    for (const InstanceRef& ref : instances) {
-      size_t id = static_cast<size_t>(ref.id);
-      if (ref.instance->state == infra::InstanceState::kFailed &&
-          users_[id] > 0) {
-        InstanceId refuge = LeastLoadedInstance(index, instances, 0);
-        if (refuge != 0 && refuge != ref.id) {
-          users_[static_cast<size_t>(refuge)] += users_[id];
-          users_[id] = 0.0;
-        }
-      }
-      current_total += users_[id];
-    }
-    double diff = target_total - current_total;
-    if (diff > 1e-9) {
-      // Fresh logins spread across the least-loaded instances; in the
-      // aggregate that matches a capacity-proportional arrival split.
-      double weight_total = 0.0;
-      for (const InstanceRef& ref : instances) {
-        if (ref.instance->state == infra::InstanceState::kFailed) continue;
-        weight_total += index.ServerPerformance(ref.server);
-      }
-      if (weight_total > 0) {
-        for (const InstanceRef& ref : instances) {
-          if (ref.instance->state == infra::InstanceState::kFailed) {
-            continue;
-          }
-          users_[static_cast<size_t>(ref.id)] +=
-              diff * index.ServerPerformance(ref.server) / weight_total;
-        }
-      } else {
-        users_[static_cast<size_t>(instances.front().id)] += diff;
-      }
-    } else if (diff < -1e-9 && current_total > 0) {
-      double keep = target_total / current_total;
-      for (const InstanceRef& ref : instances) {
-        users_[static_cast<size_t>(ref.id)] *= keep;
-      }
-    }
-  }
-}
-
-void DemandEngine::ApplyFluctuation(const LandscapeIndex& index,
-                                    double dt_minutes) {
-  if (distribution_ != UserDistribution::kStickySessions) return;
-  if (fluctuation_per_minute_ <= 0) return;
-  double fraction = std::min(1.0, fluctuation_per_minute_ * dt_minutes);
-  for (size_t slot = 0; slot < specs_.size(); ++slot) {
-    const ServiceDemandSpec& spec = specs_[slot];
-    if (spec.base_users <= 0) continue;
-    infra::DenseId sid = spec_service_id_[slot];
-    if (sid < 0) continue;
-    std::span<const InstanceRef> instances = index.InstancesOfService(sid);
-    if (instances.size() < 2) continue;
-    InstanceId refuge = LeastLoadedInstance(index, instances, 0);
-    if (refuge == 0) continue;
-    double moved = 0.0;
-    for (const InstanceRef& ref : instances) {
-      if (ref.id == refuge) continue;
-      size_t id = static_cast<size_t>(ref.id);
-      double leave = users_[id] * fraction;
-      users_[id] -= leave;
-      moved += leave;
-    }
-    users_[static_cast<size_t>(refuge)] += moved;
-  }
-}
-
-void DemandEngine::Tick(SimTime now, Duration dt) {
-  double dt_minutes = std::max(1e-9, dt.seconds() / 60.0);
-  const LandscapeIndex& index = cluster_->Index();
-  if (EnsureDataPlane()) ResizeScratch(index);
-  SyncUsers(index);
-  ApplyFluctuation(index, dt_minutes);
-
-  // --- Fresh demand per instance (wu per minute) -----------------------
-  std::fill(scratch_.app_work.begin(), scratch_.app_work.end(), 0.0);
-  for (size_t slot = 0; slot < specs_.size(); ++slot) {
-    const ServiceDemandSpec& spec = specs_[slot];
-    infra::DenseId sid = spec_service_id_[slot];
-    if (sid < 0) continue;
-    std::span<const InstanceRef> instances = index.InstancesOfService(sid);
-    if (instances.empty()) continue;
-    double activity = spec.pattern.Activity(now);
-    double usable_capacity = 0.0;
-    for (const InstanceRef& ref : instances) {
-      if (ref.instance->state != infra::InstanceState::kFailed) {
-        usable_capacity += index.ServerPerformance(ref.server);
-      }
-    }
-    double queue = queue_wu_[slot];
-    double service_work = 0.0;
-    for (const InstanceRef& ref : instances) {
-      size_t id = static_cast<size_t>(ref.id);
-      double fresh = 0.0;
-      if (spec.batch) {
-        // Batch jobs are pulled from a shared queue, so instances on
-        // faster hosts process proportionally more of them.
-        if (usable_capacity > 0 &&
-            ref.instance->state != infra::InstanceState::kFailed) {
-          fresh = spec.batch_load_wu * activity * user_scale_ *
-                  index.ServerPerformance(ref.server) / usable_capacity;
-        }
-      } else if (spec.base_users > 0) {
-        fresh = users_[id] * activity * spec.request_cost /
-                kUsersPerPerformanceUnit;
-      }
-      if (fresh > 0 && spec.noise_stddev > 0) {
-        if (rng_kind_ == RngKind::kPhilox) {
-          // Same expression as the batched philox_noise_row kernel —
-          // scalar and batched philox runs are bit-identical.
-          fresh *= std::max(
-              0.0, 1.0 + spec.noise_stddev * philox_.NormalUnit());
-        } else {
-          fresh *= std::max(0.0, rng_.Normal(1.0, spec.noise_stddev));
-        }
-      }
-      double queued = backlog_wu_[id];
-      if (spec.shared_queue && usable_capacity > 0 &&
-          ref.instance->state != infra::InstanceState::kFailed &&
-          queue > 0) {
-        queued = queue * index.ServerPerformance(ref.server) /
-                 usable_capacity;
-      }
-      demand_wu_[id] = spec.base_load_wu + fresh + queued;
-      service_work += fresh;
-    }
-    scratch_.app_work[slot] = service_work;
-  }
-
-  // --- Propagate through central instances and databases ----------------
-  for (const SubsystemEdges& edge : edges_) {
-    double app_work = 0.0;
-    for (int32_t app_slot : edge.app_specs) {
-      if (app_slot >= 0) app_work += scratch_.app_work[app_slot];
-    }
-    auto distribute = [&](int32_t spec_slot, double work) {
-      if (spec_slot < 0 || work <= 0) return;
-      infra::DenseId sid = spec_service_id_[static_cast<size_t>(spec_slot)];
-      if (sid < 0) {
-        lost_work_wu_[0] += work * dt_minutes;
-        return;
-      }
-      std::span<const InstanceRef> instances =
-          index.InstancesOfService(sid);
-      double usable_capacity = 0.0;
-      for (const InstanceRef& ref : instances) {
-        if (ref.instance->state != infra::InstanceState::kFailed) {
-          usable_capacity += index.ServerPerformance(ref.server);
-        }
-      }
-      if (usable_capacity <= 0) {
-        lost_work_wu_[0] += work * dt_minutes;  // nobody to serve the tier
-        return;
-      }
-      for (const InstanceRef& ref : instances) {
-        if (ref.instance->state == infra::InstanceState::kFailed) continue;
-        demand_wu_[static_cast<size_t>(ref.id)] +=
-            work * index.ServerPerformance(ref.server) / usable_capacity;
-      }
-    };
-    distribute(edge.ci_spec, edge.ci_factor * app_work);
-    distribute(edge.db_spec, edge.db_factor * app_work);
-  }
-
-  // --- Proportional-share CPU model per server --------------------------
-  std::fill(scratch_.shared_unserved.begin(),
-            scratch_.shared_unserved.end(), 0.0);
-  for (size_t s = 0; s < index.num_servers(); ++s) {
-    infra::DenseId server_id = static_cast<infra::DenseId>(s);
-    std::span<const InstanceRef> instances =
-        index.InstancesOnServer(server_id);
-    double capacity = index.ServerPerformance(server_id);
-    double total_demand = 0.0;
-    for (const InstanceRef& ref : instances) {
-      scratch_.serve[static_cast<size_t>(ref.id)] = 0.0;
-      // Starting instances consume their base load only; their fresh
-      // work waits (and is re-queued as backlog below).
-      if (ref.instance->state == infra::InstanceState::kRunning) {
-        total_demand += demand_wu_[static_cast<size_t>(ref.id)];
-      }
-    }
-
-    double cpu = capacity > 0 ? total_demand / capacity : 1.0;
-    double cpu_load = std::min(1.0, cpu);
-    server_cpu_[s] = cpu_load;
-    server_mem_[s] =
-        std::min(1.0, index.ServerUsedMemoryGb(server_id) /
-                          index.ServerMemoryGb(server_id));
-
-    // Serve demand: everything if it fits, otherwise a priority-
-    // weighted proportional share (water-filling, 3 rounds).
-    if (total_demand <= capacity) {
-      for (const InstanceRef& ref : instances) {
-        if (ref.instance->state == infra::InstanceState::kRunning) {
-          scratch_.serve[static_cast<size_t>(ref.id)] =
-              demand_wu_[static_cast<size_t>(ref.id)];
-        }
-      }
-    } else {
-      double remaining = capacity;
-      scratch_.unsatisfied.clear();
-      for (size_t pos = 0; pos < instances.size(); ++pos) {
-        if (instances[pos].instance->state ==
-            infra::InstanceState::kRunning) {
-          scratch_.unsatisfied.push_back(static_cast<uint32_t>(pos));
-        }
-      }
-      for (int round = 0; round < 3 && remaining > 1e-12 &&
-                          !scratch_.unsatisfied.empty();
-           ++round) {
-        double total_weight = 0.0;
-        for (uint32_t pos : scratch_.unsatisfied) {
-          const InstanceRef& ref = instances[pos];
-          total_weight +=
-              index.ServicePriority(ref.service) *
-              std::max(1e-9, demand_wu_[static_cast<size_t>(ref.id)]);
-        }
-        if (total_weight <= 0) break;
-        scratch_.still_unsatisfied.clear();
-        double granted_total = 0.0;
-        for (uint32_t pos : scratch_.unsatisfied) {
-          const InstanceRef& ref = instances[pos];
-          size_t id = static_cast<size_t>(ref.id);
-          double weight = index.ServicePriority(ref.service) *
-                          std::max(1e-9, demand_wu_[id]);
-          double grant = remaining * weight / total_weight;
-          double need = demand_wu_[id] - scratch_.serve[id];
-          double take = std::min(grant, need);
-          scratch_.serve[id] += take;
-          granted_total += take;
-          if (scratch_.serve[id] + 1e-12 < demand_wu_[id]) {
-            scratch_.still_unsatisfied.push_back(pos);
-          }
-        }
-        remaining -= granted_total;
-        scratch_.unsatisfied.swap(scratch_.still_unsatisfied);
-      }
-    }
-
-    // Update per-instance load and backlog.
-    for (const InstanceRef& ref : instances) {
-      size_t id = static_cast<size_t>(ref.id);
-      inst_load_[id] =
-          capacity > 0 ? std::min(1.0, demand_wu_[id] / capacity) : 1.0;
-      double got = scratch_.serve[id];
-      served_wu_[id] = got;
-      double unserved = std::max(0.0, demand_wu_[id] - got);
-      // Base (idle) load does not queue; only request work does.
-      int32_t slot =
-          ref.service >= 0
-              ? spec_of_service_[static_cast<size_t>(ref.service)]
-              : -1;
-      if (slot >= 0) {
-        unserved = std::max(0.0, unserved - specs_[slot].base_load_wu);
-      }
-      // demand_wu already included the queued work, so the unserved
-      // remainder *is* the new queue content (converted rate -> work).
-      double new_backlog = unserved * dt_minutes;
-      backlog_wu_[id] = 0.0;
-      if (slot >= 0 && specs_[slot].shared_queue) {
-        // Collected into the shared service queue below.
-        scratch_.shared_unserved[static_cast<size_t>(slot)] += new_backlog;
-        continue;
-      }
-      double cap = slot >= 0 ? specs_[slot].backlog_cap_wu : 2.0;
-      if (new_backlog > cap) {
-        lost_work_wu_[0] += new_backlog - cap;
-        new_backlog = cap;
-      }
-      backlog_wu_[id] = new_backlog;
-    }
-
-    if (cpu_load > overload_threshold_) overload_minutes_[0] += dt_minutes;
-  }
-
-  // Commit shared queues (cap per service; overflow is lost work).
-  for (size_t slot = 0; slot < specs_.size(); ++slot) {
-    double queued = scratch_.shared_unserved[slot];
-    double cap = specs_[slot].backlog_cap_wu;
-    if (queued > cap) {
-      lost_work_wu_[0] += queued - cap;
-      queued = cap;
-    }
-    queue_wu_[slot] = queued > 0 ? queued : 0.0;
-  }
 }
 
 double DemandEngine::ServerCpuLoad(std::string_view server) const {
@@ -414,11 +72,11 @@ Status ReadDoubles(ByteReader* r, std::vector<double>* values) {
 }  // namespace
 
 void DemandEngine::SaveState(ByteWriter* w) const {
-  Rng::State rng = rng_.SaveState();
+  Rng::State rng = rng_[0].SaveState();
   for (uint64_t word : rng.words) w->U64(word);
   w->U8(rng.have_cached_normal ? 1 : 0);
   w->F64(rng.cached_normal);
-  PhiloxRng::State philox = philox_.SaveState();
+  PhiloxRng::State philox = philox_.LaneState(0);
   w->U32(philox.key0);
   w->U32(philox.key1);
   w->U64(philox.counter);
@@ -461,6 +119,10 @@ Status DemandEngine::RestoreState(ByteReader* r) {
   AG_ASSIGN_OR_RETURN(uint8_t cache_valid, r->U8());
   philox.cache_valid = cache_valid != 0;
   AG_ASSIGN_OR_RETURN(uint8_t kind, r->U8());
+  if (kind > static_cast<uint8_t>(RngKind::kPhilox)) {
+    return Status::ParseError(
+        StrFormat("demand state: unknown RNG kind %u", kind));
+  }
 
   std::vector<double> users, backlog, demand, served, inst_load;
   for (std::vector<double>* values :
@@ -509,8 +171,8 @@ Status DemandEngine::RestoreState(ByteReader* r) {
         queue.size(), specs_.size()));
   }
 
-  rng_.RestoreState(rng);
-  philox_.RestoreState(philox);
+  rng_[0].RestoreState(rng);
+  philox_.SetLaneState(0, philox);
   rng_kind_ = static_cast<RngKind>(kind);
   users_ = std::move(users);
   backlog_wu_ = std::move(backlog);

@@ -3,37 +3,29 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/bytes.h"
-#include "common/philox.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/rng_kind.h"
-#include "common/sim_time.h"
 #include "infra/cluster.h"
 #include "infra/ids.h"
-#include "workload/demand_model.h"
+#include "workload/batch_demand.h"
 
 namespace autoglobe::workload {
 
-/// The flow-level workload engine: each tick it distributes users,
-/// derives per-instance work, propagates it through the three tiers,
-/// applies the proportional-share CPU model with service priorities,
-/// and records per-server and per-instance loads plus backlog.
+/// The flow-level workload engine of one run: each tick it distributes
+/// users, derives per-instance work, propagates it through the three
+/// tiers, applies the proportional-share CPU model with service
+/// priorities, and records per-server and per-instance loads plus
+/// backlog.
 ///
-/// The engine is the 1-lane DemandModel (workload/demand_model.h)
-/// stepped by a scalar tick loop: the model owns the registrations,
-/// the dense-id data plane and the run state; this class adds the RNG
-/// streams, the per-tick scratch and the loop. Every server, service
-/// and instance resolves to an integer id (infra::LandscapeIndex),
-/// subsystem propagation is a flat edge list, and the per-tick
-/// temporaries come from a pre-sized scratch — the steady-state Tick
-/// performs zero heap allocations. Topology changes (instance
-/// start/stop/move) re-sync the data plane on the next Tick; every
-/// loop preserves its iteration order (services in name order,
-/// instances in InstanceId order, servers in name order).
-class DemandEngine : public DemandModel {
+/// It is the 1-lane BatchDemandEngine: the same tick loop, built with
+/// the lane count a compile-time 1 so its row kernels inline. This
+/// class adds only the single-run spellings — a seeded constructor,
+/// a whole-run reset, the scalar user scale, lane-0 load views keyed
+/// by name or dense id — and the checkpoint image of lane 0.
+class DemandEngine : public BatchDemandEngine {
  public:
   DemandEngine(infra::Cluster* cluster, Rng rng);
 
@@ -47,16 +39,10 @@ class DemandEngine : public DemandModel {
   /// Selects the draw discipline and re-seeds both generators without
   /// touching run state (call before the first Tick).
   void SeedRng(uint64_t seed, RngKind kind);
-  RngKind rng_kind() const { return rng_kind_; }
 
   /// Global user multiplier (the evaluation's +5 % sweep knob).
-  void set_user_scale(double scale) { user_scale_ = scale; }
-  double user_scale() const { return user_scale_; }
-
-  /// Advances the model by `dt` ending at time `now`, recomputing all
-  /// loads. Allocation-free unless the topology changed since the
-  /// previous tick.
-  void Tick(SimTime now, Duration dt = Duration::Minutes(1));
+  void set_user_scale(double scale) { SetLaneUserScale(0, scale); }
+  double user_scale() const { return LaneUserScale(0); }
 
   // --- Load views of the last tick -------------------------------------
   // The model's lane-0 views, keyed by name or by the cluster index's
@@ -95,33 +81,10 @@ class DemandEngine : public DemandModel {
   void SaveState(ByteWriter* w) const;
   /// Restores a SaveState image; the dense data plane re-syncs on the
   /// next Tick (value-carrying, so the continuation is bit-identical).
-  /// Rejects counts the image cannot hold and array lengths that
-  /// disagree with each other or with the registered specs.
+  /// Rejects counts the image cannot hold, array lengths that disagree
+  /// with each other or with the registered specs, and an unknown RNG
+  /// kind.
   Status RestoreState(ByteReader* r);
-
- private:
-  /// Pre-sized per-tick temporaries; reused across ticks so the
-  /// steady-state Tick never touches the heap.
-  struct Scratch {
-    std::vector<double> app_work;         // per spec slot
-    std::vector<double> shared_unserved;  // per spec slot
-    std::vector<double> serve;            // per InstanceId
-    std::vector<uint32_t> unsatisfied;        // positions in a server span
-    std::vector<uint32_t> still_unsatisfied;  // (capacity pre-reserved)
-  };
-
-  /// Re-sizes the scratch to the data plane just synced.
-  void ResizeScratch(const infra::LandscapeIndex& index);
-
-  void SyncUsers(const infra::LandscapeIndex& index);
-  void ApplyFluctuation(const infra::LandscapeIndex& index,
-                        double dt_minutes);
-
-  Rng rng_;
-  PhiloxRng philox_;
-  RngKind rng_kind_ = RngKind::kXoshiro;
-  double user_scale_ = 1.0;
-  Scratch scratch_;
 };
 
 }  // namespace autoglobe::workload

@@ -86,12 +86,10 @@ enum class UserDistribution {
 /// queues, loads and quality counters — in flat arrays laid out
 /// `[entity * lanes + lane]`.
 ///
-/// Both demand engines are this model plus a tick loop and an RNG
-/// plane: DemandEngine is the 1-lane model stepped by a scalar loop,
-/// BatchDemandEngine the L-lane model stepped by lane-inner row loops.
-/// Registration, the data-plane sync, the reset and the load views
-/// below exist only here; none of them depends on which engine runs
-/// the ticks, only on the lane count fixed at construction.
+/// BatchDemandEngine is this model plus the tick loop and an RNG plane,
+/// and DemandEngine its 1-lane form. Registration, the data-plane
+/// sync, the reset and the load views below depend only on the lane
+/// count fixed at construction.
 class DemandModel {
  public:
   DemandModel(const DemandModel&) = delete;
@@ -165,7 +163,7 @@ class DemandModel {
   /// Number of servers in the last-tick load arrays.
   size_t num_servers() const { return server_names_.size(); }
 
-  // --- Quality metrics (lane 0 is a scalar engine's only lane) ----------
+  // --- Quality metrics (lane 0 is a 1-lane engine's only lane) ----------
   /// Work that missed its tick and waits in instance backlogs and
   /// shared queues (wu).
   double TotalBacklog(size_t lane = 0) const;

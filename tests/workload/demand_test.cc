@@ -4,6 +4,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bytes.h"
 
@@ -413,6 +414,25 @@ TEST_F(DemandTest, RestoreRejectsACountTheImageCannotHold) {
   TickMinutes(1, SimTime::Start() + Duration::Minutes(5));
 }
 
+TEST_F(DemandTest, RestoreRejectsAnUnknownRngKind) {
+  ASSERT_TRUE(engine_->AddService(InteractiveSpec("app", 100, 0.5)).ok());
+  Place("app", "s1");
+  TickMinutes(2);
+  ByteWriter w;
+  engine_->SaveState(&w);
+  std::string image = w.Take();
+  {  // The untouched image restores, so the rejection below is real.
+    ByteReader r(image);
+    ASSERT_TRUE(engine_->RestoreState(&r).ok());
+  }
+  // The draw-discipline byte ends the RNG state; 2 is one past kPhilox.
+  image[kRngStateBytes - 1] = 2;
+  ByteReader r(image);
+  Status status = engine_->RestoreState(&r);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
+  EXPECT_EQ(engine_->rng_kind(), RngKind::kXoshiro);
+}
+
 TEST_F(DemandTest, RestoreRejectsArraysOfDisagreeingLengths) {
   ASSERT_TRUE(engine_->AddService(InteractiveSpec("app", 100, 0.5)).ok());
   Place("app", "s1");
@@ -442,6 +462,67 @@ TEST_F(DemandTest, RestoreRejectsArraysOfDisagreeingLengths) {
   expect_rejected({.names = 3}, "more names than loads");
   expect_rejected({.queue = 2}, "more queues than specs");
   TickMinutes(1);
+}
+
+// --- The checkpoint image ------------------------------------------------
+
+// FNV-1a over a SaveState image.
+uint64_t ImageHash(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Offset of the philox cache-valid flag: after the xoshiro state and
+// the philox keys, counter, cache block and cached value.
+constexpr size_t kPhiloxCacheValidByte = 4 * 8 + 1 + 8 + 2 * 4 + 3 * 8;
+
+// Pins the bytes SaveState writes for a small noisy, overloaded world
+// on each RNG plane: checkpoints written by one build must restore in
+// the next. The philox run stops with a cached normal pending, and
+// the last xoshiro run follows a philox one, so its image carries the
+// philox cache words a re-seed leaves behind.
+TEST_F(DemandTest, SaveImageBytesArePinned) {
+  ASSERT_TRUE(cluster_.AddService(MakeService("bw")).ok());
+  ServiceDemandSpec app = InteractiveSpec("app", 600, 1.0);
+  app.base_load_wu = 0.02;
+  app.noise_stddev = 0.05;
+  ASSERT_TRUE(engine_->AddService(app).ok());
+  ServiceDemandSpec bw;
+  bw.service = "bw";
+  bw.pattern = LoadPattern::Flat(1.0);
+  bw.batch = true;
+  bw.batch_load_wu = 1.5;
+  bw.shared_queue = true;
+  bw.backlog_cap_wu = 4.0;
+  bw.noise_stddev = 0.1;
+  ASSERT_TRUE(engine_->AddService(bw).ok());
+  Place("app", "s1");
+  Place("app", "s2");
+  Place("bw", "s2");
+
+  std::vector<uint64_t> hashes;
+  for (RngKind kind :
+       {RngKind::kXoshiro, RngKind::kPhilox, RngKind::kXoshiro}) {
+    engine_->ResetRunState(11, kind);
+    TickMinutes(7);  // three draws a tick: an odd count in total
+    ByteWriter w;
+    engine_->SaveState(&w);
+    const std::string& image = w.data();
+    ASSERT_GT(image.size(), kPhiloxCacheValidByte);
+    EXPECT_EQ(image[kPhiloxCacheValidByte],
+              kind == RngKind::kPhilox ? 1 : 0);
+    hashes.push_back(ImageHash(image));
+  }
+  EXPECT_GT(engine_->TotalLostWork(), 0.0);
+  // Recorded from the engine that wrote these images first.
+  EXPECT_EQ(hashes,
+            (std::vector<uint64_t>{0xee27b05356b99639ull,
+                                   0x1d7b7aa53adffe32ull,
+                                   0x7ffd44031789f065ull}));
 }
 
 }  // namespace
