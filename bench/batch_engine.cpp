@@ -1,17 +1,15 @@
 // Batched multi-seed execution bench: the throughput case for
-// BatchRunner. Three ways to run the same 64 static-scenario seeds
-// over the paper landscape:
+// BatchRunner. Two ways to run the same 64 static-scenario seeds over
+// the paper landscape:
 //
 //   scalar_fresh — one SimulationRunner constructed per seed (the
 //                  pre-batching product path),
-//   scalar_rerun — one SimulationRunner re-armed per seed with
-//                  ResetForRerun (setup amortized, event loop kept),
 //   batched      — one BatchRunner stepping all 64 lanes in lockstep.
 //
 // Every batched lane is checked bit-identical to its scalar run
 // before any timing is reported — a fast wrong number is worthless.
 //
-// The same three-way comparison then repeats under rng=philox (the
+// The same comparison then repeats under rng=philox (the
 // counter-based draw plane of DESIGN.md §16, SIMD noise kernels on
 // the batched path): scalar_fresh_philox vs batched_philox, again
 // with all 64 lanes parity-checked against scalar philox runs.
@@ -106,28 +104,6 @@ int main() {
     if (rep == 0 || s < fresh_seconds) fresh_seconds = s;
   }
 
-  // --- scalar_rerun: one runner, re-armed per seed ----------------------
-  double rerun_seconds = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    WallTimer rerun_timer;
-    Landscape landscape = MakePaperLandscape(Scenario::kStatic);
-    RunnerConfig run_config = config;
-    run_config.seed = lanes[0].seed;
-    run_config.user_scale = lanes[0].user_scale;
-    auto runner = SimulationRunner::Create(landscape, run_config);
-    AG_CHECK_OK(runner.status());
-    AG_CHECK_OK((*runner)->Run());
-    AG_CHECK(SameMetrics((*runner)->metrics(), scalar_metrics[0]));
-    for (size_t i = 1; i < kLanes; ++i) {
-      AG_CHECK_OK(
-          (*runner)->ResetForRerun(lanes[i].seed, lanes[i].user_scale));
-      AG_CHECK_OK((*runner)->Run());
-      AG_CHECK(SameMetrics((*runner)->metrics(), scalar_metrics[i]));
-    }
-    double s = rerun_timer.Seconds();
-    if (rep == 0 || s < rerun_seconds) rerun_seconds = s;
-  }
-
   // --- batched: all seeds in lockstep -----------------------------------
   auto batch = BatchRunner::Create(MakePaperLandscape(Scenario::kStatic),
                                    config, lanes);
@@ -211,12 +187,9 @@ int main() {
   }
 
   double fresh_rate = static_cast<double>(kLanes) / fresh_seconds;
-  double rerun_rate = static_cast<double>(kLanes) / rerun_seconds;
   double batch_rate = static_cast<double>(kLanes) / warm_seconds;
   std::printf("scalar fresh : %6.2f s  (%7.2f seeds/s)\n", fresh_seconds,
               fresh_rate);
-  std::printf("scalar rerun : %6.2f s  (%7.2f seeds/s)\n", rerun_seconds,
-              rerun_rate);
   std::printf("batched x%-3zu : %6.2f s  (%7.2f seeds/s, cold %.2f s)\n",
               kLanes, warm_seconds, batch_rate, batch_seconds);
   double philox_fresh_rate =
@@ -230,10 +203,8 @@ int main() {
   std::printf("\n# parity: all %zu lanes bit-identical to scalar runs "
               "(both rng planes)\n",
               kLanes);
-  std::printf("# speedup: %.1fx vs fresh, %.1fx vs rerun; "
-              "allocs/batched-tick: %.3f\n",
-              batch_rate / fresh_rate, batch_rate / rerun_rate,
-              allocs_per_tick);
+  std::printf("# speedup: %.1fx vs fresh; allocs/batched-tick: %.3f\n",
+              batch_rate / fresh_rate, allocs_per_tick);
   std::printf("# philox speedup: %.1fx vs philox fresh; "
               "allocs/batched-tick: %.3f (%s kernels)\n",
               philox_batch_rate / philox_fresh_rate, philox_allocs_per_tick,
@@ -247,13 +218,6 @@ int main() {
   fresh.extra["seeds"] = static_cast<double>(kLanes);
   fresh.extra["ticks_per_run"] = static_cast<double>(ticks_per_run);
   records.push_back(std::move(fresh));
-  BenchRecord rerun;
-  rerun.name = "batch/static24h/scalar_rerun";
-  rerun.wall_seconds = rerun_seconds;
-  rerun.items_per_second = rerun_rate;
-  rerun.extra["seeds"] = static_cast<double>(kLanes);
-  rerun.extra["speedup_vs_fresh"] = rerun_rate / fresh_rate;
-  records.push_back(std::move(rerun));
   BenchRecord batched;
   batched.name = "batch/static24h/batched";
   batched.wall_seconds = warm_seconds;
@@ -261,7 +225,6 @@ int main() {
   batched.extra["lanes"] = static_cast<double>(kLanes);
   batched.extra["allocs_per_tick"] = allocs_per_tick;
   batched.extra["speedup_vs_fresh"] = batch_rate / fresh_rate;
-  batched.extra["speedup_vs_rerun"] = batch_rate / rerun_rate;
   batched.extra["parity_checked_lanes"] = static_cast<double>(kLanes);
   records.push_back(std::move(batched));
   BenchRecord philox_fresh;

@@ -14,9 +14,6 @@ BatchRunner::BatchRunner(RunnerConfig config, std::vector<BatchLane> lanes)
       kernels_(&GetLaneKernels()) {}
 
 Status BatchRunner::CheckEligibility(const RunnerConfig& config) {
-  if (config.tick <= Duration::Zero()) {
-    return Status::InvalidArgument("tick must be positive");
-  }
   if (config.controller_enabled) {
     return Status::InvalidArgument(
         "batched runs require controller_enabled=false: controller "
@@ -114,26 +111,21 @@ Status BatchRunner::Init(const Landscape& landscape) {
             });
 
   num_servers_ = servers.size();
-  window_ticks_ = static_cast<size_t>(
-      std::max<int64_t>(1, config_.overload_smoothing.seconds() / tick_sec_));
-  window_.assign(num_servers_ * window_ticks_ * L, 0.0);
-  window_sum_.assign(num_servers_ * L, 0.0);
-  window_head_.assign(num_servers_, 0);
-  window_count_.assign(num_servers_, 0);
-  streak_minutes_.assign(num_servers_ * L, 0.0);
+  // Sized first: it refuses a non-positive tick, which the watch
+  // rings below divide by.
+  AG_RETURN_IF_ERROR(ledger_.Init(num_servers_, L, config_.tick,
+                                  config_.overload_smoothing,
+                                  config_.overload_threshold));
 
   subjects_.clear();
   subjects_.reserve(servers.size() + services.size());
-  auto add_subject = [&](const Registration& reg, bool is_server,
-                         infra::DenseId dense_id) -> Status {
+  auto add_subject = [&](const Registration& reg) -> Status {
     if (config_.archive_retention < reg.overload_watch) {
       return Status::InvalidArgument(StrFormat(
           "archive retention shorter than the watchTime of \"%s\"",
           reg.name.c_str()));
     }
     Subject subject;
-    subject.is_server = is_server;
-    subject.dense_id = dense_id;
     subject.idle_threshold =
         config_.monitor.idle_threshold_base / reg.idle_divisor;
     subject.overload_watch_sec = reg.overload_watch.seconds();
@@ -148,22 +140,15 @@ Status BatchRunner::Init(const Landscape& landscape) {
     subjects_.push_back(std::move(subject));
     return Status::OK();
   };
-  for (size_t p = 0; p < servers.size(); ++p) {
-    AG_RETURN_IF_ERROR(add_subject(servers[p], /*is_server=*/true,
-                                   static_cast<infra::DenseId>(p)));
+  for (const Registration& server : servers) {
+    AG_RETURN_IF_ERROR(add_subject(server));
   }
-  for (size_t q = 0; q < services.size(); ++q) {
-    AG_RETURN_IF_ERROR(add_subject(services[q], /*is_server=*/false,
-                                   static_cast<infra::DenseId>(q)));
+  for (const Registration& service : services) {
+    AG_RETURN_IF_ERROR(add_subject(service));
   }
 
-  load_sum_.assign(L, 0.0);
-  load_samples_ = 0;
-  overload_minutes_.assign(L, 0.0);
-  max_streak_.assign(L, 0.0);
   triggers_.assign(L, 0);
   metrics_.assign(L, RunMetrics{});
-  service_loads_.assign(L, 0.0);
   watch_sum_.assign(L, 0.0);
   expiring_.assign(L, 0);
   ResetRunState();
@@ -176,11 +161,7 @@ void BatchRunner::ResetRunState() {
     engine_->SetLaneSeed(lane, lanes_[lane].seed);
     engine_->SetLaneUserScale(lane, lanes_[lane].user_scale);
   }
-  std::fill(window_.begin(), window_.end(), 0.0);
-  std::fill(window_sum_.begin(), window_sum_.end(), 0.0);
-  std::fill(window_head_.begin(), window_head_.end(), 0);
-  std::fill(window_count_.begin(), window_count_.end(), 0);
-  std::fill(streak_minutes_.begin(), streak_minutes_.end(), 0.0);
+  ledger_.Reset();
   for (Subject& subject : subjects_) {
     std::fill(subject.hist.begin(), subject.hist.end(), 0.0);
     std::fill(subject.phase.begin(), subject.phase.end(), 0);
@@ -193,10 +174,6 @@ void BatchRunner::ResetRunState() {
     std::fill(subject.normal_mask.begin(), subject.normal_mask.end(),
               ~uint64_t{0});
   }
-  std::fill(load_sum_.begin(), load_sum_.end(), 0.0);
-  load_samples_ = 0;
-  std::fill(overload_minutes_.begin(), overload_minutes_.end(), 0.0);
-  std::fill(max_streak_.begin(), max_streak_.end(), 0.0);
   std::fill(triggers_.begin(), triggers_.end(), int64_t{0});
   std::fill(metrics_.begin(), metrics_.end(), RunMetrics{});
 }
@@ -237,7 +214,17 @@ Status BatchRunner::Run() {
   }
   // A warmup between the last tick and the end of the run still fires.
   if (warmup_pending) ApplyWarmupReset();
-  Fold();
+  // SimulationRunner::RunUntil's fold, with the clock at the end of the
+  // run.
+  const double total_minutes =
+      static_cast<double>(end_sec - warmup_sec) / 60.0;
+  for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+    RunMetrics& m = metrics_[lane];
+    ledger_.Fold(lane, total_minutes, &m);
+    m.triggers = triggers_[lane];
+    m.lost_work_wu = engine_->TotalLostWork(lane);
+    m.sla_violation_minutes = 0.0;
+  }
   return Status::OK();
 }
 
@@ -246,44 +233,20 @@ void BatchRunner::TickOnce(int64_t k) {
   const SimTime now = SimTime::FromSeconds(k * tick_sec_);
   engine_->Tick(now, config_.tick);
 
-  const double tick_minutes = config_.tick.seconds() / 60.0;
-  const double overload_threshold = config_.overload_threshold;
   for (size_t p = 0; p < num_servers_; ++p) {
-    const size_t head = window_head_[p];
-    const size_t count = window_count_[p];
-    const bool full = count == window_ticks_;
-    const size_t write_slot = full ? head : (head + count) % window_ticks_;
-    const double inv_count = static_cast<double>(full ? count : count + 1);
-    double* sums = &window_sum_[p * L];
-    double* ring = &window_[p * (window_ticks_ * L) + write_slot * L];
-    double* streaks = &streak_minutes_[p * L];
     Subject& subject = subjects_[p];
     const double* cpu_row =
         engine_->ServerCpuRow(static_cast<infra::DenseId>(p));
     // The per-tick archive sample is the whole lane row at once.
     std::copy_n(cpu_row, L, subject.hist.data() + subject.hist_slot * L);
-    // Straight-line math first (the smoothing-ring and streak row
-    // kernels, AVX2 where available), the branchy watch state machine
-    // in its own pass. Add-then-evict, exactly like
-    // SimulationRunner's ring.
-    if (full) {
-      kernels_->smooth_full_row(load_sum_.data(), sums, ring, cpu_row, L);
-    } else {
-      kernels_->smooth_fill_row(load_sum_.data(), sums, ring, cpu_row, L);
-    }
-    kernels_->streak_row(overload_minutes_.data(), streaks,
-                         max_streak_.data(), sums, inv_count,
-                         overload_threshold, tick_minutes, L);
+    // Straight-line math first (the ledger's row kernels, AVX2 where
+    // available), the branchy watch state machine in its own pass.
+    ledger_.Step(p, cpu_row);
     ObserveRowReplica(subject, cpu_row, k);
     subject.hist_slot =
         subject.hist_slot + 1 == subject.cap ? 0 : subject.hist_slot + 1;
-    if (full) {
-      window_head_[p] = (head + 1) % window_ticks_;
-    } else {
-      window_count_[p] = count + 1;
-    }
   }
-  load_samples_ += static_cast<int64_t>(num_servers_);
+  ledger_.EndTick();
   const size_t num_services = subjects_.size() - num_servers_;
   for (size_t q = 0; q < num_services; ++q) {
     Subject& subject = subjects_[num_servers_ + q];
@@ -355,9 +318,7 @@ void BatchRunner::ObserveRowReplica(Subject& subject, const double* loads,
     // sequence while the adds vectorize across the row.
     int64_t j_min = (now_sec - watch_sec) / tick_sec_ + 1;
     if (j_min < 1) j_min = 1;
-    // service_loads_ doubles as scratch here; `loads` may alias it but
-    // is not read on the expiry path (the verdict uses hist only).
-    double* sum = service_loads_.data();
+    double* sum = watch_sum_.data();
     kernels_->window_sum_rows(sum, subject.hist.data(), subject.cap,
                               static_cast<size_t>(k - j_min + 1),
                               subject.hist_slot, L);
@@ -491,41 +452,13 @@ void BatchRunner::ObserveRowReplica(Subject& subject, const double* loads,
 }
 
 void BatchRunner::ApplyWarmupReset() {
-  // Body of the "metrics-warmup-end" event (runner.cc ArmSchedule):
-  // quality counters restart, trigger counts do not.
+  // Body of SimulationRunner::OnWarmupEnd, the "metrics-warmup-end"
+  // event: quality counters restart, trigger counts do not.
   const size_t L = lanes_.size();
   for (size_t lane = 0; lane < L; ++lane) {
     engine_->ResetQualityMetrics(lane);
   }
-  std::fill(overload_minutes_.begin(), overload_minutes_.end(), 0.0);
-  std::fill(max_streak_.begin(), max_streak_.end(), 0.0);
-  std::fill(streak_minutes_.begin(), streak_minutes_.end(), 0.0);
-  std::fill(load_sum_.begin(), load_sum_.end(), 0.0);
-  load_samples_ = 0;
-}
-
-void BatchRunner::Fold() {
-  // Mirror of SimulationRunner::RunUntil's metric fold, with
-  // simulator_.now() == Start + duration.
-  const double total_minutes =
-      static_cast<double>(config_.duration.seconds() -
-                          config_.metrics_warmup.seconds()) /
-      60.0;
-  const double denom = static_cast<double>(num_servers_) * total_minutes;
-  for (size_t lane = 0; lane < lanes_.size(); ++lane) {
-    RunMetrics& m = metrics_[lane];
-    m.overload_server_minutes = overload_minutes_[lane];
-    m.max_overload_streak_minutes = max_streak_[lane];
-    m.triggers = triggers_[lane];
-    m.lost_work_wu = engine_->TotalLostWork(lane);
-    m.sla_violation_minutes = 0.0;
-    m.average_cpu_load =
-        load_samples_ > 0
-            ? load_sum_[lane] / static_cast<double>(load_samples_)
-            : 0.0;
-    m.overload_fraction =
-        denom > 0 ? m.overload_server_minutes / denom : 0.0;
-  }
+  ledger_.ResetWarmup();
 }
 
 }  // namespace autoglobe

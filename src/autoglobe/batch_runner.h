@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "autoglobe/landscape.h"
+#include "autoglobe/overload_ledger.h"
 #include "autoglobe/runner.h"
 #include "common/result.h"
 #include "infra/cluster.h"
@@ -25,13 +26,12 @@ struct BatchLane {
 /// Steps B independent *runs* of one scenario in lockstep on a single
 /// thread. Where SimulationRunner wires the full control stack around
 /// the event kernel, BatchRunner is a straight time loop over a
-/// BatchDemandEngine plus per-lane replicas of exactly the machinery
-/// that feeds RunMetrics on a control-loop-disabled run: the smoothed
-/// overload verdict (ring-buffer trailing mean per server), the
-/// monitor's watch state machine (trigger *counting* — phase arming,
-/// watch-time means with the archive's newest-first summation), the
-/// metrics-warmup reset (applied at the event order the kernel would
-/// use), and the end-of-run fold.
+/// BatchDemandEngine and an L-lane OverloadLedger — the same smoothed
+/// overload books the scalar runner keeps in its 1-lane ledger — plus
+/// per-lane replicas of the monitor's watch state machine (trigger
+/// *counting* — phase arming, watch-time means with the archive's
+/// newest-first summation). The metrics-warmup reset is applied at the
+/// event order the kernel would use.
 ///
 /// Bit-identity contract: metrics(lane) equals the RunMetrics of a
 /// SimulationRunner created with the same landscape and config with
@@ -80,8 +80,6 @@ class BatchRunner {
   /// detection state. Mirrors LoadMonitoringSystem's SubjectState for
   /// the trigger-*counting* subset.
   struct Subject {
-    bool is_server = false;
-    infra::DenseId dense_id = 0;
     double idle_threshold = 0.125;
     int64_t overload_watch_sec = 0;
     /// History ring of the last `cap` observations, lane-strided
@@ -127,46 +125,28 @@ class BatchRunner {
   void ObserveRowReplica(Subject& subject, const double* loads,
                          int64_t k);
   void ApplyWarmupReset();
-  void Fold();
 
   RunnerConfig config_;
   std::vector<BatchLane> lanes_;
   infra::Cluster cluster_;
   std::unique_ptr<workload::BatchDemandEngine> engine_;
-  /// Active row-kernel tier for the smoothing/streak rows.
+  /// Active row-kernel tier for the watch replica's band and window
+  /// rows.
   const LaneKernels* kernels_;
 
   int64_t tick_sec_ = 60;
   int64_t idle_watch_sec_ = 0;
 
-  // Smoothed-overload state. head/count advance identically in every
-  // lane (same tick cadence), so they are per server; the sums and
-  // ring values are per [server][lane].
-  size_t window_ticks_ = 1;
   size_t num_servers_ = 0;
-  std::vector<double> window_;      // [server][slot][lane]
-  std::vector<double> window_sum_;  // [server][lane]
-  std::vector<size_t> window_head_;
-  std::vector<size_t> window_count_;
-  std::vector<double> streak_minutes_;  // [server][lane]
+  /// The smoothed-overload books, one lane per run.
+  OverloadLedger ledger_;
 
   std::vector<Subject> subjects_;  // servers (sorted) then services
 
-  std::vector<double> load_sum_;  // per lane
-  /// Sample count is lane-invariant (every lane samples every server
-  /// on every tick), so one shared counter stands in for the scalar
-  /// runner's per-run count.
-  int64_t load_samples_ = 0;
-  // Hot per-lane quality accumulators, kept as contiguous arrays (the
-  // inner loops touch them per server per lane); folded into metrics_
-  // at the end of a run.
-  std::vector<double> overload_minutes_;  // per lane
-  std::vector<double> max_streak_;        // per lane
-  std::vector<int64_t> triggers_;         // per lane
-  std::vector<RunMetrics> metrics_;       // per lane
-  std::vector<double> service_loads_;     // per-tick scratch, per lane
-  std::vector<double> watch_sum_;         // expiry-walk scratch, per lane
-  std::vector<uint32_t> expiring_;        // expiring-lane index scratch
+  std::vector<int64_t> triggers_;    // per lane
+  std::vector<RunMetrics> metrics_;  // per lane
+  std::vector<double> watch_sum_;    // expiry-walk scratch, per lane
+  std::vector<uint32_t> expiring_;   // expiring-lane index scratch
 };
 
 }  // namespace autoglobe

@@ -135,18 +135,21 @@ Status SimulationRunner::Init(const Landscape& landscape) {
   demand_->set_fluctuation_per_minute(config_.fluctuation_per_minute);
   demand_->set_overload_threshold(config_.overload_threshold);
 
+  // The overload books, per server in dense-id order. Init refuses a
+  // non-positive tick, which the archive hints below divide by.
+  AG_RETURN_IF_ERROR(ledger_.Init(cluster_.Servers().size(), /*lanes=*/1,
+                                  config_.tick, config_.overload_smoothing,
+                                  config_.overload_threshold));
   // Pre-size every archive series for the full retention window and
   // the whole run's aggregate buckets: steady-state appends never
   // grow a ring. (A few KB per subject at the default 1-min tick.)
-  if (config_.tick > Duration::Zero()) {
-    archive_.set_capacity_hints(
-        static_cast<size_t>(archive_.raw_retention().seconds() /
-                            config_.tick.seconds()) +
-            2,
-        static_cast<size_t>(config_.duration.seconds() /
-                            archive_.aggregate_bucket().seconds()) +
-            2);
-  }
+  archive_.set_capacity_hints(
+      static_cast<size_t>(archive_.raw_retention().seconds() /
+                          config_.tick.seconds()) +
+          2,
+      static_cast<size_t>(config_.duration.seconds() /
+                          archive_.aggregate_bucket().seconds()) +
+          2);
   // The proactive ablation reads forecasts (hence the archive) before
   // every observation — carry-forward compression would serve it
   // stale series, so it runs with the exhaustive evaluation path.
@@ -160,15 +163,7 @@ Status SimulationRunner::Init(const Landscape& landscape) {
         server->performance_index));
     server_names_.push_back(server->name);
   }
-  // Dense per-server stats, index order = sorted name order (the
-  // cluster index's dense server ids).
   std::sort(server_names_.begin(), server_names_.end());
-  window_ticks_ = static_cast<size_t>(std::max<int64_t>(
-      1, config_.overload_smoothing.seconds() / config_.tick.seconds()));
-  server_stats_.resize(server_names_.size());
-  for (ServerStat& stat : server_stats_) {
-    stat.window.assign(window_ticks_, 0.0);
-  }
   for (const infra::ServiceSpec* service : cluster_.Services()) {
     std::optional<Duration> watch_override;
     if (service->watch_time_minutes > 0) {
@@ -273,7 +268,7 @@ Status SimulationRunner::Init(const Landscape& landscape) {
   strategy_env.view = view_.get();
   strategy_env.seed = config_.seed;
   strategy_env.penalty = [this] {
-    return slas_.TotalViolationMinutes() + metrics_.overload_server_minutes +
+    return slas_.TotalViolationMinutes() + ledger_.overload_minutes(0) +
            0.1 * static_cast<double>(metrics_.actions_executed +
                                      metrics_.actions_failed);
   };
@@ -348,13 +343,6 @@ Status SimulationRunner::Init(const Landscape& landscape) {
     ReconcileInstanceWatches(SimTime::Start());
   }
 
-  AG_RETURN_IF_ERROR(ArmSchedule());
-  initialized_ = true;
-  init_epoch_ = cluster_.topology_epoch();
-  return Status::OK();
-}
-
-Status SimulationRunner::ArmSchedule() {
   // The periodic tick re-arms in place; pre-sizing the event heap
   // keeps occasional action/fault scheduling from regrowing it.
   simulator_.ReserveEvents(64);
@@ -373,73 +361,13 @@ Status SimulationRunner::ArmSchedule() {
                            warmup_desc, [this] { OnWarmupEnd(); })
             .status());
   }
+  initialized_ = true;
   return Status::OK();
 }
 
 void SimulationRunner::OnWarmupEnd() {
   demand_->ResetQualityMetrics();
-  metrics_.overload_server_minutes = 0.0;
-  metrics_.max_overload_streak_minutes = 0.0;
-  for (ServerStat& stat : server_stats_) {
-    stat.streak_minutes = 0.0;
-  }
-  load_sum_ = 0.0;
-  load_samples_ = 0;
-}
-
-Status SimulationRunner::ResetForRerun(uint64_t seed, double user_scale) {
-  if (!initialized_) {
-    return Status::FailedPrecondition("runner not initialized");
-  }
-  if (config_.fault_plan.has_value()) {
-    return Status::FailedPrecondition(
-        "fault-plan runs cannot be re-armed: the plan schedules "
-        "simulator events at Init");
-  }
-  if (config_.strategy.kind != strategy::StrategyKind::kStaticFuzzy) {
-    return Status::FailedPrecondition(
-        "adaptive strategies carry learned state across runs; create a "
-        "fresh runner instead of re-arming");
-  }
-  if (cluster_.topology_epoch() != init_epoch_) {
-    return Status::FailedPrecondition(
-        "topology changed since Init; a rerun requires the initial "
-        "allocation");
-  }
-  if (metrics_.actions_executed > 0 || metrics_.actions_failed > 0) {
-    return Status::FailedPrecondition(
-        "the executor ran actions; create a fresh runner instead");
-  }
-
-  config_.seed = seed;
-  config_.user_scale = user_scale;
-
-  simulator_.Reset();
-  demand_->ResetRunState(seed, config_.rng_kind);
-  demand_->set_user_scale(user_scale);
-  archive_.ClearSamples();
-  monitoring_->ResetObservations();
-  pool_stats_.Reset(&cluster_.Index());
-  for (ServerStat& stat : server_stats_) {
-    stat.streak_minutes = 0.0;
-    stat.window_sum = 0.0;
-    std::fill(stat.window.begin(), stat.window.end(), 0.0);
-    stat.head = 0;
-    stat.count = 0;
-  }
-  load_sum_ = 0.0;
-  load_samples_ = 0;
-  degraded_ = controller::DegradedModeController(config_.degraded);
-  metrics_ = RunMetrics{};
-  messages_.clear();
-  action_history_.clear();
-  folded_reward_updates_ = 0;
-  folded_weight_updates_ = 0;
-  slas_ = SlaTracker();
-  for (const SlaSpec& sla : config_.slas) {
-    AG_RETURN_IF_ERROR(slas_.AddSla(sla));
-  }
-  return ArmSchedule();
+  ledger_.ResetWarmup();
 }
 
 void SimulationRunner::OnTick() {
@@ -457,47 +385,27 @@ void SimulationRunner::OnTick() {
   // Metrics and monitoring feeds. The overload verdict uses a
   // smoothed load so that a single noisy sample does not count as an
   // "overloaded" minute (the paper's criterion is sustained load).
-  double tick_minutes = config_.tick.seconds() / 60.0;
   // The dense server ids enumerate sorted names — the exact layout of
-  // server_names_/server_stats_ resolved at Init. Names come from the
+  // server_names_ and the ledger resolved at Init. Names come from the
   // runner's own snapshot (not the landscape index) because a trigger
   // fired inside Observe can mutate topology and rebuild the index
   // mid-loop; the server/service *sets* are fixed after Init, so the
   // dense ids themselves stay stable.
   for (size_t position = 0; position < server_names_.size(); ++position) {
     infra::DenseId server_id = static_cast<infra::DenseId>(position);
-    double cpu = demand_->ServerCpuLoadById(server_id);
-    ServerStat& stat = server_stats_[position];
-    load_sum_ += cpu;
-    ++load_samples_;
+    // The ledger reads the engine's 1-lane row in place.
+    const double* cpu_row = demand_->ServerCpuRow(server_id);
+    double cpu = *cpu_row;
     server_cpu_load_.Observe(cpu);
-    // Trailing window as a ring buffer; the add-then-evict order of
-    // operations matches the previous deque implementation so the
-    // floating-point results are bit-identical.
-    stat.window_sum += cpu;
-    if (stat.count == window_ticks_) {
-      stat.window_sum -= stat.window[stat.head];
-      stat.window[stat.head] = cpu;
-      stat.head = (stat.head + 1) % window_ticks_;
-    } else {
-      stat.window[(stat.head + stat.count) % window_ticks_] = cpu;
-      ++stat.count;
-    }
-    double smoothed =
-        stat.window_sum / static_cast<double>(stat.count);
-    pool_stats_.Update(server_id, smoothed);
-    if (smoothed > config_.overload_threshold) {
-      metrics_.overload_server_minutes += tick_minutes;
-      stat.streak_minutes += tick_minutes;
-      metrics_.max_overload_streak_minutes = std::max(
-          metrics_.max_overload_streak_minutes, stat.streak_minutes);
-    } else {
-      stat.streak_minutes = 0.0;
-    }
+    // The pool stats and any trigger fired by this observation see the
+    // books as of this server, exactly as the tick reaches it.
+    ledger_.Step(position, cpu_row);
+    pool_stats_.Update(server_id, ledger_.Smoothed(position, 0));
     AG_CHECK_OK(monitoring_->ObserveById(
         now, server_subjects_[position], cpu,
         DetectionLoad(server_keys_[position], cpu)));
   }
+  ledger_.EndTick();
   for (size_t position = 0; position < service_names_.size(); ++position) {
     infra::DenseId service_id = static_cast<infra::DenseId>(position);
     double service_load = demand_->ServiceLoadById(service_id);
@@ -765,19 +673,12 @@ Status SimulationRunner::RunUntil(SimTime end) {
     metrics_.failures_remedied = recovery_->stats().recovered;
   }
   metrics_.sla_violation_minutes = slas_.TotalViolationMinutes();
-  metrics_.average_cpu_load =
-      load_samples_ > 0 ? load_sum_ / static_cast<double>(load_samples_)
-                        : 0.0;
-  int64_t server_count =
-      static_cast<int64_t>(cluster_.Index().num_servers());
   double total_minutes =
       static_cast<double>(
           (simulator_.now() - (SimTime::Start() + config_.metrics_warmup))
               .seconds()) /
       60.0;
-  double denom = static_cast<double>(server_count) * total_minutes;
-  metrics_.overload_fraction =
-      denom > 0 ? metrics_.overload_server_minutes / denom : 0.0;
+  ledger_.Fold(0, total_minutes, &metrics_);
   FoldStrategyTelemetry();
   return Status::OK();
 }

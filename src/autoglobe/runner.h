@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "autoglobe/landscape.h"
+#include "autoglobe/overload_ledger.h"
 #include "autoglobe/sla.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -171,7 +172,9 @@ struct RunMetrics {
 /// Wires the full AutoGlobe stack — cluster, demand engine, load
 /// monitors/archive, fuzzy controller, action executor — around the
 /// simulation kernel and runs a scenario (the architecture of
-/// Figure 2 driving the controlled infrastructure of Figure 4).
+/// Figure 2 driving the controlled infrastructure of Figure 4). Its
+/// overload metrics come from a 1-lane OverloadLedger, the books
+/// BatchRunner keeps with one lane per run.
 class SimulationRunner {
  public:
   /// Called every tick after loads are updated; drives figure benches.
@@ -189,21 +192,6 @@ class SimulationRunner {
   /// Runs until the given simulated time (incremental; may be called
   /// repeatedly).
   Status RunUntil(SimTime end);
-
-  /// Re-arms the runner for another run with a new seed / user scale
-  /// without reconstructing anything — the event heap, archive rings,
-  /// monitor subjects, and demand-engine data plane all keep their
-  /// storage, so repetition sweeps (capacity steps, seed batteries)
-  /// skip the whole Create cost per rep. After the reset, a run is
-  /// bit-identical to a freshly created runner with the same config.
-  ///
-  /// Only valid while the topology still matches Init (no executor
-  /// actions, no structural changes) and without a fault plan (the
-  /// plan arms simulator events at Init); FailedPrecondition
-  /// otherwise. The always-on metrics registry keeps accumulating
-  /// across reruns — snapshot-diff it per rep if per-run counters are
-  /// needed.
-  Status ResetForRerun(uint64_t seed, double user_scale);
 
   void set_sample_hook(SampleHook hook) { sample_hook_ = std::move(hook); }
 
@@ -300,11 +288,6 @@ class SimulationRunner {
   explicit SimulationRunner(RunnerConfig config);
 
   Status Init(const Landscape& landscape);
-  /// Schedules the periodic tick and the warmup-end reset. Shared by
-  /// Init and ResetForRerun so both arm the exact same event ids and
-  /// sequence numbers — the dispatch order of a rerun is identical to
-  /// a fresh runner's.
-  Status ArmSchedule();
   void OnTick();
   /// Warmup-end reset (one-shot event): discards quality metrics
   /// accumulated during the controller's cold start.
@@ -412,18 +395,6 @@ class SimulationRunner {
   };
   std::map<std::string, ActionHistory> action_history_;
 
-  /// Per-server hot-path state for the smoothed overload verdict:
-  /// overload streak plus a trailing-window ring buffer of load
-  /// samples. Stored densely, indexed by the stable server index
-  /// resolved once at Init — the per-tick loop does no string-keyed
-  /// map lookups.
-  struct ServerStat {
-    double streak_minutes = 0.0;
-    double window_sum = 0.0;
-    std::vector<double> window;  // ring buffer of window_ticks_ samples
-    size_t head = 0;             // index of the oldest sample
-    size_t count = 0;            // samples currently in the window
-  };
   /// Sorted server/service name snapshots taken at Init. Their ranks
   /// are exactly the cluster index's dense ids (both enumerate names
   /// in sorted order over a set that is fixed after Init), so the
@@ -432,7 +403,9 @@ class SimulationRunner {
   /// into index storage that a mid-loop topology change could move.
   std::vector<std::string> server_names_;   // sorted
   std::vector<std::string> service_names_;  // sorted
-  std::vector<ServerStat> server_stats_;    // parallel to server_names_
+  /// The smoothed-overload books (1 lane), servers in the order of
+  /// server_names_.
+  OverloadLedger ledger_;
   /// Monitoring subject ids and archive keys, resolved once at Init
   /// (parallel to server_names_ / service_names_): the per-tick
   /// Observe and forecast lookups do no string formatting or lookups.
@@ -440,13 +413,7 @@ class SimulationRunner {
   std::vector<monitor::SubjectId> service_subjects_;
   std::vector<std::string> server_keys_;
   std::vector<std::string> service_keys_;
-  size_t window_ticks_ = 1;
-  double load_sum_ = 0.0;
-  int64_t load_samples_ = 0;
   bool initialized_ = false;
-  /// Topology epoch recorded at Init; ResetForRerun refuses when the
-  /// cluster has structurally changed since.
-  uint64_t init_epoch_ = 0;
 };
 
 }  // namespace autoglobe

@@ -2,10 +2,10 @@
 // state as named sections of raw bytes. Each subsystem serializes
 // itself (SaveState/RestoreState in its own translation unit); this
 // file owns the section layout, the runner-level state (metrics,
-// histories, per-server rings, degraded-mode posture), and the
-// callback factory that re-arms pending simulator events from their
-// descriptors. Framing, checksums, and generation rotation live one
-// layer up, in src/persist.
+// histories, degraded-mode posture; the per-server rings are the
+// overload ledger's), and the callback factory that re-arms pending
+// simulator events from their descriptors. Framing, checksums, and
+// generation rotation live one layer up, in src/persist.
 
 #include <utility>
 
@@ -174,9 +174,10 @@ Status SimulationRunner::SaveStateSections(
   }
   {
     ByteWriter w;
-    // RunMetrics, declaration order.
-    w.F64(metrics_.overload_server_minutes);
-    w.F64(metrics_.max_overload_streak_minutes);
+    // RunMetrics, declaration order; the overload totals are the
+    // ledger's live values (metrics_ holds them as of the last fold).
+    w.F64(ledger_.overload_minutes(0));
+    w.F64(ledger_.max_streak(0));
     w.F64(metrics_.overload_fraction);
     w.F64(metrics_.lost_work_wu);
     w.F64(metrics_.average_cpu_load);
@@ -206,18 +207,8 @@ Status SimulationRunner::SaveStateSections(
       w.I64(history.last_move_at.seconds());
     }
     // Per-server smoothing rings (stored in physical ring order; head
-    // and count reproduce the exact eviction sequence).
-    w.U32(static_cast<uint32_t>(server_stats_.size()));
-    w.U64(window_ticks_);
-    for (const ServerStat& stat : server_stats_) {
-      w.F64(stat.streak_minutes);
-      w.F64(stat.window_sum);
-      w.U64(stat.head);
-      w.U64(stat.count);
-      for (double sample : stat.window) w.F64(sample);
-    }
-    w.F64(load_sum_);
-    w.I64(load_samples_);
+    // and count reproduce the exact eviction sequence) and load sums.
+    ledger_.SaveState(&w);
     w.I64(folded_reward_updates_);
     w.I64(folded_weight_updates_);
     // Heartbeat watches: ids + keys; the dense heartbeat slots are
@@ -420,38 +411,9 @@ Status SimulationRunner::RestoreStateSections(
       history.last_move_at = SimTime::FromSeconds(move_at);
       action_history_.emplace(std::move(service), std::move(history));
     }
-    AG_ASSIGN_OR_RETURN(uint32_t stat_count, r.U32());
-    AG_ASSIGN_OR_RETURN(uint64_t snapshot_window_ticks, r.U64());
-    if (stat_count != server_stats_.size() ||
-        snapshot_window_ticks != window_ticks_) {
-      return Status::ParseError(StrFormat(
-          "server-stat layout mismatch: snapshot has %u servers / "
-          "window %llu, runner has %zu / %zu",
-          stat_count,
-          static_cast<unsigned long long>(snapshot_window_ticks),
-          server_stats_.size(), window_ticks_));
-    }
-    for (ServerStat& stat : server_stats_) {
-      AG_ASSIGN_OR_RETURN(stat.streak_minutes, r.F64());
-      AG_ASSIGN_OR_RETURN(stat.window_sum, r.F64());
-      AG_ASSIGN_OR_RETURN(uint64_t head, r.U64());
-      AG_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-      // The next tick indexes the ring at `head` once it is full.
-      if (head >= window_ticks_ || count > window_ticks_) {
-        return Status::ParseError(StrFormat(
-            "server-stat ring head %llu / count %llu outside its window "
-            "of %zu",
-            static_cast<unsigned long long>(head),
-            static_cast<unsigned long long>(count), window_ticks_));
-      }
-      stat.head = static_cast<size_t>(head);
-      stat.count = static_cast<size_t>(count);
-      for (double& sample : stat.window) {
-        AG_ASSIGN_OR_RETURN(sample, r.F64());
-      }
-    }
-    AG_ASSIGN_OR_RETURN(load_sum_, r.F64());
-    AG_ASSIGN_OR_RETURN(load_samples_, r.I64());
+    AG_RETURN_IF_ERROR(ledger_.RestoreState(&r));
+    ledger_.RestoreTotals(metrics_.overload_server_minutes,
+                          metrics_.max_overload_streak_minutes);
     AG_ASSIGN_OR_RETURN(folded_reward_updates_, r.I64());
     AG_ASSIGN_OR_RETURN(folded_weight_updates_, r.I64());
     AG_ASSIGN_OR_RETURN(watched_epoch_, r.U64());

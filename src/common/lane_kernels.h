@@ -26,11 +26,12 @@ inline PhiloxLaneView MakePhiloxLaneView(PhiloxLanes& lanes) {
                         lanes.cache.data(),      lanes.cache_valid.data()};
 }
 
-/// The demand tick's hot `[dense_id][lane]` row loops as a
-/// dispatch-selected kernel table. Two implementations exist: the
-/// scalar/SSE2 baseline and an AVX2 build of the *same source* (plus
-/// hand-written AVX2 philox kernels); the tick's 1-lane build compiles
-/// that source inline a third time. None may use FMA or reassociate
+/// The hot `[dense_id][lane]` row loops of the demand tick and the
+/// overload ledger as a dispatch-selected kernel table. Two
+/// implementations exist: the scalar/SSE2 baseline and an AVX2 build of
+/// the *same source* (plus hand-written AVX2 philox kernels); the
+/// 1-lane builds of the tick and the ledger compile that source inline
+/// once more. None may use FMA or reassociate
 /// (`-ffp-contract=off`, no fast-math), so every tier produces
 /// bit-identical doubles — tier selection is a throughput knob, never
 /// a semantic one (DESIGN.md §16).

@@ -1,7 +1,7 @@
 // Shared source of the lane-kernel tier bodies. Included inside an
 // anonymous namespace by each translation unit that compiles them (the
-// scalar and AVX2 tiers, and the demand tick for its inline 1-lane
-// build) so the *same* C++ compiles everywhere — the compiler may not
+// scalar and AVX2 tiers, and the demand tick and the overload ledger
+// for their inline 1-lane builds) so the *same* C++ compiles everywhere — the compiler may not
 // reassociate or contract (every such TU builds with
 // AUTOGLOBE_KERNEL_FLAGS: -ffp-contract=off and no fast-math), so the
 // builds are bit-identical by construction. No include guard and no
@@ -291,3 +291,25 @@ constexpr LaneKernels kPortableLaneKernels = {
     PhiloxNormalEventRowScalar,
     PhiloxNoiseRowScalar,
 };
+
+// Template argument of a lane loop's build for the lane count fixed at
+// run time (the 1-lane build passes a compile-time 1 instead).
+constexpr size_t kAnyLanes = 0;
+
+template <size_t kLanes>
+size_t LaneCount(size_t lanes) {
+  return kLanes == kAnyLanes ? lanes : kLanes;
+}
+
+// The 1-lane build calls the portable rows through the constant table
+// above, so every call resolves at compile time and inlines; the
+// L-lane build dispatches through the active tier (AVX2 where
+// available).
+template <size_t kLanes>
+const LaneKernels& RowKernels(const LaneKernels* dispatched) {
+  if constexpr (kLanes == 1) {
+    return kPortableLaneKernels;
+  } else {
+    return *dispatched;
+  }
+}

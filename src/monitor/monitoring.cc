@@ -202,26 +202,6 @@ Status LoadMonitoringSystem::MaterializeAll() {
   return Status::OK();
 }
 
-void LoadMonitoringSystem::ResetObservations() {
-  for (SubjectState& subject : subjects_) {
-    subject.phase = Phase::kNormal;
-    subject.watch_started = SimTime::Start();
-    subject.last_value = 0.0;
-    subject.last_at = SimTime::Start();
-    subject.has_last = false;
-    subject.pending_first = SimTime::Start();
-    subject.pending_interval = Duration::Zero();
-    subject.pending_count = 0;
-  }
-  for (HeartbeatState& heartbeat : heartbeats_) {
-    heartbeat.last_seen = SimTime::Start();
-    heartbeat.reported = false;
-  }
-  triggers_fired_ = 0;
-  evaluations_ = 0;
-  skips_ = 0;
-}
-
 Status LoadMonitoringSystem::WatchHeartbeat(TriggerKind failed_kind,
                                             std::string key,
                                             std::string subject,

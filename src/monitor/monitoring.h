@@ -134,12 +134,6 @@ class LoadMonitoringSystem {
   /// no series for the subject — looking does not create one.
   LoadArchive::Handle SeriesOf(SubjectId subject);
 
-  /// Rewinds every subject's detection state machine and heartbeat
-  /// watch to its just-registered state and zeroes the trigger /
-  /// evaluation counters. Registrations, archive handles, and watch
-  /// slots are kept, so a rerun observes allocation-free. Pair with
-  /// LoadArchive::ClearSamples — the archive itself is not touched.
-  void ResetObservations();
 
   /// Full evaluations performed (arming checks + archive appends).
   int64_t evaluations() const { return evaluations_; }

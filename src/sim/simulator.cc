@@ -141,16 +141,6 @@ Status Simulator::Cancel(EventId id) {
   return Status::OK();
 }
 
-void Simulator::Reset() {
-  heap_.clear();
-  std::fill(state_.begin(), state_.end(), EventState::kDone);
-  live_count_ = 0;
-  now_ = SimTime::Start();
-  next_seq_ = 0;
-  next_id_ = 1;
-  dispatched_ = 0;
-}
-
 bool Simulator::Step() {
   while (!heap_.empty()) {
     Event event = PopTop();

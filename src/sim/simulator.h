@@ -114,14 +114,6 @@ class Simulator {
   /// mid-run, keeping steady-state ticks allocation-free.
   void ReserveEvents(size_t expected_events);
 
-  /// Rewinds the kernel to a just-constructed state: empty queue,
-  /// clock at Start, ids and sequence numbers restarting from the
-  /// beginning — so a rerun schedules the exact same event ids and
-  /// fires in the exact same order as a fresh simulator. The heap and
-  /// liveness storage keep their capacity (a rerun re-schedules
-  /// allocation-free) and the trace sink is kept.
-  void Reset();
-
   /// Dispatches a single event; returns false when the queue is empty.
   bool Step();
 

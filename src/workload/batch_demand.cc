@@ -23,27 +23,6 @@ namespace {
 // dispatched tiers).
 #include "common/lane_kernels_inl.h"
 
-// Template argument of the tick loop's build for the lane count fixed
-// at construction.
-constexpr size_t kAnyLanes = 0;
-
-template <size_t kLanes>
-size_t LaneCount(size_t lanes) {
-  return kLanes == kAnyLanes ? lanes : kLanes;
-}
-
-// The 1-lane build calls the portable rows through a constant table,
-// so every call resolves at compile time and inlines; the L-lane
-// build dispatches through the active tier (AVX2 where available).
-template <size_t kLanes>
-const LaneKernels& RowKernels(const LaneKernels* dispatched) {
-  if constexpr (kLanes == 1) {
-    return kPortableLaneKernels;
-  } else {
-    return *dispatched;
-  }
-}
-
 // A per-lane row the tick loop accumulates into. With a compile-time
 // lane count it is a local copy, which the compiler keeps in
 // registers (no store-to-load chain through memory per row); in the

@@ -20,11 +20,6 @@ void DemandEngine::SeedRng(uint64_t seed, RngKind kind) {
   set_rng_kind(kind);
 }
 
-void DemandEngine::ResetRunState(uint64_t seed, RngKind kind) {
-  ResetLanes();
-  SeedRng(seed, kind);
-}
-
 double DemandEngine::ServerCpuLoad(std::string_view server) const {
   return ServerCpuLoadById(ServerSlotOf(server));
 }

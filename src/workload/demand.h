@@ -23,18 +23,11 @@ namespace autoglobe::workload {
 /// It is the 1-lane BatchDemandEngine: the same tick loop, built with
 /// the lane count a compile-time 1 so its row kernels inline. This
 /// class adds only the single-run spellings — a seeded constructor,
-/// a whole-run reset, the scalar user scale, lane-0 load views keyed
-/// by name or dense id — and the checkpoint image of lane 0.
+/// the scalar user scale, lane-0 load views keyed by name or dense
+/// id — and the checkpoint image of lane 0.
 class DemandEngine : public BatchDemandEngine {
  public:
   DemandEngine(infra::Cluster* cluster, Rng rng);
-
-  /// Rewinds the engine to its just-built state (ResetLanes) and
-  /// re-seeds both generators from `seed`, with subsequent noise draws
-  /// flowing through `kind` (see RunnerConfig::rng_kind). After a reset
-  /// on an unchanged topology, a run is bit-identical to one on a newly
-  /// constructed engine (see SimulationRunner::ResetForRerun).
-  void ResetRunState(uint64_t seed, RngKind kind);
 
   /// Selects the draw discipline and re-seeds both generators without
   /// touching run state (call before the first Tick).

@@ -158,39 +158,23 @@ TEST(BatchRunnerTest, IneligibleConfigsAreRejected) {
           .ok());
 }
 
-TEST(RunnerRerunTest, ResetForRerunMatchesFreshRunner) {
-  // Satellite: a reused SimulationRunner (no event-heap / archive /
-  // monitor reconstruction) must be bit-identical to a fresh one.
+TEST(BatchRunnerTest, NonPositiveTicksAreInvalidArguments) {
+  // The smoothing window is sized in ticks: a zero or negative tick
+  // must be refused by both runners before anything divides by it.
   Landscape landscape = MakePaperLandscape(Scenario::kStatic);
-  RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.1);
-  config.duration = Duration::Hours(10);
-  config.metrics_warmup = Duration::Hours(1);
-  auto reused = SimulationRunner::Create(landscape, config);
-  ASSERT_TRUE(reused.ok()) << reused.status();
-  ASSERT_TRUE((*reused)->Run().ok());
-  ASSERT_TRUE((*reused)->ResetForRerun(/*seed=*/99, /*user_scale=*/1.3).ok());
-  ASSERT_TRUE((*reused)->Run().ok());
-
-  RunnerConfig fresh_config = config;
-  fresh_config.seed = 99;
-  fresh_config.user_scale = 1.3;
-  auto fresh = SimulationRunner::Create(landscape, fresh_config);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  ASSERT_TRUE((*fresh)->Run().ok());
-  ExpectSameMetrics((*reused)->metrics(), (*fresh)->metrics(), "rerun");
-  EXPECT_EQ((*reused)->messages(), (*fresh)->messages());
-}
-
-TEST(RunnerRerunTest, FaultPlanRunnersRefuseRerun) {
-  Landscape landscape = MakePaperLandscape(Scenario::kStatic);
-  RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0);
-  config.duration = Duration::Hours(2);
-  faults::FaultPlan plan;
-  config.fault_plan = plan;
-  auto runner = SimulationRunner::Create(landscape, config);
-  ASSERT_TRUE(runner.ok()) << runner.status();
-  ASSERT_TRUE((*runner)->Run().ok());
-  EXPECT_FALSE((*runner)->ResetForRerun(1, 1.0).ok());
+  for (Duration tick : {Duration::Zero(), Duration::Seconds(-60)}) {
+    RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0);
+    config.duration = Duration::Hours(1);
+    config.tick = tick;
+    auto scalar = SimulationRunner::Create(landscape, config);
+    ASSERT_FALSE(scalar.ok());
+    EXPECT_EQ(scalar.status().code(), StatusCode::kInvalidArgument)
+        << scalar.status();
+    auto batch = BatchRunner::Create(landscape, config, {{42, 1.0}});
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument)
+        << batch.status();
+  }
 }
 
 }  // namespace

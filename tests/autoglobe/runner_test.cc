@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "autoglobe/availability.h"
 #include "autoglobe/capacity.h"
+#include "common/bytes.h"
 #include "obs/trace.h"
 
 namespace autoglobe {
@@ -307,6 +310,48 @@ TEST(RunnerTest, ForecastModeRuns) {
   ASSERT_TRUE(runner.ok());
   ASSERT_TRUE((*runner)->Run().ok());
   EXPECT_GT((*runner)->metrics().actions_executed, 0);
+}
+
+
+// Pins the bytes of the checkpoint's "runner" section (RunMetrics, the
+// message log, the oscillation history, the smoothing rings, the load
+// sums, the heartbeat watches and the degraded-mode posture) mid-run,
+// after a metrics warmup, for a static run and a controller run:
+// checkpoints written by one build must restore in the next.
+TEST(RunnerCheckpointTest, RunnerSectionBytesArePinned) {
+  struct Case {
+    Scenario scenario;
+    uint64_t hash;
+  };
+  // Recorded from the runner that wrote these sections first.
+  const Case cases[] = {
+      {Scenario::kStatic, 0xd71631dc4ee4f7d8ull},
+      {Scenario::kConstrainedMobility, 0xcc45a5d441849e14ull}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(ScenarioName(c.scenario));
+    RunnerConfig config = MakeScenarioConfig(c.scenario, 1.3, 42);
+    config.duration = Duration::Hours(12);
+    config.metrics_warmup = Duration::Hours(2);
+    auto runner =
+        SimulationRunner::Create(MakePaperLandscape(c.scenario), config);
+    ASSERT_TRUE(runner.ok()) << runner.status();
+    ASSERT_TRUE(
+        (*runner)->RunUntil(SimTime::Start() + Duration::Hours(10)).ok());
+    const RunMetrics& m = (*runner)->metrics();
+    EXPECT_GT(m.triggers, 0);
+    EXPECT_GT(m.overload_server_minutes, 0.0);
+    EXPECT_GT(m.max_overload_streak_minutes, 0.0);
+    if (c.scenario != Scenario::kStatic) {
+      EXPECT_GT(m.actions_executed, 0);
+    }
+    std::vector<std::pair<std::string, std::string>> sections;
+    ASSERT_TRUE((*runner)->SaveStateSections(&sections).ok());
+    auto runner_section = std::find_if(
+        sections.begin(), sections.end(),
+        [](const auto& entry) { return entry.first == "runner"; });
+    ASSERT_NE(runner_section, sections.end());
+    EXPECT_EQ(Fnv1a64(runner_section->second), c.hash);
+  }
 }
 
 }  // namespace

@@ -220,10 +220,11 @@ TEST(CheckpointStoreTest, AllCorruptReportsEveryCandidate) {
       << loaded.status();
 }
 
-// Offset of the first server's smoothing-ring head in the runner
-// section: past the 15 RunMetrics fields, the message log, the
-// oscillation history, the ring layout and that ring's two sums.
-size_t FirstRingHeadOffset(std::string_view runner) {
+// Offset of a server's smoothing-ring head in the runner section: past
+// the 15 RunMetrics fields, the message log, the oscillation history,
+// the ring layout, the earlier servers' rings and this ring's two sums.
+// The ring's count follows the head.
+size_t RingHeadOffset(std::string_view runner, size_t server) {
   ByteReader r(runner);
   for (int i = 0; i < 15; ++i) EXPECT_TRUE(r.U64().ok());
   const uint32_t messages = r.U32().value_or(0);
@@ -240,7 +241,13 @@ size_t FirstRingHeadOffset(std::string_view runner) {
     EXPECT_TRUE(r.I64().ok());
   }
   EXPECT_TRUE(r.U32().ok());  // server count
-  EXPECT_TRUE(r.U64().ok());  // window ticks
+  const uint64_t window = r.U64().value_or(0);
+  for (size_t s = 0; s < server; ++s) {
+    // Streak, sum, head, count and the ring's samples.
+    for (uint64_t field = 0; field < 4 + window; ++field) {
+      EXPECT_TRUE(r.U64().ok());
+    }
+  }
   EXPECT_TRUE(r.F64().ok());  // streak minutes
   EXPECT_TRUE(r.F64().ok());  // window sum
   return runner.size() - r.remaining();
@@ -271,7 +278,7 @@ TEST(SnapshotTest, HostileRunnerCountsAndRingHeadsAreParseErrors) {
   const std::pair<std::string, size_t> sites[] = {
       {"runner", 15 * 8},
       {"metrics", 0},
-      {"runner", FirstRingHeadOffset(runner_section->second)}};
+      {"runner", RingHeadOffset(runner_section->second, 0)}};
   for (const auto& [name, offset] : sites) {
     SnapshotData hostile = snapshot;
     auto section = std::find_if(
@@ -284,6 +291,58 @@ TEST(SnapshotTest, HostileRunnerCountsAndRingHeadsAreParseErrors) {
     ASSERT_FALSE(restored.ok()) << name;
     EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
         << name << ": " << restored.status();
+  }
+}
+
+TEST(SnapshotTest, HostileSmoothingRingsAreParseErrors) {
+  // 37 ticks into a 15-tick smoothing window every ring is full with
+  // its oldest sample at slot 7; all servers share that position.
+  Landscape landscape = MakePaperLandscape(Scenario::kStatic);
+  RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0, 42);
+  config.duration = Duration::Hours(1);
+  ASSERT_EQ(config.overload_smoothing, Duration::Minutes(15));
+  auto runner = SimulationRunner::Create(landscape, config);
+  ASSERT_TRUE(runner.ok()) << runner.status();
+  ASSERT_TRUE((*runner)->RunUntil(SimTime::Start() + Duration::Minutes(37))
+                  .ok());
+  SnapshotData snapshot;
+  snapshot.fingerprint = (*runner)->StateFingerprint();
+  ASSERT_TRUE((*runner)->SaveStateSections(&snapshot.sections).ok());
+  ASSERT_TRUE(persist::RestoreRunner(landscape, config, snapshot).ok());
+
+  auto runner_section = std::find_if(
+      snapshot.sections.begin(), snapshot.sections.end(),
+      [](const auto& entry) { return entry.first == "runner"; });
+  ASSERT_NE(runner_section, snapshot.sections.end());
+  const size_t runner_index =
+      static_cast<size_t>(runner_section - snapshot.sections.begin());
+  struct Site {
+    const char* what;
+    size_t server;
+    size_t field;  // 0 = head, 1 = count
+    uint64_t value;
+  };
+  const Site sites[] = {
+      {"head at the window size", 0, 0, 15},
+      {"count past the window size", 0, 1, 16},
+      {"a head other servers do not share", 1, 0, 8},
+      {"a count other servers do not share", 1, 1, 14},
+  };
+  for (const Site& site : sites) {
+    SnapshotData hostile = snapshot;
+    std::string& section = hostile.sections[runner_index].second;
+    const size_t offset =
+        RingHeadOffset(section, site.server) + 8 * site.field;
+    ByteReader original(std::string_view(section).substr(offset, 8));
+    ASSERT_EQ(original.U64().value_or(0), site.field == 0 ? 7u : 15u)
+        << site.what;
+    ByteWriter w;
+    w.U64(site.value);
+    section.replace(offset, 8, w.data());
+    auto restored = persist::RestoreRunner(landscape, config, hostile);
+    ASSERT_FALSE(restored.ok()) << site.what;
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
+        << site.what << ": " << restored.status();
   }
 }
 

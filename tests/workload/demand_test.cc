@@ -507,7 +507,8 @@ TEST_F(DemandTest, SaveImageBytesArePinned) {
   std::vector<uint64_t> hashes;
   for (RngKind kind :
        {RngKind::kXoshiro, RngKind::kPhilox, RngKind::kXoshiro}) {
-    engine_->ResetRunState(11, kind);
+    engine_->ResetLanes();
+    engine_->SeedRng(11, kind);
     TickMinutes(7);  // three draws a tick: an odd count in total
     ByteWriter w;
     engine_->SaveState(&w);
