@@ -140,9 +140,18 @@ Status SimulationRunner::Init(const Landscape& landscape) {
   AG_RETURN_IF_ERROR(ledger_.Init(cluster_.Servers().size(), /*lanes=*/1,
                                   config_.tick, config_.overload_smoothing,
                                   config_.overload_threshold));
-  // Pre-size every archive series for the full retention window and
-  // the whole run's aggregate buckets: steady-state appends never
-  // grow a ring. (A few KB per subject at the default 1-min tick.)
+  // The hints below divide by the bucket width, and a negative
+  // retention would evict every sample as it arrives.
+  if (config_.archive_bucket <= Duration::Zero()) {
+    return Status::InvalidArgument("archive_bucket must be positive");
+  }
+  if (config_.archive_retention < Duration::Zero()) {
+    return Status::InvalidArgument("archive_retention must not be negative");
+  }
+  // Pre-size every archive series for the full retention window, and
+  // reserve the whole run's aggregate buckets for the series whose
+  // aggregate runs spill: steady-state appends never grow a ring.
+  // (A few KB per subject at the default 1-min tick.)
   archive_.set_capacity_hints(
       static_cast<size_t>(archive_.raw_retention().seconds() /
                           config_.tick.seconds()) +

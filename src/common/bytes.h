@@ -30,6 +30,9 @@ class ByteWriter {
   void Str(std::string_view s);
   /// Raw bytes with no length prefix (caller encodes the size).
   void Raw(const void* bytes, size_t n);
+  /// Reserves room for `n` more bytes, so writers that know their
+  /// encoded size grow the buffer once.
+  void Reserve(size_t n) { data_.reserve(data_.size() + n); }
 
   const std::string& data() const { return data_; }
   std::string Take() { return std::move(data_); }

@@ -1,7 +1,9 @@
 #include "monitor/load_archive.h"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/strings.h"
@@ -16,7 +18,197 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
+/// Runs merge only on equal bits, so a merged mean is exactly the
+/// mean each of its buckets had (and -0.0 never merges with 0.0).
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Per-series encoding flags of a SaveState image: which of the two
+// blocks are runs rather than plain samples.
+constexpr uint8_t kRawAsRuns = 1;
+constexpr uint8_t kAggregatesAsRuns = 2;
+// Encoded sizes: a plain sample is (at, value), a run is (first,
+// interval, count, value).
+constexpr size_t kSampleBytes = 2 * 8;
+constexpr size_t kRunBytes = 4 * 8;
+
+/// One entry of a SaveState block; a plain sample reads as a run of
+/// one.
+struct SampleRun {
+  int64_t first = 0;
+  int64_t interval = 0;
+  uint64_t count = 0;
+  double value = 0.0;
+};
+
+/// Reads one block (a u64 count, then that many runs or plain samples)
+/// into `runs`. A plain sample becomes a one-sample run with interval
+/// `plain_interval`. The count is checked against the unread bytes, so
+/// `runs` never grows past what the image holds.
+Status ReadBlock(ByteReader* r, bool as_runs, int64_t plain_interval,
+                 std::vector<SampleRun>* runs) {
+  runs->clear();
+  AG_ASSIGN_OR_RETURN(uint64_t n, r->U64());
+  AG_RETURN_IF_ERROR(r->CheckCount(n, as_runs ? kRunBytes : kSampleBytes));
+  runs->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    SampleRun run;
+    AG_ASSIGN_OR_RETURN(run.first, r->I64());
+    if (as_runs) {
+      AG_ASSIGN_OR_RETURN(run.interval, r->I64());
+      AG_ASSIGN_OR_RETURN(run.count, r->U64());
+    } else {
+      run.interval = plain_interval;
+      run.count = 1;
+    }
+    AG_ASSIGN_OR_RETURN(run.value, r->F64());
+    runs->push_back(run);
+  }
+  return Status::OK();
+}
+
+/// Validates a series' raw runs: each non-empty with a positive
+/// interval (0 for a single sample), in time order without overlap,
+/// and all of them inside the retention window that ends at the newest
+/// sample — what Append's eviction leaves. Returns the sample count,
+/// which is then at most retention/interval + 1 per run however large
+/// the claimed counts were.
+Result<uint64_t> CheckRawRuns(const std::string& key,
+                              const std::vector<SampleRun>& runs,
+                              int64_t retention_s) {
+  uint64_t samples = 0;
+  int64_t last = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const SampleRun& run = runs[i];
+    if (run.count == 0 ||
+        (run.count == 1 ? run.interval != 0 : run.interval <= 0)) {
+      return Status::ParseError(StrFormat(
+          "raw run %zu of \"%s\": %llu sample(s) every %lld s is not a "
+          "run",
+          i, key.c_str(), static_cast<unsigned long long>(run.count),
+          static_cast<long long>(run.interval)));
+    }
+    if (run.count > 1 &&
+        (retention_s < 0 ||
+         run.count - 1 >
+             static_cast<uint64_t>(retention_s / run.interval))) {
+      return Status::ParseError(StrFormat(
+          "raw run %zu of \"%s\" claims %llu samples every %lld s, more "
+          "than the %lld s retention window holds",
+          i, key.c_str(), static_cast<unsigned long long>(run.count),
+          static_cast<long long>(run.interval),
+          static_cast<long long>(retention_s)));
+    }
+    // At most the retention window, by the check above.
+    const int64_t span =
+        static_cast<int64_t>(run.count - 1) * run.interval;
+    if (i > 0 && run.first < last) {
+      return Status::ParseError(StrFormat(
+          "raw run %zu of \"%s\" at %lld s overlaps or precedes the "
+          "previous run, which ends at %lld s",
+          i, key.c_str(), static_cast<long long>(run.first),
+          static_cast<long long>(last)));
+    }
+    if (run.first > std::numeric_limits<int64_t>::max() - span) {
+      return Status::ParseError(StrFormat(
+          "raw run %zu of \"%s\" at %lld s ends past the last "
+          "representable time",
+          i, key.c_str(), static_cast<long long>(run.first)));
+    }
+    last = run.first + span;
+    samples += run.count;
+  }
+  if (!runs.empty()) {
+    // last >= runs[0].first, so the unsigned difference is exact.
+    const uint64_t age = static_cast<uint64_t>(last) -
+                         static_cast<uint64_t>(runs[0].first);
+    if (retention_s < 0 || age > static_cast<uint64_t>(retention_s)) {
+      return Status::ParseError(StrFormat(
+          "raw samples of \"%s\" start %llu s before the newest one, "
+          "past the %lld s retention window",
+          key.c_str(), static_cast<unsigned long long>(age),
+          static_cast<long long>(retention_s)));
+    }
+  }
+  return samples;
+}
+
+/// Validates a series' aggregate runs against its open bucket: each
+/// run is bucket-wide, starts on a bucket boundary after the previous
+/// run, and ends before the open bucket, which holds the newest raw
+/// sample (`newest`, when the ring is not empty).
+Status CheckAggregateRuns(const std::string& key,
+                          const std::vector<SampleRun>& runs,
+                          int64_t bucket_s, int64_t open_bucket,
+                          int64_t open_count, const int64_t* newest) {
+  if (open_count < 0) {
+    return Status::ParseError(StrFormat(
+        "open bucket of \"%s\" holds %lld samples", key.c_str(),
+        static_cast<long long>(open_count)));
+  }
+  if (newest != nullptr &&
+      (open_count == 0 || *newest / bucket_s != open_bucket)) {
+    return Status::ParseError(StrFormat(
+        "open bucket %lld of \"%s\" does not hold its newest sample "
+        "(%lld s)",
+        static_cast<long long>(open_bucket), key.c_str(),
+        static_cast<long long>(*newest)));
+  }
+  int64_t next = 0;  // first bucket the next run may start at
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const SampleRun& run = runs[i];
+    if (run.interval != bucket_s) {
+      return Status::ParseError(StrFormat(
+          "aggregate run %zu of \"%s\": interval %lld s is not the "
+          "bucket width %lld s",
+          i, key.c_str(), static_cast<long long>(run.interval),
+          static_cast<long long>(bucket_s)));
+    }
+    if (run.count == 0 || run.first < 0 || run.first % bucket_s != 0) {
+      return Status::ParseError(StrFormat(
+          "aggregate run %zu of \"%s\": %llu bucket(s) from %lld s is "
+          "not a run of whole buckets",
+          i, key.c_str(), static_cast<unsigned long long>(run.count),
+          static_cast<long long>(run.first)));
+    }
+    const int64_t bucket = run.first / bucket_s;
+    if (bucket < next) {
+      return Status::ParseError(StrFormat(
+          "aggregate run %zu of \"%s\" starts at bucket %lld, before "
+          "the previous run ends (bucket %lld)",
+          i, key.c_str(), static_cast<long long>(bucket),
+          static_cast<long long>(next)));
+    }
+    if (open_count == 0 || bucket >= open_bucket ||
+        run.count > static_cast<uint64_t>(open_bucket - bucket)) {
+      return Status::ParseError(StrFormat(
+          "aggregate run %zu of \"%s\" claims %llu bucket(s) from "
+          "bucket %lld, reaching the open bucket %lld",
+          i, key.c_str(), static_cast<unsigned long long>(run.count),
+          static_cast<long long>(bucket),
+          static_cast<long long>(open_bucket)));
+    }
+    next = bucket + static_cast<int64_t>(run.count);
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+void LoadArchive::AggregateRuns::push_back(const AggregateRun& run,
+                                           size_t spill_capacity) {
+  if (heap_.capacity() == 0) {
+    if (size_ < kInline) {
+      inline_[size_++] = run;
+      return;
+    }
+    heap_.reserve(std::max(spill_capacity, kInline + 1));
+    heap_.assign(inline_, inline_ + kInline);
+  }
+  heap_.push_back(run);
+  ++size_;
+}
 
 size_t LoadArchive::FirstAfterIdx(const Series& series, SimTime t) {
   size_t lo = 0;
@@ -48,9 +240,6 @@ LoadArchive::Handle LoadArchive::Acquire(std::string_view key) {
     it->second.key = it->first;
     if (raw_hint_ > 0) {
       it->second.raw.resize(RoundUpPow2(raw_hint_));
-    }
-    if (aggregated_hint_ > 0) {
-      it->second.aggregated.reserve(aggregated_hint_);
     }
   }
   return Handle(&it->second);
@@ -106,8 +295,7 @@ Status LoadArchive::Append(Handle handle, SimTime at, double value) {
   series.raw[(series.head + series.count) & (series.raw.size() - 1)] =
       LoadSample{at, value};
   ++series.count;
-  const int64_t bucket_seconds = aggregate_bucket_.seconds();
-  FoldIntoAggregate(&series, at.seconds() / bucket_seconds, bucket_seconds,
+  FoldIntoAggregate(&series, at.seconds() / aggregate_bucket_.seconds(),
                     value, 1);
   EvictBefore(&series, at - raw_retention_);
   return Status::OK();
@@ -142,7 +330,7 @@ Status LoadArchive::AppendRun(Handle handle, SimTime first,
       int64_t next = (bucket + 1) * bucket_seconds - first_s;
       end = std::min(count, (next + step - 1) / step);
     }
-    FoldIntoAggregate(&series, bucket, bucket_seconds, value, end - i);
+    FoldIntoAggregate(&series, bucket, value, end - i);
     i = end;
   }
   // Raw window: Append evicts against its own sample's horizon, and
@@ -167,19 +355,31 @@ Status LoadArchive::AppendRun(Handle handle, SimTime first,
 }
 
 void LoadArchive::FoldIntoAggregate(Series* series, int64_t bucket,
-                                    int64_t bucket_seconds, double value,
-                                    int64_t n) {
+                                    double value, int64_t n) const {
   if (series->open_bucket >= 0 && bucket != series->open_bucket) {
     // Close the previous bucket.
-    series->aggregated.push_back(LoadSample{
-        SimTime::FromSeconds(series->open_bucket * bucket_seconds),
-        series->open_sum / static_cast<double>(series->open_count)});
+    AddAggregateRun(series, series->open_bucket, 1,
+                    series->open_sum /
+                        static_cast<double>(series->open_count));
     series->open_sum = 0.0;
     series->open_count = 0;
   }
   series->open_bucket = bucket;
   for (int64_t i = 0; i < n; ++i) series->open_sum += value;
   series->open_count += n;
+}
+
+void LoadArchive::AddAggregateRun(Series* series, int64_t first,
+                                  int64_t count, double value) const {
+  AggregateRuns& runs = series->aggregated;
+  if (runs.size() > 0) {
+    AggregateRun& last = runs.back();
+    if (last.first + last.count == first && SameBits(last.value, value)) {
+      last.count += count;
+      return;
+    }
+  }
+  runs.push_back(AggregateRun{first, count, value}, aggregated_hint_);
 }
 
 Result<double> LoadArchive::Latest(std::string_view key) const {
@@ -251,11 +451,23 @@ std::vector<LoadSample> LoadArchive::RawBetween(std::string_view key,
 
 std::vector<LoadSample> LoadArchive::AggregatedOf(
     const Series& series) const {
-  std::vector<LoadSample> out = series.aggregated;
+  const int64_t bucket_seconds = aggregate_bucket_.seconds();
+  size_t buckets = series.open_count > 0 ? 1 : 0;
+  for (const AggregateRun& run : series.aggregated) {
+    buckets += static_cast<size_t>(run.count);
+  }
+  std::vector<LoadSample> out;
+  out.reserve(buckets);
+  for (const AggregateRun& run : series.aggregated) {
+    for (int64_t i = 0; i < run.count; ++i) {
+      out.push_back(LoadSample{
+          SimTime::FromSeconds((run.first + i) * bucket_seconds),
+          run.value});
+    }
+  }
   if (series.open_count > 0) {
     out.push_back(LoadSample{
-        SimTime::FromSeconds(series.open_bucket *
-                             aggregate_bucket_.seconds()),
+        SimTime::FromSeconds(series.open_bucket * bucket_seconds),
         series.open_sum / static_cast<double>(series.open_count)});
   }
   return out;
@@ -278,7 +490,7 @@ void LoadArchive::ClearSamples() {
   for (auto& [key, series] : series_) {
     series.head = 0;
     series.count = 0;
-    series.aggregated.clear();  // capacity kept
+    series.aggregated.clear();
     series.open_bucket = -1;
     series.open_sum = 0.0;
     series.open_count = 0;
@@ -334,24 +546,100 @@ Result<LoadArchive> LoadArchive::Load(const std::string& path) {
   return archive;
 }
 
+size_t LoadArchive::RawRuns(const Series& series, ByteWriter* w) {
+  size_t runs = 0;
+  for (size_t i = 0; i < series.count;) {
+    const LoadSample& first = series.At(i);
+    int64_t interval = 0;
+    size_t n = 1;
+    for (; i + n < series.count; ++n) {
+      const LoadSample& next = series.At(i + n);
+      const int64_t step = (next.at - series.At(i + n - 1).at).seconds();
+      if (!SameBits(next.value, first.value) || step <= 0 ||
+          (n > 1 && step != interval)) {
+        break;
+      }
+      interval = step;
+    }
+    if (w != nullptr) {
+      w->I64(first.at.seconds());
+      w->I64(interval);
+      w->U64(n);
+      w->F64(first.value);
+    }
+    ++runs;
+    i += n;
+  }
+  return runs;
+}
+
 void LoadArchive::SaveState(ByteWriter* w) const {
+  // Sizing pass: pick each series' encodings and reserve the section.
+  struct Plan {
+    size_t raw_runs = 0;
+    size_t buckets = 0;
+    uint8_t flags = 0;
+  };
+  std::vector<Plan> plans;
+  plans.reserve(series_.size());
+  size_t bytes = 8;
+  for (const auto& [key, series] : series_) {
+    Plan plan;
+    plan.raw_runs = RawRuns(series, nullptr);
+    for (const AggregateRun& run : series.aggregated) {
+      plan.buckets += static_cast<size_t>(run.count);
+    }
+    const size_t raw_runs = plan.raw_runs * kRunBytes;
+    const size_t raw_plain = series.count * kSampleBytes;
+    const size_t aggregate_runs = series.aggregated.size() * kRunBytes;
+    const size_t aggregate_plain = plan.buckets * kSampleBytes;
+    if (raw_runs < raw_plain) plan.flags |= kRawAsRuns;
+    if (aggregate_runs < aggregate_plain) plan.flags |= kAggregatesAsRuns;
+    // Key, flags, two block counts, the blocks, the open bucket.
+    bytes += 4 + key.size() + 1 + 2 * 8 + std::min(raw_runs, raw_plain) +
+             std::min(aggregate_runs, aggregate_plain) + 3 * 8;
+    plans.push_back(plan);
+  }
+  w->Reserve(bytes);
+
+  const int64_t bucket_seconds = aggregate_bucket_.seconds();
   w->U64(series_.size());
+  const Plan* plan = plans.data();
   for (const auto& [key, series] : series_) {
     w->Str(key);
-    w->U64(series.count);
-    for (size_t i = 0; i < series.count; ++i) {
-      const LoadSample& sample = series.At(i);
-      w->I64(sample.at.seconds());
-      w->F64(sample.value);
+    w->U8(plan->flags);
+    if (plan->flags & kRawAsRuns) {
+      w->U64(plan->raw_runs);
+      RawRuns(series, w);
+    } else {
+      w->U64(series.count);
+      for (size_t i = 0; i < series.count; ++i) {
+        const LoadSample& sample = series.At(i);
+        w->I64(sample.at.seconds());
+        w->F64(sample.value);
+      }
     }
-    w->U64(series.aggregated.size());
-    for (const LoadSample& sample : series.aggregated) {
-      w->I64(sample.at.seconds());
-      w->F64(sample.value);
+    if (plan->flags & kAggregatesAsRuns) {
+      w->U64(series.aggregated.size());
+      for (const AggregateRun& run : series.aggregated) {
+        w->I64(run.first * bucket_seconds);
+        w->I64(bucket_seconds);
+        w->U64(static_cast<uint64_t>(run.count));
+        w->F64(run.value);
+      }
+    } else {
+      w->U64(plan->buckets);
+      for (const AggregateRun& run : series.aggregated) {
+        for (int64_t i = 0; i < run.count; ++i) {
+          w->I64((run.first + i) * bucket_seconds);
+          w->F64(run.value);
+        }
+      }
     }
     w->I64(series.open_bucket);
     w->F64(series.open_sum);
     w->I64(series.open_count);
+    ++plan;
   }
 }
 
@@ -360,48 +648,69 @@ Status LoadArchive::RestoreState(ByteReader* r) {
   // stay valid) but lose their samples: in the snapshotted run they
   // had never been acquired yet.
   ClearSamples();
+  const int64_t bucket_seconds = aggregate_bucket_.seconds();
   uint64_t series_count = 0;
   AG_ASSIGN_OR_RETURN(series_count, r->U64());
-  // Key prefix, two sample counts and the open bucket.
-  AG_RETURN_IF_ERROR(r->CheckCount(series_count, 4 + 2 * 8 + 3 * 8));
+  // Key prefix, flags, two block counts and the open bucket.
+  AG_RETURN_IF_ERROR(r->CheckCount(series_count, 4 + 1 + 2 * 8 + 3 * 8));
+  std::vector<SampleRun> raw;
+  std::vector<SampleRun> aggregates;
   for (uint64_t s = 0; s < series_count; ++s) {
     std::string key;
     AG_ASSIGN_OR_RETURN(key, r->Str());
-    Handle handle = Acquire(key);
-    Series& series = *handle.series_;
+    uint8_t flags = 0;
+    AG_ASSIGN_OR_RETURN(flags, r->U8());
+    if ((flags & ~(kRawAsRuns | kAggregatesAsRuns)) != 0) {
+      return Status::ParseError(
+          StrFormat("series \"%s\" has unknown encoding flags 0x%02x",
+                    key.c_str(), static_cast<unsigned>(flags)));
+    }
+    AG_RETURN_IF_ERROR(ReadBlock(r, flags & kRawAsRuns, 0, &raw));
+    AG_RETURN_IF_ERROR(
+        ReadBlock(r, flags & kAggregatesAsRuns, bucket_seconds, &aggregates));
+    int64_t open_bucket = 0;
+    double open_sum = 0.0;
+    int64_t open_count = 0;
+    AG_ASSIGN_OR_RETURN(open_bucket, r->I64());
+    AG_ASSIGN_OR_RETURN(open_sum, r->F64());
+    AG_ASSIGN_OR_RETURN(open_count, r->I64());
     uint64_t raw_count = 0;
-    AG_ASSIGN_OR_RETURN(raw_count, r->U64());
-    AG_RETURN_IF_ERROR(r->CheckCount(raw_count, 2 * 8));
+    AG_ASSIGN_OR_RETURN(raw_count,
+                        CheckRawRuns(key, raw, raw_retention_.seconds()));
+    int64_t newest = 0;
+    if (!raw.empty()) {
+      newest = raw.back().first +
+               static_cast<int64_t>(raw.back().count - 1) *
+                   raw.back().interval;
+    }
+    AG_RETURN_IF_ERROR(CheckAggregateRuns(key, aggregates, bucket_seconds,
+                                          open_bucket, open_count,
+                                          raw.empty() ? nullptr : &newest));
+
+    Series& series = *Acquire(key).series_;
     size_t capacity = series.raw.size();
     if (capacity < raw_count) capacity = RoundUpPow2(raw_count);
     if (capacity != series.raw.size()) {
       series.raw.assign(capacity, LoadSample{});
     }
     series.head = 0;
-    series.count = raw_count;
-    for (uint64_t i = 0; i < raw_count; ++i) {
-      int64_t at_s = 0;
-      double value = 0.0;
-      AG_ASSIGN_OR_RETURN(at_s, r->I64());
-      AG_ASSIGN_OR_RETURN(value, r->F64());
-      series.raw[i] = LoadSample{SimTime::FromSeconds(at_s), value};
+    series.count = 0;
+    for (const SampleRun& run : raw) {
+      for (uint64_t i = 0; i < run.count; ++i) {
+        series.raw[series.count++] = LoadSample{
+            SimTime::FromSeconds(run.first +
+                                 static_cast<int64_t>(i) * run.interval),
+            run.value};
+      }
     }
-    uint64_t aggregated_count = 0;
-    AG_ASSIGN_OR_RETURN(aggregated_count, r->U64());
-    AG_RETURN_IF_ERROR(r->CheckCount(aggregated_count, 2 * 8));
     series.aggregated.clear();
-    series.aggregated.reserve(aggregated_count);
-    for (uint64_t i = 0; i < aggregated_count; ++i) {
-      int64_t at_s = 0;
-      double value = 0.0;
-      AG_ASSIGN_OR_RETURN(at_s, r->I64());
-      AG_ASSIGN_OR_RETURN(value, r->F64());
-      series.aggregated.push_back(
-          LoadSample{SimTime::FromSeconds(at_s), value});
+    for (const SampleRun& run : aggregates) {
+      AddAggregateRun(&series, run.first / bucket_seconds,
+                      static_cast<int64_t>(run.count), run.value);
     }
-    AG_ASSIGN_OR_RETURN(series.open_bucket, r->I64());
-    AG_ASSIGN_OR_RETURN(series.open_sum, r->F64());
-    AG_ASSIGN_OR_RETURN(series.open_count, r->I64());
+    series.open_bucket = open_bucket;
+    series.open_sum = open_sum;
+    series.open_count = open_count;
   }
   return Status::OK();
 }

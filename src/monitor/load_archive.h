@@ -36,6 +36,15 @@ struct LoadSample {
 /// hints (set_capacity_hints) pre-size new series so even the first
 /// pass through the window allocates nothing per append.
 ///
+/// Completed aggregate buckets are stored as runs of consecutive
+/// buckets with bit-identical means, expanded only when read
+/// (Aggregated, Save). Most series repeat their mean bucket after
+/// bucket, so a series holds one or two runs. Those two live inline
+/// in the series; the third run moves them to the heap, reserved for
+/// the aggregate capacity hint at once. A constant series therefore
+/// never allocates aggregate storage, and a varying one allocates
+/// once, on its third distinct mean.
+///
 /// All name-based entry points take `std::string_view` and resolve it
 /// with heterogeneous lookup — no temporary std::string per call. Hot
 /// callers (the monitoring system feeds every subject once per tick)
@@ -47,6 +56,41 @@ class LoadArchive {
                        Duration aggregate_bucket = Duration::Minutes(15));
 
  private:
+  /// Completed buckets `first`, `first + 1`, ... `first + count - 1`
+  /// (bucket indices), all with mean `value`.
+  struct AggregateRun {
+    int64_t first = 0;
+    int64_t count = 0;
+    double value = 0.0;
+  };
+
+  /// A series' aggregate runs: the first two inline, all of them on
+  /// the heap once a third opens (or once the heap holds capacity, so
+  /// a cleared series keeps appending allocation-free).
+  class AggregateRuns {
+   public:
+    const AggregateRun* begin() const {
+      return heap_.capacity() > 0 ? heap_.data() : inline_;
+    }
+    const AggregateRun* end() const { return begin() + size_; }
+    size_t size() const { return size_; }
+    AggregateRun& back() {
+      return heap_.capacity() > 0 ? heap_.back() : inline_[size_ - 1];
+    }
+    /// Appends `run`; a spill reserves `spill_capacity` runs.
+    void push_back(const AggregateRun& run, size_t spill_capacity);
+    void clear() {
+      heap_.clear();  // capacity kept
+      size_ = 0;
+    }
+
+   private:
+    static constexpr size_t kInline = 2;
+    AggregateRun inline_[kInline];
+    std::vector<AggregateRun> heap_;
+    size_t size_ = 0;
+  };
+
   struct Series {
     std::string key;  // for error messages
     /// Ring storage; size() is the capacity and is always a power of
@@ -55,8 +99,7 @@ class LoadArchive {
     std::vector<LoadSample> raw;
     size_t head = 0;
     size_t count = 0;
-    // Completed aggregate buckets: bucket start time + mean.
-    std::vector<LoadSample> aggregated;
+    AggregateRuns aggregated;
     // Accumulator of the bucket currently being filled.
     int64_t open_bucket = -1;  // bucket index, -1 = none
     double open_sum = 0.0;
@@ -90,11 +133,11 @@ class LoadArchive {
   Handle Find(std::string_view key);
 
   /// Pre-sizes every series created by later Acquire calls:
-  /// `raw_samples` ring slots (rounded up to a power of two) and
-  /// `aggregate_buckets` reserved aggregate entries. Callers that know
-  /// their cadence (the runner: retention/tick raw samples,
-  /// duration/bucket aggregates) set this once at startup so the
-  /// steady state appends allocation-free from the very first tick.
+  /// `raw_samples` ring slots (rounded up to a power of two), and
+  /// `aggregate_buckets` aggregate runs reserved when a series' runs
+  /// spill to the heap. Callers that know their cadence (the runner:
+  /// retention/tick raw samples, duration/bucket aggregates) set this
+  /// once at startup so the steady state appends allocation-free.
   void set_capacity_hints(size_t raw_samples, size_t aggregate_buckets);
 
   /// Appends a measurement for a subject key, e.g. "server/Blade3".
@@ -147,10 +190,17 @@ class LoadArchive {
   /// Full binary serialization for snapshots: raw rings (in logical
   /// order), aggregate buckets and open-bucket accumulators of every
   /// series — unlike Save/Load, which keeps only the aggregated view.
+  /// Raw rings and aggregates are written as `(first, interval, count,
+  /// value)` runs, or as plain samples where runs would be larger; a
+  /// per-series flag byte says which.
   void SaveState(ByteWriter* w) const;
   /// Restores a SaveState image. Existing series are reused (issued
   /// Handles stay valid); ring capacity is re-derived from the sample
-  /// counts and capacity hints — capacity never affects values.
+  /// counts and capacity hints — capacity never affects values. Each
+  /// series' runs are checked before anything is sized from them:
+  /// a raw series must fit its retention window in time order, and
+  /// aggregate runs must be bucket-wide, ordered, and older than the
+  /// open bucket. Violations are ParseErrors.
   Status RestoreState(ByteReader* r);
 
   Duration raw_retention() const { return raw_retention_; }
@@ -159,10 +209,18 @@ class LoadArchive {
  private:
   /// Adds `n` samples of `value` that fall into aggregate bucket
   /// `bucket`, closing the open bucket first when it is another one.
-  static void FoldIntoAggregate(Series* series, int64_t bucket,
-                                int64_t bucket_seconds, double value,
-                                int64_t n);
+  void FoldIntoAggregate(Series* series, int64_t bucket, double value,
+                         int64_t n) const;
+  /// Appends `count` completed buckets from `first` on with mean
+  /// `value`, extending the last run when it continues it with the
+  /// same mean bits.
+  void AddAggregateRun(Series* series, int64_t first, int64_t count,
+                       double value) const;
   static Status OutOfOrder(const Series& series, SimTime at);
+  /// Splits the raw window into `(first, interval, count, value)` runs
+  /// of equal value bits and a constant positive interval, writes them
+  /// to `w` when it is not null, and returns how many there are.
+  static size_t RawRuns(const Series& series, ByteWriter* w);
   const Series* FindSeries(std::string_view key) const;
   std::vector<LoadSample> AggregatedOf(const Series& series) const;
   /// Grows the ring to hold `samples` samples (doubling, samples

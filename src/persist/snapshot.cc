@@ -11,7 +11,14 @@ namespace autoglobe::persist {
 std::string EncodeSnapshot(
     uint64_t fingerprint,
     const std::vector<std::pair<std::string, std::string>>& sections) {
+  // Header, table, payloads and trailer go into one buffer, reserved
+  // once at the image's exact size.
+  size_t size = sizeof(kSnapshotMagic) + 4 + 8 + 4 + 8;
+  for (const auto& [name, payload] : sections) {
+    size += 4 + name.size() + 2 * 8 + payload.size();
+  }
   ByteWriter w;
+  w.Reserve(size);
   w.Raw(kSnapshotMagic, sizeof(kSnapshotMagic));
   w.U32(kSnapshotVersion);
   w.U64(fingerprint);
@@ -24,11 +31,8 @@ std::string EncodeSnapshot(
   for (const auto& [name, payload] : sections) {
     w.Raw(payload.data(), payload.size());
   }
-  std::string bytes = w.Take();
-  ByteWriter trailer;
-  trailer.U64(Fnv1a64(bytes));
-  bytes += trailer.Take();
-  return bytes;
+  w.U64(Fnv1a64(w.data()));
+  return w.Take();
 }
 
 Result<SnapshotData> DecodeSnapshot(std::string_view bytes) {

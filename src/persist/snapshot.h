@@ -29,7 +29,7 @@ namespace autoglobe::persist {
 
 inline constexpr char kSnapshotMagic[8] = {'A', 'G', 'S', 'N',
                                            'A', 'P', '0', '1'};
-inline constexpr uint32_t kSnapshotVersion = 2;
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// A decoded snapshot: the fingerprint it was taken under plus the
 /// named section payloads, in file order.

@@ -147,6 +147,32 @@ TEST(RunnerTest, ArchiveAccumulatesHistory) {
   EXPECT_TRUE(latest.ok());
 }
 
+TEST(RunnerTest, BadArchiveShapesAreInvalidArguments) {
+  // The archive's capacity hints divide by the bucket width: a zero or
+  // negative bucket, like a negative retention, must be refused before
+  // anything divides by it.
+  Landscape landscape = MakePaperLandscape(Scenario::kStatic);
+  const std::pair<Duration, Duration> shapes[] = {
+      {Duration::Hours(48), Duration::Zero()},
+      {Duration::Hours(48), Duration::Minutes(-15)},
+      {Duration::Minutes(-1), Duration::Minutes(15)}};
+  for (const auto& [retention, bucket] : shapes) {
+    RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0);
+    config.duration = Duration::Hours(1);
+    config.archive_retention = retention;
+    config.archive_bucket = bucket;
+    auto runner = SimulationRunner::Create(landscape, config);
+    ASSERT_FALSE(runner.ok()) << retention.ToString() << " / "
+                              << bucket.ToString();
+    EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument)
+        << runner.status();
+  }
+  RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0);
+  config.duration = Duration::Hours(1);
+  config.archive_retention = Duration::Zero();
+  EXPECT_TRUE(SimulationRunner::Create(landscape, config).ok());
+}
+
 TEST(RunnerTest, FaultPlanCrashesAreRemediated) {
   AvailabilityOptions options;
   options.scenario = Scenario::kFullMobility;

@@ -46,6 +46,18 @@ struct Golden {
   uint64_t hash;
 };
 
+std::string CaseName(const Golden& golden) {
+  return golden.scenario == Scenario::kStatic                ? "static"
+         : golden.scenario == Scenario::kConstrainedMobility ? "cm"
+                                                             : "fm";
+}
+
+// Prints the case name instead of the struct's raw bytes (padding
+// included), so the listed test names are the same in every build.
+void PrintTo(const Golden& golden, std::ostream* os) {
+  *os << CaseName(golden);
+}
+
 class StrategyGoldenTest : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(StrategyGoldenTest, DefaultStrategyIsBitIdenticalToSeedEngine) {
@@ -85,11 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
         Golden{Scenario::kStatic, 1.3, 1143, 0, 0, 0, 3290.0, 325.0,
                0.30721287897615907, 0.0, 0, 1469598103934665603ULL}),
     [](const ::testing::TestParamInfo<Golden>& info) {
-      return std::string(ScenarioName(info.param.scenario)) == "static"
-                 ? "static"
-             : info.param.scenario == Scenario::kConstrainedMobility
-                 ? "cm"
-                 : "fm";
+      return CaseName(info.param);
     });
 
 }  // namespace

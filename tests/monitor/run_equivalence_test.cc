@@ -1,6 +1,9 @@
-// Equivalence of LoadArchive::AppendRun with its one-sample-at-a-time
-// reference, a loop of Append: equal statuses and equal SaveState bytes.
+// Equivalence of the three ways a series reaches its state: a loop of
+// Append (the reference), LoadArchive::AppendRun, and a SaveState ->
+// RestoreState round trip of the reference. All three must agree on
+// statuses, Aggregated() and SaveState bytes.
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -21,15 +24,33 @@ std::string ArchiveBytes(const LoadArchive& archive) {
   return w.Take();
 }
 
+void ExpectSameAggregates(const LoadArchive& a, const LoadArchive& b,
+                          const char* what) {
+  const std::vector<LoadSample> x = a.Aggregated("server/s");
+  const std::vector<LoadSample> y = b.Aggregated("server/s");
+  ASSERT_EQ(x.size(), y.size()) << what;
+  for (size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].at, y[i].at) << what << " bucket " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(x[i].value),
+              std::bit_cast<uint64_t>(y[i].value))
+        << what << " bucket " << i;
+  }
+}
+
 /// Two archives with one series each: `bulk` takes AppendRun, `loop`
 /// the equivalent Append calls.
 class AppendRunTest : public ::testing::Test {
  protected:
-  void Make(Duration retention, Duration bucket, size_t raw_hint) {
+  void Make(Duration retention, Duration bucket, size_t raw_hint,
+            size_t aggregate_hint = 0) {
+    retention_ = retention;
+    bucket_ = bucket;
+    raw_hint_ = raw_hint;
+    aggregate_hint_ = aggregate_hint;
     bulk_ = std::make_unique<LoadArchive>(retention, bucket);
     loop_ = std::make_unique<LoadArchive>(retention, bucket);
-    bulk_->set_capacity_hints(raw_hint, 0);
-    loop_->set_capacity_hints(raw_hint, 0);
+    bulk_->set_capacity_hints(raw_hint, aggregate_hint);
+    loop_->set_capacity_hints(raw_hint, aggregate_hint);
     bulk_handle_ = bulk_->Acquire("server/s");
     loop_handle_ = loop_->Acquire("server/s");
   }
@@ -51,10 +72,25 @@ class AppendRunTest : public ::testing::Test {
     EXPECT_EQ(bulk.ToString(), loop.ToString());
   }
 
+  /// Bulk, loop and a restore of the loop's image hold the same state.
   void ExpectSameState() {
-    EXPECT_EQ(ArchiveBytes(*bulk_), ArchiveBytes(*loop_));
+    const std::string image = ArchiveBytes(*loop_);
+    EXPECT_EQ(ArchiveBytes(*bulk_), image);
+    ExpectSameAggregates(*bulk_, *loop_, "AppendRun");
+    LoadArchive restored(retention_, bucket_);
+    restored.set_capacity_hints(raw_hint_, aggregate_hint_);
+    ByteReader r(image);
+    Status status = restored.RestoreState(&r);
+    ASSERT_TRUE(status.ok()) << status;
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(ArchiveBytes(restored), image);
+    ExpectSameAggregates(restored, *loop_, "restore");
   }
 
+  Duration retention_;
+  Duration bucket_;
+  size_t raw_hint_ = 0;
+  size_t aggregate_hint_ = 0;
   std::unique_ptr<LoadArchive> bulk_;
   std::unique_ptr<LoadArchive> loop_;
   LoadArchive::Handle bulk_handle_;
@@ -148,7 +184,52 @@ TEST_F(AppendRunTest, SeededRunsMatchTheAppendLoop) {
       t += uniform(0, 300);
       ASSERT_EQ(ArchiveBytes(*bulk_), ArchiveBytes(*loop_)) << step;
     }
+    ExpectSameState();
   }
+}
+
+TEST_F(AppendRunTest, ConstantSeriesStaysRuns) {
+  // Two days of one value: the partial first bucket's mean is the
+  // only other run, so the image is a few runs, not 2,880 samples.
+  Make(Duration::Hours(48), Duration::Minutes(15), 2882, 200);
+  Run(Min(7), Duration::Minutes(1), 48 * 60, 0.1);
+  ExpectSameState();
+  EXPECT_EQ(loop_->Aggregated("server/s").size(), 48u * 4 + 1);
+  EXPECT_LT(ArchiveBytes(*loop_).size(), 200u);
+  // Runs continue across later appends of the same value.
+  Run(Min(7 + 48 * 60), Duration::Minutes(1), 90, 0.1);
+  ExpectSameState();
+  EXPECT_LT(ArchiveBytes(*loop_).size(), 200u);
+}
+
+TEST_F(AppendRunTest, AlternatingBucketsSpillPastTheInlineRuns) {
+  // Every bucket's mean differs from its neighbour's: one run per
+  // bucket, far more than the two inline ones, and a raw window with
+  // no repeats falls back to plain samples.
+  Make(Duration::Hours(2), Duration::Minutes(15), 128, 16);
+  for (int b = 0; b < 40; ++b) {
+    Run(Min(15 * b), Duration::Minutes(1), 15, b % 2 == 0 ? 0.25 : 0.75);
+    ExpectSameState();
+  }
+  for (int m = 0; m < 130; ++m) Sample(Min(600 + m), 0.001 * m);
+  ExpectSameState();
+  EXPECT_EQ(loop_->Aggregated("server/s").size(), 49u);
+}
+
+TEST_F(AppendRunTest, BucketCrossingRunsMergeLikeSamples) {
+  // Runs that start and end inside buckets: a bucket shared by two
+  // values ends one aggregate run, and the next full bucket of the new
+  // value starts another.
+  Make(Duration::Hours(1), Duration::Minutes(15), 0);
+  Run(Min(4), Duration::Minutes(1), 50, 0.4);
+  Run(Min(54), Duration::Minutes(1), 50, 0.6);
+  Run(Min(104), Duration::Seconds(90), 33, 0.6);
+  Sample(Min(154), 0.6);
+  Run(Min(155), Duration::Minutes(1), 100, 0.4);
+  ExpectSameState();
+  // A gap of empty buckets splits a run of equal means.
+  Run(Min(400), Duration::Minutes(1), 60, 0.4);
+  ExpectSameState();
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 
 #include "autoglobe/capacity.h"
 #include "autoglobe/landscape.h"
+#include "autoglobe/landscape_gen.h"
 #include "common/thread_pool.h"
 #include "faults/plan.h"
 #include "persist/runner_checkpoint.h"
+#include "persist/snapshot.h"
 
 namespace autoglobe {
 namespace {
@@ -194,6 +196,62 @@ TEST(CheckpointParityTest, CrashDuringInFlightRecoveryEscalation) {
             report.recovered + report.abandoned + report.open);
   EXPECT_GT(report.episodes, 0);
   EXPECT_EQ(report.episodes, (*uninterrupted)->availability_report().episodes);
+}
+
+void ExpectSameRunMetrics(const RunMetrics& a, const RunMetrics& b) {
+  EXPECT_EQ(a.overload_server_minutes, b.overload_server_minutes);
+  EXPECT_EQ(a.max_overload_streak_minutes, b.max_overload_streak_minutes);
+  EXPECT_EQ(a.overload_fraction, b.overload_fraction);
+  EXPECT_EQ(a.lost_work_wu, b.lost_work_wu);
+  EXPECT_EQ(a.average_cpu_load, b.average_cpu_load);
+  EXPECT_EQ(a.triggers, b.triggers);
+  EXPECT_EQ(a.actions_executed, b.actions_executed);
+  EXPECT_EQ(a.actions_failed, b.actions_failed);
+  EXPECT_EQ(a.alerts, b.alerts);
+  EXPECT_EQ(a.failures_injected, b.failures_injected);
+  EXPECT_EQ(a.failures_remedied, b.failures_remedied);
+  EXPECT_EQ(a.sla_violation_minutes, b.sla_violation_minutes);
+  EXPECT_EQ(a.oscillations, b.oscillations);
+  EXPECT_EQ(a.strategy_reward_updates, b.strategy_reward_updates);
+  EXPECT_EQ(a.strategy_weight_updates, b.strategy_weight_updates);
+}
+
+TEST(CheckpointParityTest, ThousandServerFleetRestoresBitIdentical) {
+  // A 1,000-server fleet under the scale_sweep configuration, where
+  // almost every archive series is constant and saved as runs. The
+  // restore goes through the full container codec and must give back
+  // the fingerprint, the run metrics and every section byte, then stay
+  // in lockstep with the original to the end of the run.
+  auto landscape = GenerateLandscape(MakeScaleSpec(1000));
+  ASSERT_TRUE(landscape.ok()) << landscape.status();
+  RunnerConfig config;
+  config.tick = Duration::Minutes(1);
+  config.duration = Duration::Hours(3);
+  config.seed = 42;
+  config.user_scale = 1.5;
+  config.fluctuation_per_minute = 0.0;
+  config.archive_retention = Duration::Hours(1);
+  config.archive_bucket = Duration::Minutes(15);
+  config.controller.pool_prescreen = true;
+  auto original = SimulationRunner::Create(*landscape, config);
+  ASSERT_TRUE(original.ok()) << original.status();
+  ASSERT_TRUE(
+      (*original)->RunUntil(SimTime::Start() + Duration::Minutes(100)).ok());
+
+  const Sections sections = SectionsOf(**original);
+  auto snapshot = persist::DecodeSnapshot(
+      persist::EncodeSnapshot((*original)->StateFingerprint(), sections));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  auto restored = persist::RestoreRunner(*landscape, config, *snapshot);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ((*restored)->StateFingerprint(), (*original)->StateFingerprint());
+  ExpectSameRunMetrics((*restored)->metrics(), (*original)->metrics());
+  ExpectSectionsEqual(sections, SectionsOf(**restored));
+
+  ASSERT_TRUE((*original)->Run().ok());
+  ASSERT_TRUE((*restored)->Run().ok());
+  ExpectSameRunMetrics((*restored)->metrics(), (*original)->metrics());
+  ExpectSectionsEqual(SectionsOf(**original), SectionsOf(**restored));
 }
 
 }  // namespace

@@ -7,11 +7,13 @@
 
 #include <cstdio>
 #include <algorithm>
+#include <limits>
 
 #include "autoglobe/capacity.h"
 #include "autoglobe/landscape.h"
 #include "common/bytes.h"
 #include "common/fileio.h"
+#include "monitor/load_archive.h"
 #include "persist/checkpoint_store.h"
 #include "persist/runner_checkpoint.h"
 #include "persist/snapshot.h"
@@ -53,6 +55,14 @@ TEST(SnapshotTest, RoundTrips) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->fingerprint, 0xfeedf00dull);
   EXPECT_EQ(decoded->sections, sections);
+}
+
+TEST(SnapshotTest, EncodedImageBytesArePinned) {
+  // The container layout is fixed by the format version: the same
+  // sections must always encode to the same bytes.
+  std::string image = EncodeSnapshot(3, SampleSections());
+  EXPECT_EQ(image.size(), 139u);
+  EXPECT_EQ(Fnv1a64(image), 0x7713556da849cf0aull);
 }
 
 TEST(SnapshotTest, RejectsTruncation) {
@@ -111,6 +121,19 @@ TEST(SnapshotTest, RejectsVersion1Snapshots) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
   EXPECT_NE(decoded.status().ToString().find("unsupported snapshot version 1"),
+            std::string::npos)
+      << decoded.status();
+}
+
+TEST(SnapshotTest, RejectsVersion2Snapshots) {
+  // Version 2 archive sections held plain samples only; version 3
+  // encodes them as runs. A version-2 image must fail on the version.
+  ASSERT_EQ(kSnapshotVersion, 3u);
+  std::string image = EncodeSnapshot(3, SampleSections());
+  auto decoded = DecodeSnapshot(WithVersion(image, 2));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(decoded.status().ToString().find("unsupported snapshot version 2"),
             std::string::npos)
       << decoded.status();
 }
@@ -343,6 +366,141 @@ TEST(SnapshotTest, HostileSmoothingRingsAreParseErrors) {
     ASSERT_FALSE(restored.ok()) << site.what;
     EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
         << site.what << ": " << restored.status();
+  }
+}
+
+// One (first, interval, count, value) entry of an archive image; a
+// plain sample writes only `first` and `value`.
+struct ImageRun {
+  int64_t first = 0;
+  int64_t interval = 0;
+  uint64_t count = 0;
+  double value = 0.0;
+};
+
+/// An archive section with one series ("server/s"), written field by
+/// field so a test can break any of them.
+std::string ArchiveImage(uint8_t flags, const std::vector<ImageRun>& raw,
+                         const std::vector<ImageRun>& aggregates,
+                         int64_t open_bucket, int64_t open_count) {
+  ByteWriter w;
+  w.U64(1);
+  w.Str("server/s");
+  w.U8(flags);
+  const std::vector<ImageRun>* blocks[] = {&raw, &aggregates};
+  for (int block = 0; block < 2; ++block) {
+    const bool as_runs = (flags >> block) & 1;
+    w.U64(blocks[block]->size());
+    for (const ImageRun& run : *blocks[block]) {
+      w.I64(run.first);
+      if (as_runs) {
+        w.I64(run.interval);
+        w.U64(run.count);
+      }
+      w.F64(run.value);
+    }
+  }
+  w.I64(open_bucket);
+  w.F64(0.5 * static_cast<double>(open_count));
+  w.I64(open_count);
+  return w.Take();
+}
+
+TEST(SnapshotTest, HostileArchiveRunsAreParseErrors) {
+  // One hour of retention, 15-minute buckets. The well-formed image:
+  // 61 raw samples of 0.5 from 1 h to 2 h, eight closed buckets of 0.5
+  // and the open bucket 8 holding the sample at 2 h.
+  const Duration retention = Duration::Hours(1);
+  const Duration bucket = Duration::Minutes(15);
+  const ImageRun raw{3600, 60, 61, 0.5};
+  const ImageRun aggregate{0, 900, 8, 0.5};
+  auto restore = [&](const std::string& image) {
+    monitor::LoadArchive archive(retention, bucket);
+    ByteReader r(image);
+    Status status = archive.RestoreState(&r);
+    if (status.ok()) status = r.ExpectEnd();
+    return status;
+  };
+  {
+    const std::string image = ArchiveImage(3, {raw}, {aggregate}, 8, 1);
+    monitor::LoadArchive archive(retention, bucket);
+    ByteReader r(image);
+    ASSERT_TRUE(archive.RestoreState(&r).ok());
+    EXPECT_EQ(archive.Aggregated("server/s").size(), 9u);
+    ByteWriter saved;
+    archive.SaveState(&saved);
+    EXPECT_EQ(saved.data(), image);
+  }
+
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  struct Case {
+    const char* what;
+    std::string image;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"a raw run of 2^40 samples",
+       ArchiveImage(3, {{3600, 60, kHuge, 0.5}}, {aggregate}, 8, 1),
+       "retention window"},
+      {"a raw run whose span overflows",
+       ArchiveImage(3, {{3600, 60, uint64_t{1} << 62, 0.5}}, {aggregate},
+                    8, 1),
+       "retention window"},
+      {"a raw run ending past the last representable time",
+       ArchiveImage(3, {{std::numeric_limits<int64_t>::max() - 10, 60, 2,
+                         0.5}},
+                    {aggregate}, 8, 1),
+       "last representable time"},
+      {"an aggregate run of 2^40 buckets",
+       ArchiveImage(3, {raw}, {{0, 900, kHuge, 0.5}}, 8, 1),
+       "reaching the open bucket"},
+      {"2^40 raw runs", [&] {
+         std::string image = ArchiveImage(3, {raw}, {aggregate}, 8, 1);
+         // The raw block's count follows the key and the flags.
+         ByteWriter count;
+         count.U64(kHuge);
+         image.replace(8 + 4 + 8 + 1, 8, count.data());
+         return image;
+       }(),
+       "corrupt count"},
+      {"overlapping raw runs",
+       ArchiveImage(3, {{3600, 60, 31, 0.5}, {5340, 60, 31, 0.6}},
+                    {aggregate}, 8, 1),
+       "overlaps or precedes"},
+      {"out-of-order raw runs",
+       ArchiveImage(3, {{5400, 60, 31, 0.6}, {3600, 60, 2, 0.5}},
+                    {aggregate}, 8, 1),
+       "overlaps or precedes"},
+      {"out-of-order plain samples",
+       ArchiveImage(2, {{4000, 0, 1, 0.5}, {3900, 0, 1, 0.5}}, {aggregate},
+                    4, 1),
+       "overlaps or precedes"},
+      {"overlapping aggregate runs",
+       ArchiveImage(3, {raw}, {{0, 900, 5, 0.5}, {3600, 900, 3, 0.6}}, 8,
+                    1),
+       "before the previous run ends"},
+      {"out-of-order aggregate runs",
+       ArchiveImage(3, {raw}, {{3600, 900, 2, 0.6}, {0, 900, 2, 0.5}}, 8,
+                    1),
+       "before the previous run ends"},
+      {"an aggregate interval other than the bucket width",
+       ArchiveImage(3, {raw}, {{0, 600, 8, 0.5}}, 8, 1),
+       "is not the bucket width"},
+      {"a raw run reaching past the retention window",
+       ArchiveImage(3, {{0, 60, 10, 0.4}, raw}, {aggregate}, 8, 1),
+       "past the 3600 s retention window"},
+      {"an open bucket without the newest sample",
+       ArchiveImage(3, {raw}, {aggregate}, 9, 1), "newest sample"},
+      {"an unknown encoding flag",
+       ArchiveImage(3 | 4, {raw}, {aggregate}, 8, 1),
+       "unknown encoding flags 0x07"},
+  };
+  for (const Case& c : cases) {
+    Status status = restore(c.image);
+    ASSERT_FALSE(status.ok()) << c.what;
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << c.what;
+    EXPECT_NE(status.ToString().find(c.message), std::string::npos)
+        << c.what << ": " << status;
   }
 }
 
