@@ -5,7 +5,10 @@
 // cost must track activity, not fleet size. Emits BENCH_scale.json
 // with sim-minutes/sec, steady-state allocations per tick (gated at
 // zero in CI), trigger evaluations vs skips per tick (the
-// sublinearity evidence), per-tick wall latency, and an RSS estimate.
+// sublinearity evidence), per-tick wall latency, an RSS estimate, and
+// the cost of bringing the fleet up: GenerateLandscape + Create wall
+// time (create_ms) and heap allocations (create_allocs, gated per
+// server in CI — unlike wall time, the count is deterministic).
 //
 //   ./scale_sweep [--max-servers N]   (default sweeps 19/100/1k/10k)
 
@@ -45,6 +48,8 @@ double ProcStatusMb(const char* field) {
 
 bench::BenchRecord SweepOne(int num_servers) {
   LandscapeGenSpec spec = MakeScaleSpec(num_servers);
+  uint64_t create_allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+  bench::WallTimer create_timer;
   auto landscape = GenerateLandscape(spec);
   AG_CHECK_OK(landscape.status());
 
@@ -64,6 +69,9 @@ bench::BenchRecord SweepOne(int num_servers) {
 
   auto runner = SimulationRunner::Create(*landscape, config);
   AG_CHECK_OK(runner.status());
+  double create_seconds = create_timer.Seconds();
+  uint64_t create_allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - create_allocs0;
 
   // Warm up past the retention horizon so ring eviction (the true
   // steady state) is active before measurement starts.
@@ -102,13 +110,17 @@ bench::BenchRecord SweepOne(int num_servers) {
       static_cast<double>((*runner)->metrics().triggers);
   record.extra["vm_rss_mb"] = ProcStatusMb("VmRSS:");
   record.extra["vm_hwm_mb"] = ProcStatusMb("VmHWM:");
+  record.extra["create_ms"] = create_seconds * 1e3;
+  record.extra["create_allocs"] = static_cast<double>(create_allocs);
   std::printf(
       "%-18s %8.1f sim-min/s  tick %8.1f us  evals/tick %7.1f  "
-      "skips/tick %8.1f  allocs/tick %6.2f  rss %7.1f MB\n",
+      "skips/tick %8.1f  allocs/tick %6.2f  rss %7.1f MB  "
+      "create %7.2f ms / %llu allocs\n",
       record.name.c_str(), record.items_per_second,
       record.extra["tick_micros"], record.extra["evals_per_tick"],
       record.extra["skips_per_tick"], record.extra["allocs_per_tick"],
-      record.extra["vm_rss_mb"]);
+      record.extra["vm_rss_mb"], record.extra["create_ms"],
+      static_cast<unsigned long long>(create_allocs));
   return record;
 }
 

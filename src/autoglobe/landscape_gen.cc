@@ -87,7 +87,9 @@ Result<Landscape> GenerateLandscape(const LandscapeGenSpec& spec) {
     pools.push_back(PoolLayout{&pool, landscape.servers.size()});
     for (int i = 0; i < pool.count; ++i) {
       ServerSpec server;
-      server.name = StrFormat("%s-%05d", pool.category.c_str(), i + 1);
+      server.name.reserve(pool.category.size() + 6);
+      server.name.append(pool.category).append(1, '-');
+      AppendInt(&server.name, i + 1, 5);  // "<category>-%05d"
       server.category = pool.category;
       server.performance_index = pool.performance_index;
       server.num_cpus = pool.num_cpus;
@@ -161,7 +163,8 @@ Result<Landscape> GenerateLandscape(const LandscapeGenSpec& spec) {
     const PoolGenSpec& pool = *pools[p].spec;
 
     ServiceSpec service;
-    service.name = StrFormat("Svc-%05d", s + 1);
+    service.name = "Svc-";
+    AppendInt(&service.name, s + 1, 5);  // "Svc-%05d"
     service.role = infra::ServiceRole::kApplicationServer;
     service.min_instances = 1;
     service.max_instances = std::max(2 * k, k + 1);

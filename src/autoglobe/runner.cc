@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -16,18 +17,15 @@ using monitor::TriggerKind;
 /// live demand engine; optionally replaces server/service loads with
 /// forecasts for the proactive-controller ablation. Server ids are the
 /// cluster index's dense ids — the ranks of `server_names_`, fixed
-/// after Init — so a candidate host's load is read through the subject
-/// id and forecast key resolved at Init and the subject's cached
-/// archive handle, with no name search.
+/// after Init — and so are the servers' monitoring subject ids, so a
+/// candidate host's load is read through the subject's cached archive
+/// handle and the monitor's key, with no name search.
 class SimulationRunner::View : public controller::LoadView {
  public:
   View(SimulationRunner* runner) : runner_(runner) {}
 
   double ServerCpuLoad(infra::DenseId server) const override {
-    size_t i = static_cast<size_t>(server);
-    return SubjectLoad(runner_->server_subjects_[i],
-                       runner_->server_keys_[i],
-                       runner_->demand_->ServerCpuLoadById(server));
+    return SubjectLoad(server, runner_->demand_->ServerCpuLoadById(server));
   }
   double ServerMemLoad(infra::DenseId server) const override {
     // Memory load changes stepwise with placements; the live value is
@@ -41,14 +39,11 @@ class SimulationRunner::View : public controller::LoadView {
     infra::DenseId id = runner_->cluster_.Index().ServiceIdOf(service);
     double live = runner_->demand_->ServiceLoadById(id);
     if (id == infra::kNoDenseId) return live;
-    size_t i = static_cast<size_t>(id);
-    return SubjectLoad(runner_->service_subjects_[i],
-                       runner_->service_keys_[i], live);
+    return SubjectLoad(runner_->ServiceSubject(id), live);
   }
 
  private:
-  double SubjectLoad(monitor::SubjectId subject, const std::string& key,
-                     double live) const {
+  double SubjectLoad(monitor::SubjectId subject, double live) const {
     SimTime now = runner_->simulator_.now();
     // Dirty tracking may hold a quiescent subject's recent samples
     // compressed outside the archive — replay them before reading, so
@@ -66,7 +61,8 @@ class SimulationRunner::View : public controller::LoadView {
       // Proactive mode reacts to *imminent* overloads: the controller
       // sees whichever is worse, the trailing mean or the prediction —
       // forecasting must never hide a live overload.
-      auto forecast = runner_->forecaster_->Forecast(key, now);
+      auto forecast = runner_->forecaster_->Forecast(
+          runner_->monitoring_->Key(subject), now);
       if (forecast.ok()) return std::max(current, *forecast);
     }
     return current;
@@ -90,6 +86,13 @@ Result<std::unique_ptr<SimulationRunner>> SimulationRunner::Create(
 }
 
 Status SimulationRunner::Init(const Landscape& landscape) {
+  if (config_.duration <= Duration::Zero()) {
+    return Status::InvalidArgument("duration must be positive");
+  }
+  if (!std::isfinite(config_.user_scale) || config_.user_scale < 0) {
+    return Status::InvalidArgument(
+        "user_scale must be finite and non-negative");
+  }
   // Observability first: the registry is always on (inert-handle cost
   // only), tracing/audit are created on demand and handed to every
   // component below as it is built.
@@ -137,7 +140,8 @@ Status SimulationRunner::Init(const Landscape& landscape) {
 
   // The overload books, per server in dense-id order. Init refuses a
   // non-positive tick, which the archive hints below divide by.
-  AG_RETURN_IF_ERROR(ledger_.Init(cluster_.Servers().size(), /*lanes=*/1,
+  AG_RETURN_IF_ERROR(ledger_.Init(cluster_.Index().num_servers(),
+                                  /*lanes=*/1,
                                   config_.tick, config_.overload_smoothing,
                                   config_.overload_threshold));
   // The hints below divide by the bucket width, and a negative
@@ -152,13 +156,19 @@ Status SimulationRunner::Init(const Landscape& landscape) {
   // reserve the whole run's aggregate buckets for the series whose
   // aggregate runs spill: steady-state appends never grow a ring.
   // (A few KB per subject at the default 1-min tick.)
-  archive_.set_capacity_hints(
+  // A run too long for its aggregate history to be reserved is
+  // refused here rather than dying of bad_alloc at the first spill.
+  const size_t raw_hint =
       static_cast<size_t>(archive_.raw_retention().seconds() /
                           config_.tick.seconds()) +
-          2,
+      2;
+  const size_t aggregate_hint =
       static_cast<size_t>(config_.duration.seconds() /
                           archive_.aggregate_bucket().seconds()) +
-          2);
+      2;
+  AG_RETURN_IF_ERROR(
+      monitor::LoadArchive::CheckCapacityHints(raw_hint, aggregate_hint));
+  archive_.set_capacity_hints(raw_hint, aggregate_hint);
   // The proactive ablation reads forecasts (hence the archive) before
   // every observation — carry-forward compression would serve it
   // stale series, so it runs with the exhaustive evaluation path.
@@ -166,41 +176,31 @@ Status SimulationRunner::Init(const Landscape& landscape) {
 
   monitoring_ = std::make_unique<LoadMonitoringSystem>(&archive_,
                                                        config_.monitor);
-  for (const infra::ServerSpec* server : cluster_.Servers()) {
+  // Subjects in dense-id order, servers first: server i becomes
+  // subject i and service j subject servers + j (ServiceSubject), so
+  // the per-tick loops need no id lookups.
+  const infra::LandscapeIndex& index = cluster_.Index();
+  server_names_.reserve(index.num_servers());
+  for (size_t i = 0; i < index.num_servers(); ++i) {
+    const infra::ServerSpec& server =
+        index.Server(static_cast<infra::DenseId>(i));
     AG_RETURN_IF_ERROR(monitoring_->RegisterSubject(
-        TriggerKind::kServerOverloaded, server->name,
-        server->performance_index));
-    server_names_.push_back(server->name);
+        TriggerKind::kServerOverloaded, server.name,
+        server.performance_index));
+    server_names_.push_back(server.name);
   }
-  std::sort(server_names_.begin(), server_names_.end());
-  for (const infra::ServiceSpec* service : cluster_.Services()) {
+  service_names_.reserve(index.num_services());
+  for (size_t j = 0; j < index.num_services(); ++j) {
+    const infra::ServiceSpec& service =
+        index.Service(static_cast<infra::DenseId>(j));
     std::optional<Duration> watch_override;
-    if (service->watch_time_minutes > 0) {
-      watch_override = Duration::Minutes(service->watch_time_minutes);
+    if (service.watch_time_minutes > 0) {
+      watch_override = Duration::Minutes(service.watch_time_minutes);
     }
     AG_RETURN_IF_ERROR(monitoring_->RegisterSubject(
-        TriggerKind::kServiceOverloaded, service->name, 1.0,
+        TriggerKind::kServiceOverloaded, service.name, 1.0,
         watch_override));
-    service_names_.push_back(service->name);
-  }
-  // Services() is already name-sorted; the sort keeps the invariant
-  // (dense service ids == rank in sorted order) explicit.
-  std::sort(service_names_.begin(), service_names_.end());
-  // Resolve monitoring subject ids and archive keys once; the
-  // per-tick loops below run purely on dense indices.
-  for (const std::string& server : server_names_) {
-    AG_ASSIGN_OR_RETURN(monitor::SubjectId id,
-                        monitoring_->SubjectIdOf(server));
-    server_subjects_.push_back(id);
-    server_keys_.push_back(LoadMonitoringSystem::ArchiveKey(
-        TriggerKind::kServerOverloaded, server));
-  }
-  for (const std::string& service : service_names_) {
-    AG_ASSIGN_OR_RETURN(monitor::SubjectId id,
-                        monitoring_->SubjectIdOf(service));
-    service_subjects_.push_back(id);
-    service_keys_.push_back(LoadMonitoringSystem::ArchiveKey(
-        TriggerKind::kServiceOverloaded, service));
+    service_names_.push_back(service.name);
   }
   monitoring_->set_trigger_callback(
       [this](const Trigger& trigger) { OnTrigger(trigger); });
@@ -340,11 +340,11 @@ Status SimulationRunner::Init(const Landscape& landscape) {
     // reconciliation that keeps watches epoch-synced during the run.
     server_hb_keys_.reserve(server_names_.size());
     server_hb_ids_.reserve(server_names_.size());
-    for (const std::string& server : server_names_) {
-      server_hb_keys_.push_back("s/" + server);
+    for (std::string_view server : server_names_) {
+      server_hb_keys_.push_back(std::string("s/").append(server));
       AG_RETURN_IF_ERROR(monitoring_->WatchHeartbeat(
-          TriggerKind::kServerFailed, server_hb_keys_.back(), server,
-          SimTime::Start()));
+          TriggerKind::kServerFailed, server_hb_keys_.back(),
+          std::string(server), SimTime::Start()));
       AG_ASSIGN_OR_RETURN(size_t hb_id,
                           monitoring_->HeartbeatIdOf(server_hb_keys_.back()));
       server_hb_ids_.push_back(hb_id);
@@ -410,17 +410,17 @@ void SimulationRunner::OnTick() {
     // books as of this server, exactly as the tick reaches it.
     ledger_.Step(position, cpu_row);
     pool_stats_.Update(server_id, ledger_.Smoothed(position, 0));
-    AG_CHECK_OK(monitoring_->ObserveById(
-        now, server_subjects_[position], cpu,
-        DetectionLoad(server_keys_[position], cpu)));
+    // A server's dense id is its subject id.
+    AG_CHECK_OK(monitoring_->ObserveById(now, server_id, cpu,
+                                         DetectionLoad(server_id, cpu)));
   }
   ledger_.EndTick();
   for (size_t position = 0; position < service_names_.size(); ++position) {
     infra::DenseId service_id = static_cast<infra::DenseId>(position);
     double service_load = demand_->ServiceLoadById(service_id);
+    monitor::SubjectId subject = ServiceSubject(service_id);
     AG_CHECK_OK(monitoring_->ObserveById(
-        now, service_subjects_[position], service_load,
-        DetectionLoad(service_keys_[position], service_load)));
+        now, subject, service_load, DetectionLoad(subject, service_load)));
   }
 
   // Heartbeats + failure detection (fault subsystem only). Fed after
@@ -435,7 +435,7 @@ void SimulationRunner::OnTick() {
   if (config_.degraded.enabled) {
     int silent_servers = 0;
     if (fault_injector_ != nullptr) {
-      for (const std::string& server : server_names_) {
+      for (std::string_view server : server_names_) {
         if (cluster_.IsServerUp(server) &&
             !fault_injector_->IsReporting(server, now)) {
           ++silent_servers;
@@ -515,9 +515,10 @@ void SimulationRunner::OnTick() {
 }
 
 std::optional<double> SimulationRunner::DetectionLoad(
-    const std::string& key, double live) const {
+    monitor::SubjectId subject, double live) const {
   if (!config_.use_forecast || forecaster_ == nullptr) return std::nullopt;
-  auto forecast = forecaster_->Forecast(key, simulator_.now());
+  auto forecast =
+      forecaster_->Forecast(monitoring_->Key(subject), simulator_.now());
   if (!forecast.ok()) return std::nullopt;
   // Imminent overloads arm the watch early; live overloads always do.
   return std::max(live, *forecast);
@@ -617,8 +618,8 @@ void SimulationRunner::ReconcileInstanceWatches(SimTime now) {
       ++watched;
       continue;
     }
-    std::string key =
-        StrFormat("i/%llu", static_cast<unsigned long long>(ref.id));
+    std::string key = "i/";
+    AppendInt(&key, static_cast<long long>(ref.id));
     AG_CHECK_OK(monitoring_->WatchHeartbeat(TriggerKind::kInstanceFailed,
                                             key, ref.instance->service, now,
                                             ref.id));
@@ -635,7 +636,7 @@ void SimulationRunner::FeedHeartbeats(SimTime now) {
   // monitor-dropout window is healthy but silent (the false-positive
   // path detection must survive).
   for (size_t position = 0; position < server_names_.size(); ++position) {
-    const std::string& server = server_names_[position];
+    std::string_view server = server_names_[position];
     if (cluster_.IsServerUp(server) &&
         fault_injector_->IsReporting(server, now)) {
       AG_CHECK_OK(

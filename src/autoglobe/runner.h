@@ -296,9 +296,12 @@ class SimulationRunner {
   /// during RestoreStateSections.
   Result<sim::Simulator::Callback> RebuildCallback(
       const sim::EventDesc& desc);
-  /// `key` is the subject's archive key, prebuilt at Init.
-  std::optional<double> DetectionLoad(const std::string& key,
+  std::optional<double> DetectionLoad(monitor::SubjectId subject,
                                       double live) const;
+  /// Monitoring subject of a service (see server_names_).
+  monitor::SubjectId ServiceSubject(infra::DenseId service) const {
+    return static_cast<monitor::SubjectId>(server_names_.size()) + service;
+  }
   void OnTrigger(const monitor::Trigger& trigger);
   /// Oscillation detection on every successfully executed action (see
   /// RunnerConfig::oscillation_window).
@@ -395,24 +398,20 @@ class SimulationRunner {
   };
   std::map<std::string, ActionHistory> action_history_;
 
-  /// Sorted server/service name snapshots taken at Init. Their ranks
-  /// are exactly the cluster index's dense ids (both enumerate names
-  /// in sorted order over a set that is fixed after Init), so the
-  /// per-tick loop pairs `server_names_[i]` with the engine's
-  /// `...ById(i)` views — no string-keyed lookups, and no references
-  /// into index storage that a mid-loop topology change could move.
-  std::vector<std::string> server_names_;   // sorted
-  std::vector<std::string> service_names_;  // sorted
+  /// Sorted server/service names, viewing the cluster's specs (the
+  /// server and service sets are fixed after Init). A name's rank is
+  /// its dense id in the cluster index, and the monitoring subject id
+  /// follows from it: servers are registered first, then services,
+  /// each in this order, so server i is subject i and service j is
+  /// subject `server_names_.size() + j`. The per-tick loop pairs
+  /// `server_names_[i]` with the engine's `...ById(i)` views — no
+  /// string-keyed lookups, and no references into index storage that
+  /// a mid-loop topology change could move.
+  std::vector<std::string_view> server_names_;   // sorted
+  std::vector<std::string_view> service_names_;  // sorted
   /// The smoothed-overload books (1 lane), servers in the order of
   /// server_names_.
   OverloadLedger ledger_;
-  /// Monitoring subject ids and archive keys, resolved once at Init
-  /// (parallel to server_names_ / service_names_): the per-tick
-  /// Observe and forecast lookups do no string formatting or lookups.
-  std::vector<monitor::SubjectId> server_subjects_;
-  std::vector<monitor::SubjectId> service_subjects_;
-  std::vector<std::string> server_keys_;
-  std::vector<std::string> service_keys_;
   bool initialized_ = false;
 };
 

@@ -99,9 +99,9 @@ uint64_t SimulationRunner::StateFingerprint() const {
   w.Str("autoglobe-runner");
   w.U64(kSectionLayoutVersion);
   w.U32(static_cast<uint32_t>(server_names_.size()));
-  for (const std::string& server : server_names_) w.Str(server);
+  for (std::string_view server : server_names_) w.Str(server);
   w.U32(static_cast<uint32_t>(service_names_.size()));
-  for (const std::string& service : service_names_) w.Str(service);
+  for (std::string_view service : service_names_) w.Str(service);
   w.U64(config_.seed);
   w.U8(static_cast<uint8_t>(config_.rng_kind));
   w.U8(static_cast<uint8_t>(config_.strategy.kind));

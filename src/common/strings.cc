@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cerrno>
 #include <cstdio>
@@ -23,6 +24,19 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+void AppendInt(std::string* out, long long value, int width) {
+  char digits[24];
+  char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  size_t length = static_cast<size_t>(end - digits);
+  // printf pads between the sign and the digits.
+  size_t sign = value < 0 ? 1 : 0;
+  out->append(digits, sign);
+  if (width > 0 && static_cast<size_t>(width) > length) {
+    out->append(static_cast<size_t>(width) - length, '0');
+  }
+  out->append(digits + sign, length - sign);
 }
 
 std::string_view StripWhitespace(std::string_view s) {

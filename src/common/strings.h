@@ -14,6 +14,11 @@ namespace autoglobe {
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Appends `value` in decimal, zero-padded to at least `width`
+/// characters (the sign counts) — the bytes of printf's "%0*lld",
+/// without the format parse. For names built once per entity.
+void AppendInt(std::string* out, long long value, int width = 0);
+
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 

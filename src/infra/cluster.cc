@@ -18,140 +18,145 @@ std::string_view InstanceStateName(InstanceState state) {
   return "?";
 }
 
+namespace {
+
+Status UnknownServer(std::string_view name) {
+  return Status::NotFound(StrFormat("unknown server \"%.*s\"",
+                                    static_cast<int>(name.size()),
+                                    name.data()));
+}
+
+Status UnknownService(std::string_view name) {
+  return Status::NotFound(StrFormat("unknown service \"%.*s\"",
+                                    static_cast<int>(name.size()),
+                                    name.data()));
+}
+
+/// Inserts a new entry keyed by `name`, or returns nullptr when the
+/// name is taken. Landscapes list their entities in sorted runs, so a
+/// name past the current last key goes in at the end without a
+/// search.
+template <typename Map>
+typename Map::mapped_type* InsertEntry(Map* map, const std::string& name) {
+  if (map->empty() || map->rbegin()->first < name) {
+    return &map->try_emplace(map->end(), name)->second;
+  }
+  auto [it, inserted] = map->try_emplace(name);
+  return inserted ? &it->second : nullptr;
+}
+
+}  // namespace
+
 Status Cluster::AddServer(ServerSpec spec) {
   AG_RETURN_IF_ERROR(spec.Validate());
-  if (servers_.count(spec.name) > 0) {
+  ServerEntry* entry = InsertEntry(&servers_, spec.name);
+  if (entry == nullptr) {
     return Status::AlreadyExists(
         StrFormat("server \"%s\" already exists", spec.name.c_str()));
   }
-  std::string key = spec.name;
-  server_instances_.emplace(key, std::vector<InstanceId>{});
-  servers_.emplace(std::move(key), std::move(spec));
+  entry->spec = std::move(spec);
   BumpTopology();
   return Status::OK();
 }
 
 Status Cluster::AddService(ServiceSpec spec) {
   AG_RETURN_IF_ERROR(spec.Validate());
-  if (services_.count(spec.name) > 0) {
+  ServiceEntry* entry = InsertEntry(&services_, spec.name);
+  if (entry == nullptr) {
     return Status::AlreadyExists(
         StrFormat("service \"%s\" already exists", spec.name.c_str()));
   }
-  std::string key = spec.name;
-  service_instances_.emplace(key, std::vector<InstanceId>{});
-  services_.emplace(std::move(key), std::move(spec));
+  entry->spec = std::move(spec);
   BumpTopology();
   return Status::OK();
 }
 
-const std::vector<InstanceId>* Cluster::IdsOn(
-    std::string_view server) const {
-  auto it = server_instances_.find(server);
-  return it == server_instances_.end() ? nullptr : &it->second;
-}
-
-const std::vector<InstanceId>* Cluster::IdsOf(
-    std::string_view service) const {
-  auto it = service_instances_.find(service);
-  return it == service_instances_.end() ? nullptr : &it->second;
-}
-
-void Cluster::BookInstance(const ServiceInstance& instance) {
-  auto insert_sorted = [](std::vector<InstanceId>* ids, InstanceId id) {
+void Cluster::BookInstance(const ServiceInstance& instance,
+                           ServerEntry* server, ServiceEntry* service) {
+  auto insert_sorted = [](Book* book, Booked booked) {
     // Ids are allocated monotonically, so this is a push_back except
     // after moves, which re-book an old id.
-    ids->insert(std::lower_bound(ids->begin(), ids->end(), id), id);
+    book->insert(std::lower_bound(book->begin(), book->end(),
+                                  booked.instance->id,
+                                  [](const Booked& entry, InstanceId id) {
+                                    return entry.instance->id < id;
+                                  }),
+                 booked);
   };
-  insert_sorted(&server_instances_[instance.server], instance.id);
-  insert_sorted(&service_instances_[instance.service], instance.id);
+  Booked booked{&instance, &service->spec};
+  insert_sorted(&server->hosted, booked);
+  insert_sorted(&service->instances, booked);
 }
 
 void Cluster::UnbookInstance(const ServiceInstance& instance) {
-  auto erase_sorted = [](std::vector<InstanceId>* ids, InstanceId id) {
-    auto it = std::lower_bound(ids->begin(), ids->end(), id);
-    if (it != ids->end() && *it == id) ids->erase(it);
+  auto erase = [&instance](Book* book) {
+    auto it = std::find_if(book->begin(), book->end(),
+                           [&instance](const Booked& entry) {
+                             return entry.instance == &instance;
+                           });
+    if (it != book->end()) book->erase(it);
   };
-  auto server_it = server_instances_.find(instance.server);
-  if (server_it != server_instances_.end()) {
-    erase_sorted(&server_it->second, instance.id);
-  }
-  auto service_it = service_instances_.find(instance.service);
-  if (service_it != service_instances_.end()) {
-    erase_sorted(&service_it->second, instance.id);
-  }
+  auto server_it = servers_.find(instance.server);
+  if (server_it != servers_.end()) erase(&server_it->second.hosted);
+  auto service_it = services_.find(instance.service);
+  if (service_it != services_.end()) erase(&service_it->second.instances);
 }
 
 Result<const ServerSpec*> Cluster::FindServer(std::string_view name) const {
   auto it = servers_.find(name);
-  if (it == servers_.end()) {
-    return Status::NotFound(StrFormat("unknown server \"%.*s\"",
-                                      static_cast<int>(name.size()),
-                                      name.data()));
-  }
-  return &it->second;
+  if (it == servers_.end()) return UnknownServer(name);
+  return &it->second.spec;
 }
 
 Result<const ServiceSpec*> Cluster::FindService(std::string_view name) const {
   auto it = services_.find(name);
-  if (it == services_.end()) {
-    return Status::NotFound(StrFormat("unknown service \"%.*s\"",
-                                      static_cast<int>(name.size()),
-                                      name.data()));
-  }
-  return &it->second;
+  if (it == services_.end()) return UnknownService(name);
+  return &it->second.spec;
 }
 
 std::vector<const ServerSpec*> Cluster::Servers() const {
   std::vector<const ServerSpec*> out;
   out.reserve(servers_.size());
-  for (const auto& [name, spec] : servers_) out.push_back(&spec);
+  for (const auto& [name, entry] : servers_) out.push_back(&entry.spec);
   return out;
 }
 
 std::vector<const ServiceSpec*> Cluster::Services() const {
   std::vector<const ServiceSpec*> out;
   out.reserve(services_.size());
-  for (const auto& [name, spec] : services_) out.push_back(&spec);
+  for (const auto& [name, entry] : services_) out.push_back(&entry.spec);
   return out;
 }
 
 Status Cluster::SetServerUp(std::string_view server, bool up) {
-  AG_RETURN_IF_ERROR(FindServer(server).status());
-  if (up) {
-    auto it = server_down_.find(server);
-    if (it != server_down_.end()) server_down_.erase(it);
-  } else {
-    server_down_[std::string(server)] = true;
+  auto it = servers_.find(server);
+  if (it == servers_.end()) return UnknownServer(server);
+  if (it->second.down == up) {
+    it->second.down = !up;
+    if (up) {
+      --down_servers_;
+    } else {
+      ++down_servers_;
+    }
   }
   return Status::OK();
 }
 
 bool Cluster::IsServerUp(std::string_view server) const {
-  return server_down_.find(server) == server_down_.end();
-}
-
-std::vector<std::string> Cluster::DownServers() const {
-  std::vector<std::string> out;
-  out.reserve(server_down_.size());
-  for (const auto& [name, down] : server_down_) out.push_back(name);
-  return out;
+  if (down_servers_ == 0) return true;
+  auto it = servers_.find(server);
+  return it == servers_.end() || !it->second.down;
 }
 
 namespace {
 
-/// One instance already on a candidate host, with its service's spec
-/// (nullptr when the service is not registered).
-struct CoTenant {
-  const ServiceInstance* instance;
-  const ServiceSpec* spec;
-};
-
 /// The placement rule sequence, shared by the name-keyed CanPlace and
 /// the dense CanPlaceById so both give the same first failure with the
 /// same message. `hosted` lists the server's instances in InstanceId
-/// order and `resolve` maps one entry to a CoTenant; walking them in
-/// id order fixes both the failure precedence and the floating-point
-/// memory sum.
+/// order and `resolve` maps one entry to its instance and that
+/// instance's service spec (nullptr when the service is not
+/// registered); walking them in id order fixes both the failure
+/// precedence and the floating-point memory sum.
 template <typename Hosted, typename Resolve>
 Status CheckPlacementRules(const ServiceSpec& service,
                            const ServerSpec& server, bool server_up,
@@ -175,29 +180,28 @@ Status CheckPlacementRules(const ServiceSpec& service,
   }
   double used_memory = 0.0;
   for (const auto& entry : hosted) {
-    CoTenant co = resolve(entry);
-    const ServiceInstance& instance = *co.instance;
-    if (instance.id == exclude_instance) continue;
-    if (instance.service == service.name) {
+    auto [instance, spec] = resolve(entry);
+    if (instance->id == exclude_instance) continue;
+    if (instance->service == service.name) {
       return Status::FailedPrecondition(StrFormat(
           "service \"%s\" already has an instance on server \"%s\"",
           service.name.c_str(), server.name.c_str()));
     }
     // Exclusiveness cuts both ways: an exclusive service tolerates no
     // co-tenants, and no instance may join a host running one.
-    if (co.spec != nullptr && co.spec->exclusive) {
+    if (spec != nullptr && spec->exclusive) {
       return Status::FailedPrecondition(StrFormat(
           "server \"%s\" is exclusively reserved for service \"%s\"",
-          server.name.c_str(), instance.service.c_str()));
+          server.name.c_str(), instance->service.c_str()));
     }
     if (service.exclusive) {
       return Status::FailedPrecondition(StrFormat(
           "exclusive service \"%s\" cannot share server \"%s\" with "
           "\"%s\"",
           service.name.c_str(), server.name.c_str(),
-          instance.service.c_str()));
+          instance->service.c_str()));
     }
-    if (co.spec != nullptr) used_memory += co.spec->memory_footprint_gb;
+    if (spec != nullptr) used_memory += spec->memory_footprint_gb;
   }
   if (used_memory + service.memory_footprint_gb > server.memory_gb + 1e-9) {
     return Status::ResourceExhausted(StrFormat(
@@ -210,40 +214,52 @@ Status CheckPlacementRules(const ServiceSpec& service,
 
 }  // namespace
 
+int Cluster::ActiveCount(const Book& book, InstanceId exclude_instance) {
+  int count = 0;
+  for (const Booked& entry : book) {
+    if (entry.instance->id != exclude_instance &&
+        entry.instance->state != InstanceState::kFailed) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+Status Cluster::CheckPlacement(const ServiceEntry& service,
+                               const ServerEntry& server,
+                               InstanceId exclude_instance) const {
+  // Walk only this server's book. No Index() here: PlaceInstance runs
+  // this check once per placement while a landscape is built, and a
+  // rebuild per placement would make the build quadratic.
+  return CheckPlacementRules(
+      service.spec, server.spec, !server.down,
+      ActiveCount(service.instances, exclude_instance), exclude_instance,
+      server.hosted, [](const Booked& entry) {
+        return std::pair(entry.instance, entry.spec);
+      });
+}
+
 Status Cluster::CanPlace(std::string_view service, std::string_view server,
                          InstanceId exclude_instance) const {
-  AG_ASSIGN_OR_RETURN(const ServiceSpec* service_spec, FindService(service));
-  AG_ASSIGN_OR_RETURN(const ServerSpec* server_spec, FindServer(server));
-  // Walk only this server's booked instances. No Index() here:
-  // PlaceInstance runs this check once per placement while a
-  // landscape is built, and a rebuild per placement would make the
-  // build quadratic.
-  static const std::vector<InstanceId> kNoIds;
-  const std::vector<InstanceId>* hosted = IdsOn(server);
-  if (hosted == nullptr) hosted = &kNoIds;
-  return CheckPlacementRules(
-      *service_spec, *server_spec, IsServerUp(server),
-      ActiveInstanceCount(service, exclude_instance), exclude_instance,
-      *hosted, [this](InstanceId id) {
-        const ServiceInstance& instance = instances_.find(id)->second;
-        auto spec = services_.find(instance.service);
-        return CoTenant{&instance,
-                        spec == services_.end() ? nullptr : &spec->second};
-      });
+  auto service_it = services_.find(service);
+  if (service_it == services_.end()) return UnknownService(service);
+  auto server_it = servers_.find(server);
+  if (server_it == servers_.end()) return UnknownServer(server);
+  return CheckPlacement(service_it->second, server_it->second,
+                        exclude_instance);
 }
 
 Status Cluster::CanPlaceById(const ServiceSpec& service, DenseId server,
                              InstanceId exclude_instance,
                              int active_instances) const {
   const LandscapeIndex& index = Index();
-  const ServerSpec& server_spec = index.Server(server);
   return CheckPlacementRules(
-      service, server_spec, IsServerUp(server_spec.name), active_instances,
-      exclude_instance, index.InstancesOnServer(server),
+      service, index.Server(server), !index.ServerDown(server),
+      active_instances, exclude_instance, index.InstancesOnServer(server),
       [&index](const InstanceRef& ref) {
-        return CoTenant{ref.instance, ref.service >= 0
-                                          ? &index.Service(ref.service)
-                                          : nullptr};
+        return std::pair(ref.instance, ref.service >= 0
+                                           ? &index.Service(ref.service)
+                                           : nullptr);
       });
 }
 
@@ -251,17 +267,26 @@ Result<InstanceId> Cluster::PlaceInstance(std::string_view service,
                                           std::string_view server,
                                           SimTime now,
                                           InstanceState initial) {
-  AG_RETURN_IF_ERROR(CanPlace(service, server));
+  // Both entries are resolved once: the rules and the booking read
+  // them directly.
+  auto service_it = services_.find(service);
+  if (service_it == services_.end()) return UnknownService(service);
+  auto server_it = servers_.find(server);
+  if (server_it == servers_.end()) return UnknownServer(server);
+  AG_RETURN_IF_ERROR(
+      CheckPlacement(service_it->second, server_it->second, 0));
   ServiceInstance instance;
   instance.id = next_instance_id_++;
-  instance.service = std::string(service);
-  instance.server = std::string(server);
+  instance.service = service_it->first;
+  instance.server = server_it->first;
   instance.state = initial;
   instance.placed_at = now;
-  instance.virtual_ip = NextVirtualIp(service);
+  instance.virtual_ip = NextVirtualIp();
   InstanceId id = instance.id;
-  auto emplaced = instances_.emplace(id, std::move(instance));
-  BookInstance(emplaced.first->second);
+  // Fresh ids exceed every live one, so the node goes last.
+  auto emplaced = instances_.emplace_hint(instances_.end(), id,
+                                          std::move(instance));
+  BookInstance(emplaced->second, &server_it->second, &service_it->second);
   BumpTopology();
   return id;
 }
@@ -273,12 +298,15 @@ Status Cluster::RemoveInstance(InstanceId id, bool enforce_min) {
                                       static_cast<unsigned long long>(id)));
   }
   if (enforce_min) {
-    AG_ASSIGN_OR_RETURN(const ServiceSpec* spec,
-                        FindService(it->second.service));
-    if (ActiveInstanceCount(it->second.service) <= spec->min_instances) {
+    auto service_it = services_.find(it->second.service);
+    if (service_it == services_.end()) {
+      return UnknownService(it->second.service);
+    }
+    const ServiceSpec& spec = service_it->second.spec;
+    if (ActiveCount(service_it->second.instances, 0) <= spec.min_instances) {
       return Status::FailedPrecondition(StrFormat(
           "service \"%s\" must keep at least %d instance(s)",
-          spec->name.c_str(), spec->min_instances));
+          spec.name.c_str(), spec.min_instances));
     }
   }
   UnbookInstance(it->second);
@@ -295,14 +323,20 @@ Status Cluster::MoveInstance(InstanceId id, std::string_view target_server,
         "instance %s already runs on \"%.*s\"", instance->Name().c_str(),
         static_cast<int>(target_server.size()), target_server.data()));
   }
-  AG_RETURN_IF_ERROR(
-      CanPlace(instance->service, target_server, instance->id));
+  auto service_it = services_.find(instance->service);
+  if (service_it == services_.end()) {
+    return UnknownService(instance->service);
+  }
+  auto target_it = servers_.find(target_server);
+  if (target_it == servers_.end()) return UnknownServer(target_server);
+  AG_RETURN_IF_ERROR(CheckPlacement(service_it->second, target_it->second,
+                                    instance->id));
   // Unbind the service IP from the old host's NIC, rebind on the new
   // one (paper §2's service virtualization).
   UnbookInstance(*instance);
-  instance->server = std::string(target_server);
+  instance->server = target_it->first;
   instance->placed_at = now;
-  BookInstance(*instance);
+  BookInstance(*instance, &target_it->second, &service_it->second);
   BumpTopology();
   return Status::OK();
 }
@@ -331,64 +365,50 @@ Result<ServiceInstance*> Cluster::FindMutableInstance(InstanceId id) {
   return &it->second;
 }
 
+std::vector<const ServiceInstance*> Cluster::Instances(const Book& book) {
+  std::vector<const ServiceInstance*> out;
+  out.reserve(book.size());
+  for (const Booked& entry : book) out.push_back(entry.instance);
+  return out;
+}
+
 std::vector<const ServiceInstance*> Cluster::InstancesOn(
     std::string_view server) const {
-  std::vector<const ServiceInstance*> out;
-  const std::vector<InstanceId>* ids = IdsOn(server);
-  if (ids == nullptr) return out;
-  out.reserve(ids->size());
-  for (InstanceId id : *ids) {
-    out.push_back(&instances_.find(id)->second);
-  }
-  return out;
+  auto it = servers_.find(server);
+  if (it == servers_.end()) return {};
+  return Instances(it->second.hosted);
 }
 
 std::vector<const ServiceInstance*> Cluster::InstancesOf(
     std::string_view service) const {
-  std::vector<const ServiceInstance*> out;
-  const std::vector<InstanceId>* ids = IdsOf(service);
-  if (ids == nullptr) return out;
-  out.reserve(ids->size());
-  for (InstanceId id : *ids) {
-    out.push_back(&instances_.find(id)->second);
-  }
-  return out;
+  auto it = services_.find(service);
+  if (it == services_.end()) return {};
+  return Instances(it->second.instances);
 }
 
 int Cluster::ActiveInstanceCount(std::string_view service,
                                  InstanceId exclude_instance) const {
-  const std::vector<InstanceId>* ids = IdsOf(service);
-  if (ids == nullptr) return 0;
-  int count = 0;
-  for (InstanceId id : *ids) {
-    if (id == exclude_instance) continue;
-    if (instances_.find(id)->second.state != InstanceState::kFailed) {
-      ++count;
-    }
-  }
-  return count;
+  auto it = services_.find(service);
+  if (it == services_.end()) return 0;
+  return ActiveCount(it->second.instances, exclude_instance);
 }
 
 int Cluster::RunningInstanceCount(std::string_view service) const {
-  const std::vector<InstanceId>* ids = IdsOf(service);
-  if (ids == nullptr) return 0;
+  auto it = services_.find(service);
+  if (it == services_.end()) return 0;
   int count = 0;
-  for (InstanceId id : *ids) {
-    if (instances_.find(id)->second.state == InstanceState::kRunning) {
-      ++count;
-    }
+  for (const Booked& entry : it->second.instances) {
+    if (entry.instance->state == InstanceState::kRunning) ++count;
   }
   return count;
 }
 
 double Cluster::UsedMemoryGb(std::string_view server) const {
-  const std::vector<InstanceId>* ids = IdsOn(server);
-  if (ids == nullptr) return 0.0;
+  auto it = servers_.find(server);
+  if (it == servers_.end()) return 0.0;
   double used = 0.0;
-  for (InstanceId id : *ids) {
-    const ServiceInstance& instance = instances_.find(id)->second;
-    auto spec = services_.find(instance.service);
-    if (spec != services_.end()) used += spec->second.memory_footprint_gb;
+  for (const Booked& entry : it->second.hosted) {
+    used += entry.spec->memory_footprint_gb;
   }
   return used;
 }
@@ -452,17 +472,22 @@ const LandscapeIndex& Cluster::Index() const {
   return index_;
 }
 
-std::string Cluster::NextVirtualIp(std::string_view service) {
-  (void)service;
+std::string Cluster::NextVirtualIp() {
   int suffix = next_ip_suffix_++;
-  return StrFormat("10.42.%d.%d", suffix / 250, suffix % 250 + 1);
+  // "10.42.<suffix / 250>.<suffix % 250 + 1>".
+  std::string ip = "10.42.";
+  AppendInt(&ip, suffix / 250);
+  ip += '.';
+  AppendInt(&ip, suffix % 250 + 1);
+  return ip;
 }
 
 void Cluster::SaveState(ByteWriter* w) const {
-  w->U64(server_down_.size());
-  for (const auto& [name, down] : server_down_) {
+  w->U64(down_servers_);
+  for (const auto& [name, entry] : servers_) {
+    if (!entry.down) continue;
     w->Str(name);
-    w->U8(down ? 1 : 0);
+    w->U8(1);
   }
   w->U64(instances_.size());
   for (const auto& [id, instance] : instances_) {
@@ -494,18 +519,24 @@ void Cluster::SaveState(ByteWriter* w) const {
 }
 
 Status Cluster::RestoreState(ByteReader* r) {
-  server_down_.clear();
+  for (auto& [name, entry] : servers_) entry.down = false;
+  down_servers_ = 0;
   AG_ASSIGN_OR_RETURN(uint64_t down_count, r->U64());
   AG_RETURN_IF_ERROR(r->CheckCount(down_count, 4 + 1));
   for (uint64_t i = 0; i < down_count; ++i) {
     AG_ASSIGN_OR_RETURN(std::string name, r->Str());
-    AG_ASSIGN_OR_RETURN(uint8_t down, r->U8());
-    AG_RETURN_IF_ERROR(FindServer(name).status());
-    server_down_[std::move(name)] = down != 0;
+    AG_ASSIGN_OR_RETURN(uint8_t flag, r->U8());
+    (void)flag;  // a listed server is down, whatever its flag byte
+    auto it = servers_.find(name);
+    if (it == servers_.end()) return UnknownServer(name);
+    if (!it->second.down) {
+      it->second.down = true;
+      ++down_servers_;
+    }
   }
+  for (auto& [name, entry] : servers_) entry.hosted.clear();
+  for (auto& [name, entry] : services_) entry.instances.clear();
   instances_.clear();
-  for (auto& [name, ids] : server_instances_) ids.clear();
-  for (auto& [name, ids] : service_instances_) ids.clear();
   AG_ASSIGN_OR_RETURN(uint64_t instance_count, r->U64());
   // Id, three string prefixes, the state byte and the placement time.
   AG_RETURN_IF_ERROR(r->CheckCount(instance_count, 8 + 3 * 4 + 1 + 8));
@@ -523,16 +554,23 @@ Status Cluster::RestoreState(ByteReader* r) {
     }
     instance.state = static_cast<InstanceState>(state);
     instance.placed_at = SimTime::FromSeconds(placed_s);
-    AG_RETURN_IF_ERROR(FindService(instance.service).status());
-    AG_RETURN_IF_ERROR(FindServer(instance.server).status());
+    auto service_it = services_.find(instance.service);
+    if (service_it == services_.end()) {
+      return UnknownService(instance.service);
+    }
+    auto server_it = servers_.find(instance.server);
+    if (server_it == servers_.end()) return UnknownServer(instance.server);
     InstanceId id = instance.id;
-    auto emplaced = instances_.emplace(id, std::move(instance));
-    if (!emplaced.second) {
+    // Snapshots list instances in id order: each goes last.
+    size_t before = instances_.size();
+    auto emplaced =
+        instances_.emplace_hint(instances_.end(), id, std::move(instance));
+    if (instances_.size() == before) {
       return Status::ParseError(StrFormat(
           "duplicate instance id %llu in snapshot",
           static_cast<unsigned long long>(id)));
     }
-    BookInstance(emplaced.first->second);
+    BookInstance(emplaced->second, &server_it->second, &service_it->second);
   }
   priorities_.clear();
   AG_ASSIGN_OR_RETURN(uint64_t priority_count, r->U64());

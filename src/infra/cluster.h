@@ -76,8 +76,6 @@ class Cluster {
   /// report true (health is a property of registered servers; lookups
   /// validate names separately).
   bool IsServerUp(std::string_view server) const;
-  /// Names of servers currently marked down, sorted.
-  std::vector<std::string> DownServers() const;
 
   // --- Placement ------------------------------------------------------
 
@@ -183,30 +181,51 @@ class Cluster {
  private:
   friend class LandscapeIndex;
 
+  /// One instance in a placement book, with its service's spec. Both
+  /// pointers target map nodes, which stay put until the instance is
+  /// unbooked, so the placement rules read a co-tenant's spec without
+  /// a name search.
+  struct Booked {
+    const ServiceInstance* instance;
+    const ServiceSpec* spec;
+  };
+  /// Placement book: the instances hosted on one server / belonging
+  /// to one service, kept in ascending id order — the iteration order
+  /// of the global instance map restricted to that entity. CanPlace,
+  /// the instance counts and UsedMemoryGb walk these short lists
+  /// instead of every instance in the cluster.
+  using Book = std::vector<Booked>;
+  /// Everything the cluster keeps per server, in one map entry.
+  struct ServerEntry {
+    ServerSpec spec;
+    Book hosted;
+    bool down = false;
+  };
+  /// Everything the cluster keeps per service, in one map entry.
+  struct ServiceEntry {
+    ServiceSpec spec;
+    Book instances;
+  };
   Result<ServiceInstance*> FindMutableInstance(InstanceId id);
-  std::string NextVirtualIp(std::string_view service);
+  std::string NextVirtualIp();
   void BumpTopology() { ++topology_epoch_; }
 
-  /// Incremental placement books: the instance ids hosted on each
-  /// server / belonging to each service, kept in ascending id order —
-  /// the exact iteration order of the global instance map restricted
-  /// to that entity. CanPlace, the instance counts, and UsedMemoryGb
-  /// walk these short lists instead of scanning every instance in the
-  /// cluster, which turns an O(total-instances) check (an O(N^2)
-  /// landscape build at 10k servers) into O(instances-per-entity).
-  const std::vector<InstanceId>* IdsOn(std::string_view server) const;
-  const std::vector<InstanceId>* IdsOf(std::string_view service) const;
-  void BookInstance(const ServiceInstance& instance);
+  /// Runs the placement rules for a new instance of `service` on
+  /// `server`, disregarding `exclude_instance`.
+  Status CheckPlacement(const ServiceEntry& service,
+                        const ServerEntry& server,
+                        InstanceId exclude_instance) const;
+  static int ActiveCount(const Book& book, InstanceId exclude_instance);
+  static std::vector<const ServiceInstance*> Instances(const Book& book);
+  void BookInstance(const ServiceInstance& instance, ServerEntry* server,
+                    ServiceEntry* service);
   void UnbookInstance(const ServiceInstance& instance);
 
-  std::map<std::string, ServerSpec, std::less<>> servers_;
-  std::map<std::string, ServiceSpec, std::less<>> services_;
-  std::map<std::string, std::vector<InstanceId>, std::less<>>
-      server_instances_;
-  std::map<std::string, std::vector<InstanceId>, std::less<>>
-      service_instances_;
-  /// Servers currently failed (absent = up).
-  std::map<std::string, bool, std::less<>> server_down_;
+  std::map<std::string, ServerEntry, std::less<>> servers_;
+  std::map<std::string, ServiceEntry, std::less<>> services_;
+  /// Servers whose entry is marked down; while zero, IsServerUp
+  /// answers without a search.
+  size_t down_servers_ = 0;
   std::map<InstanceId, ServiceInstance> instances_;
   std::map<std::string, double, std::less<>> priorities_;
   std::map<std::string, SimTime, std::less<>> server_protection_;

@@ -59,21 +59,24 @@ void LandscapeIndex::Rebuild(const Cluster& cluster) {
   size_t n_servers = cluster.servers_.size();
   size_t n_services = cluster.services_.size();
   servers_.clear();
+  server_down_.clear();
   performance_.clear();
   memory_gb_.clear();
   servers_.reserve(n_servers);
+  server_down_.reserve(n_servers);
   performance_.reserve(n_servers);
   memory_gb_.reserve(n_servers);
-  for (const auto& [name, spec] : cluster.servers_) {
-    servers_.push_back(&spec);  // map order == sorted order
-    performance_.push_back(spec.performance_index);
-    memory_gb_.push_back(spec.memory_gb);
+  for (const auto& [name, entry] : cluster.servers_) {
+    servers_.push_back(&entry.spec);  // map order == sorted order
+    server_down_.push_back(&entry.down);
+    performance_.push_back(entry.spec.performance_index);
+    memory_gb_.push_back(entry.spec.memory_gb);
   }
 
   services_.clear();
   services_.reserve(n_services);
-  for (const auto& [name, spec] : cluster.services_) {
-    services_.push_back(&spec);
+  for (const auto& [name, entry] : cluster.services_) {
+    services_.push_back(&entry.spec);
   }
   // Unlisted services run at the default weight (Cluster::ServicePriority).
   priorities_.assign(n_services, 1.0);
@@ -92,26 +95,26 @@ void LandscapeIndex::Rebuild(const Cluster& cluster) {
         static_cast<int32_t>(instances_.size());
     instances_.push_back(InstanceRef{&instance, id, kNoDenseId, kNoDenseId});
   }
-  // Owners from the placement books: each server's / service's book
-  // lists its instance ids, and the books are keyed in the same name
-  // order as the dense ids — one merge pass, no name search.
-  auto own = [this](const std::vector<InstanceId>& ids, DenseId owner,
+  // Owners from the placement books: each entry's book lists its
+  // instances, and the entries enumerate in dense-id order — one
+  // pass, no name search.
+  auto own = [this](const auto& entries, auto book,
                     DenseId InstanceRef::*field) {
-    for (InstanceId id : ids) {
-      int32_t slot = id < instance_id_bound_
-                         ? slot_of_id_[static_cast<size_t>(id)]
-                         : -1;
-      if (slot >= 0) instances_[static_cast<size_t>(slot)].*field = owner;
+    DenseId owner = 0;
+    for (const auto& [name, entry] : entries) {
+      for (const auto& booked : entry.*book) {
+        InstanceId id = booked.instance->id;
+        int32_t slot = id < instance_id_bound_
+                           ? slot_of_id_[static_cast<size_t>(id)]
+                           : -1;
+        if (slot >= 0) instances_[static_cast<size_t>(slot)].*field = owner;
+      }
+      ++owner;
     }
   };
-  MergeByName(cluster.servers_, cluster.server_instances_,
-              [&](DenseId server, const std::vector<InstanceId>& ids) {
-                own(ids, server, &InstanceRef::server);
-              });
-  MergeByName(cluster.services_, cluster.service_instances_,
-              [&](DenseId service, const std::vector<InstanceId>& ids) {
-                own(ids, service, &InstanceRef::service);
-              });
+  own(cluster.servers_, &Cluster::ServerEntry::hosted, &InstanceRef::server);
+  own(cluster.services_, &Cluster::ServiceEntry::instances,
+      &InstanceRef::service);
 
   // CSR bucket lists via counting sort: a forward pass over the
   // id-ordered instance array fills every bucket in id order — the

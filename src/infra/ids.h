@@ -74,6 +74,13 @@ class LandscapeIndex {
     return *services_[static_cast<size_t>(id)];
   }
 
+  /// Live health of the server (Cluster::SetServerUp): read through a
+  /// pointer into the cluster's entry, since health flips do not
+  /// rebuild the index.
+  bool ServerDown(DenseId id) const {
+    return *server_down_[static_cast<size_t>(id)];
+  }
+
   double ServerPerformance(DenseId id) const {
     return performance_[static_cast<size_t>(id)];
   }
@@ -143,9 +150,9 @@ class LandscapeIndex {
   friend class Cluster;
 
   /// Re-interns the whole landscape from the cluster's maps in
-  /// O(servers + services + instances): owners come from one merge
-  /// pass over the cluster's name-sorted placement books, never from
-  /// a name search per instance.
+  /// O(servers + services + instances): owners come from one pass
+  /// over the placement books in the cluster's name-sorted entries,
+  /// never from a name search per instance.
   void Rebuild(const Cluster& cluster);
   void SetPriority(DenseId id, double priority) {
     priorities_[static_cast<size_t>(id)] = priority;
@@ -153,6 +160,7 @@ class LandscapeIndex {
 
   std::vector<const ServerSpec*> servers_;    // sorted by name
   std::vector<const ServiceSpec*> services_;  // sorted by name
+  std::vector<const bool*> server_down_;     // live, per server
   std::vector<double> performance_;
   std::vector<double> memory_gb_;
   std::vector<double> used_memory_gb_;

@@ -233,6 +233,22 @@ void LoadArchive::set_capacity_hints(size_t raw_samples,
   aggregated_hint_ = aggregate_buckets;
 }
 
+Status LoadArchive::CheckCapacityHints(size_t raw_samples,
+                                       size_t aggregate_buckets) {
+  constexpr size_t kMaxRaw = kMaxSeriesReserveBytes / sizeof(LoadSample);
+  if (raw_samples > kMaxRaw || RoundUpPow2(raw_samples) > kMaxRaw) {
+    return Status::InvalidArgument(StrFormat(
+        "a raw ring of %zu samples exceeds the %zu-byte series limit",
+        raw_samples, kMaxSeriesReserveBytes));
+  }
+  if (aggregate_buckets > kMaxSeriesReserveBytes / sizeof(AggregateRun)) {
+    return Status::InvalidArgument(StrFormat(
+        "%zu aggregate buckets exceed the %zu-byte series limit",
+        aggregate_buckets, kMaxSeriesReserveBytes));
+  }
+  return Status::OK();
+}
+
 LoadArchive::Handle LoadArchive::Acquire(std::string_view key) {
   auto it = series_.find(key);
   if (it == series_.end()) {

@@ -139,6 +139,15 @@ class LoadArchive {
   /// retention/tick raw samples, duration/bucket aggregates) set this
   /// once at startup so the steady state appends allocation-free.
   void set_capacity_hints(size_t raw_samples, size_t aggregate_buckets);
+  /// The most a capacity hint may ask one series to reserve, in bytes.
+  static constexpr size_t kMaxSeriesReserveBytes = size_t{1} << 30;
+  /// InvalidArgument when hints would ask a series for a ring of more
+  /// than kMaxSeriesReserveBytes (`raw_samples`, rounded up to a power
+  /// of two) or a spill of more (`aggregate_buckets` runs) — a run
+  /// that long could never reserve its history. Check before
+  /// set_capacity_hints.
+  static Status CheckCapacityHints(size_t raw_samples,
+                                   size_t aggregate_buckets);
 
   /// Appends a measurement for a subject key, e.g. "server/Blade3".
   /// Samples must arrive in non-decreasing time order per key.

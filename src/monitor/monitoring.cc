@@ -29,16 +29,33 @@ LoadMonitoringSystem::LoadMonitoringSystem(LoadArchive* archive,
   AG_CHECK(archive_ != nullptr);
 }
 
+namespace {
+
+std::string_view KeyPrefix(TriggerKind kind) {
+  bool is_server = kind == TriggerKind::kServerOverloaded ||
+                   kind == TriggerKind::kServerIdle;
+  return is_server ? "server/" : "service/";
+}
+
+}  // namespace
+
 std::string LoadMonitoringSystem::ArchiveKey(TriggerKind overload_kind,
                                              std::string_view name) {
-  bool is_server = overload_kind == TriggerKind::kServerOverloaded ||
-                   overload_kind == TriggerKind::kServerIdle;
-  return StrFormat("%s/%.*s", is_server ? "server" : "service",
-                   static_cast<int>(name.size()), name.data());
+  std::string_view prefix = KeyPrefix(overload_kind);
+  std::string key;
+  key.reserve(prefix.size() + name.size());
+  key.append(prefix).append(name);
+  return key;
+}
+
+std::string_view LoadMonitoringSystem::NameOf(SubjectId subject) const {
+  const SubjectState& state = subjects_[static_cast<size_t>(subject)];
+  return std::string_view(state.key).substr(
+      KeyPrefix(state.overload_kind).size());
 }
 
 Status LoadMonitoringSystem::RegisterSubject(
-    TriggerKind overload_kind, std::string name, double idle_divisor,
+    TriggerKind overload_kind, std::string_view name, double idle_divisor,
     std::optional<Duration> watch_override) {
   if (overload_kind != TriggerKind::kServerOverloaded &&
       overload_kind != TriggerKind::kServiceOverloaded) {
@@ -48,35 +65,42 @@ Status LoadMonitoringSystem::RegisterSubject(
   if (idle_divisor <= 0) {
     return Status::InvalidArgument("idle divisor must be positive");
   }
-  if (subject_ids_.count(name) > 0) {
-    return Status::AlreadyExists(
-        StrFormat("subject \"%s\" already registered", name.c_str()));
-  }
   if (watch_override.has_value() && *watch_override <= Duration::Zero()) {
     return Status::InvalidArgument("watchTime override must be positive");
   }
-  SubjectState state;
+  SubjectId id = static_cast<SubjectId>(subjects_.size());
+  SubjectState& state = subjects_.emplace_back();
   state.overload_kind = overload_kind;
-  state.name = name;
   state.key = ArchiveKey(overload_kind, name);
   state.idle_threshold = config_.idle_threshold_base / idle_divisor;
   state.overload_watch =
       watch_override.value_or(config_.overload_watch_time);
-  SubjectId id = static_cast<SubjectId>(subjects_.size());
-  subjects_.push_back(std::move(state));
-  subject_ids_.emplace(std::move(name), id);
+  // The index compares through subjects_, so the new subject goes in
+  // after its state. A hint that is right costs no search; a taken
+  // name leaves the set as it was.
+  auto hint = last_registered_ == by_name_.end() ? by_name_.end()
+                                                 : std::next(last_registered_);
+  size_t before = by_name_.size();
+  auto it = by_name_.emplace_hint(hint, id);
+  if (by_name_.size() == before) {
+    subjects_.pop_back();
+    return Status::AlreadyExists(StrFormat(
+        "subject \"%.*s\" already registered",
+        static_cast<int>(name.size()), name.data()));
+  }
+  last_registered_ = it;
   return Status::OK();
 }
 
 Result<SubjectId> LoadMonitoringSystem::SubjectIdOf(
     std::string_view name) const {
-  auto it = subject_ids_.find(name);
-  if (it == subject_ids_.end()) {
+  auto it = by_name_.find(name);
+  if (it == by_name_.end()) {
     return Status::NotFound(StrFormat("unregistered subject \"%.*s\"",
                                       static_cast<int>(name.size()),
                                       name.data()));
   }
-  return it->second;
+  return *it;
 }
 
 Result<Duration> LoadMonitoringSystem::WatchTime(
@@ -148,7 +172,8 @@ Status LoadMonitoringSystem::ObserveById(
       AG_ASSIGN_OR_RETURN(double average,
                           archive_->Average(state.series, watch, now));
       if (average > config_.overload_threshold) {
-        Confirm(Trigger{state.overload_kind, state.name, now, average});
+        Confirm(Trigger{state.overload_kind, std::string(NameOf(subject)),
+                        now, average});
       }
       return Status::OK();
     }
@@ -163,7 +188,8 @@ Status LoadMonitoringSystem::ObserveById(
             state.overload_kind == TriggerKind::kServerOverloaded
                 ? TriggerKind::kServerIdle
                 : TriggerKind::kServiceIdle;
-        Confirm(Trigger{idle_kind, state.name, now, average});
+        Confirm(Trigger{idle_kind, std::string(NameOf(subject)), now,
+                        average});
       }
       return Status::OK();
     }
@@ -308,8 +334,9 @@ size_t LoadMonitoringSystem::active_heartbeat_watches() const {
 
 void LoadMonitoringSystem::SaveState(ByteWriter* w) const {
   w->U64(subjects_.size());
-  for (const SubjectState& subject : subjects_) {
-    w->Str(subject.name);
+  for (size_t i = 0; i < subjects_.size(); ++i) {
+    const SubjectState& subject = subjects_[i];
+    w->Str(NameOf(static_cast<SubjectId>(i)));
     w->U8(static_cast<uint8_t>(subject.phase));
     w->I64(subject.watch_started.seconds());
     w->F64(subject.last_value);
@@ -347,12 +374,18 @@ Status LoadMonitoringSystem::RestoreState(ByteReader* r) {
   for (uint64_t i = 0; i < subject_count; ++i) {
     std::string name;
     AG_ASSIGN_OR_RETURN(name, r->Str());
-    auto it = subject_ids_.find(name);
-    if (it == subject_ids_.end()) {
-      return Status::ParseError(StrFormat(
-          "snapshot subject \"%s\" is not registered", name.c_str()));
+    // A system registered like the one that saved lists the subject
+    // at its own id; any other order falls back to the name index.
+    SubjectId id = static_cast<SubjectId>(i);
+    if (NameOf(id) != name) {
+      auto it = by_name_.find(name);
+      if (it == by_name_.end()) {
+        return Status::ParseError(StrFormat(
+            "snapshot subject \"%s\" is not registered", name.c_str()));
+      }
+      id = *it;
     }
-    SubjectState& subject = subjects_[static_cast<size_t>(it->second)];
+    SubjectState& subject = subjects_[static_cast<size_t>(id)];
     uint8_t phase = 0;
     AG_ASSIGN_OR_RETURN(phase, r->U8());
     if (phase > static_cast<uint8_t>(Phase::kWatchingIdle)) {

@@ -5,7 +5,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -73,7 +75,10 @@ struct MonitorConfig {
 };
 
 /// Dense id of a registered monitoring subject: its registration
-/// rank. Stable for the system's lifetime.
+/// rank. Stable for the system's lifetime. A caller that registers
+/// its entities in its own dense order (the runner: servers, then
+/// services, each in name order) can use that order as the id
+/// without asking.
 using SubjectId = int32_t;
 
 /// The load monitoring system of Figure 2: short peaks are common in
@@ -83,27 +88,38 @@ using SubjectId = int32_t;
 ///
 /// One instance supervises any number of subjects (servers and
 /// services); per-subject state machines are independent. Subjects
-/// live in a dense array: callers on the per-tick hot path resolve a
-/// SubjectId once (SubjectIdOf) and feed ObserveById — no string
-/// lookup, and the archive series handle is cached per subject.
+/// live in a dense array: callers on the per-tick hot path feed
+/// ObserveById with the SubjectId — no string lookup, and the archive
+/// series handle is cached per subject.
 class LoadMonitoringSystem {
  public:
   using TriggerCallback = std::function<void(const Trigger&)>;
 
   LoadMonitoringSystem(LoadArchive* archive, MonitorConfig config);
+  // The name index holds a pointer to this system.
+  LoadMonitoringSystem(const LoadMonitoringSystem&) = delete;
+  LoadMonitoringSystem& operator=(const LoadMonitoringSystem&) = delete;
 
   /// Registers a subject. `idle_divisor` divides the idle threshold
   /// base (the server's performance index; 1.0 for services).
   /// `watch_override` replaces the global overload watchTime for this
   /// subject (§4.1 speaks of "the service specific watchTime" — a
   /// jittery service can be observed longer than a steady one).
-  Status RegisterSubject(TriggerKind overload_kind, std::string name,
+  /// Subject names are unique across kinds. The next id is
+  /// `num_subjects()`.
+  Status RegisterSubject(TriggerKind overload_kind, std::string_view name,
                          double idle_divisor = 1.0,
                          std::optional<Duration> watch_override =
                              std::nullopt);
 
   /// Dense id of a registered subject; NotFound if unknown.
   Result<SubjectId> SubjectIdOf(std::string_view name) const;
+  size_t num_subjects() const { return subjects_.size(); }
+  /// Archive key of a registered subject (ArchiveKey of its kind and
+  /// name), e.g. for forecast lookups.
+  const std::string& Key(SubjectId subject) const {
+    return subjects_[static_cast<size_t>(subject)].key;
+  }
 
   /// The effective overload watchTime of a registered subject.
   Result<Duration> WatchTime(std::string_view name) const;
@@ -209,8 +225,9 @@ class LoadMonitoringSystem {
 
   struct SubjectState {
     TriggerKind overload_kind;  // kServerOverloaded or kServiceOverloaded
-    std::string name;           // subject name (trigger subject)
-    std::string key;            // archive key
+    /// Archive key, "<kind>/<name>": the subject's one string. Its
+    /// name (the trigger subject) is the part after the prefix.
+    std::string key;
     /// Archive series, resolved on first observation (lazily, so the
     /// archive's key set still reflects only subjects that actually
     /// reported data).
@@ -250,9 +267,30 @@ class LoadMonitoringSystem {
   /// Traces and fires a confirmed trigger.
   void Confirm(Trigger trigger);
 
-  /// Dense subject storage + name resolution done once per caller.
+  /// The name of a subject: its key without the kind prefix.
+  std::string_view NameOf(SubjectId subject) const;
+
+  /// Orders subject ids by name, and finds them by name.
+  struct ByName {
+    using is_transparent = void;
+    const LoadMonitoringSystem* system;
+    bool operator()(SubjectId a, SubjectId b) const {
+      return system->NameOf(a) < system->NameOf(b);
+    }
+    bool operator()(SubjectId a, std::string_view b) const {
+      return system->NameOf(a) < b;
+    }
+    bool operator()(std::string_view a, SubjectId b) const {
+      return a < system->NameOf(b);
+    }
+  };
+
+  /// Dense subject storage, and the ids ordered by name.
   std::vector<SubjectState> subjects_;
-  std::map<std::string, SubjectId, std::less<>> subject_ids_;
+  std::set<SubjectId, ByName> by_name_{ByName{this}};
+  /// Where the last registration went in by_name_: a caller
+  /// registering in name order inserts right after it, with no search.
+  std::set<SubjectId, ByName>::iterator last_registered_ = by_name_.end();
   std::vector<HeartbeatState> heartbeats_;
   std::map<std::string, size_t, std::less<>> heartbeat_ids_;
   TriggerCallback callback_;

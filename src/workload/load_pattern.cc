@@ -28,8 +28,13 @@ double Gaussian(double h, double center, double sigma) {
 
 LoadPattern LoadPattern::Flat(double level) {
   level = Clamp01(level);
-  return LoadPattern(StrFormat("flat:%g", level),
-                     [level](SimTime) { return level; });
+  LoadPattern pattern({}, [level](SimTime) { return level; });
+  pattern.flat_level_ = level;
+  return pattern;
+}
+
+std::string LoadPattern::name() const {
+  return name_.empty() ? StrFormat("flat:%g", flat_level_) : name_;
 }
 
 LoadPattern LoadPattern::Interactive(const InteractiveParams& params) {

@@ -62,18 +62,25 @@ class LoadPattern {
   /// "nightBatch", "flat:<level>".
   static Result<LoadPattern> FromName(std::string_view name);
 
-  LoadPattern() : LoadPattern(Flat(0.0)) {}
+  /// Flat(0).
+  LoadPattern() : eval_([](SimTime) { return 0.0; }) {}
 
   /// Activity level at time t, in [0, 1].
   double Activity(SimTime t) const { return eval_(t); }
 
-  const std::string& name() const { return name_; }
+  /// The config-file name FromName parses back ("flat:0.5",
+  /// "interactive", ...). A flat pattern's name is formatted only
+  /// here: a generated landscape makes one flat pattern per service
+  /// and seldom asks for its name.
+  std::string name() const;
 
  private:
   LoadPattern(std::string name, std::function<double(SimTime)> eval)
       : name_(std::move(name)), eval_(std::move(eval)) {}
 
+  /// Empty for flat patterns, whose name follows from flat_level_.
   std::string name_;
+  double flat_level_ = 0.0;
   std::function<double(SimTime)> eval_;
 };
 

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <random>
 
 #include "autoglobe/availability.h"
 #include "autoglobe/capacity.h"
+#include "autoglobe/landscape_gen.h"
 #include "common/bytes.h"
 #include "obs/trace.h"
 
@@ -171,6 +175,217 @@ TEST(RunnerTest, BadArchiveShapesAreInvalidArguments) {
   config.duration = Duration::Hours(1);
   config.archive_retention = Duration::Zero();
   EXPECT_TRUE(SimulationRunner::Create(landscape, config).ok());
+}
+
+TEST(RunnerTest, UnrunnableDurationsAndScalesAreInvalidArguments) {
+  // A run needs a positive length whose aggregate history a series can
+  // reserve (--hours 99999999999 died of bad_alloc at the first spill),
+  // and a user scale that is a real, non-negative factor (--scale -3
+  // ran at "-300% users").
+  Landscape landscape = MakePaperLandscape(Scenario::kFullMobility);
+  auto config_with = [](Duration duration, double user_scale) {
+    RunnerConfig config =
+        MakeScenarioConfig(Scenario::kFullMobility, user_scale);
+    config.duration = duration;
+    return config;
+  };
+  const RunnerConfig refused[] = {
+      config_with(Duration::Zero(), 1.0),
+      config_with(Duration::Minutes(-5), 1.0),
+      config_with(Duration::Hours(99999999999), 1.0),
+      config_with(Duration::Hours(1), -3.0),
+      config_with(Duration::Hours(1), std::nan("")),
+      config_with(Duration::Hours(1), HUGE_VAL),
+  };
+  for (const RunnerConfig& config : refused) {
+    auto runner = SimulationRunner::Create(landscape, config);
+    ASSERT_FALSE(runner.ok()) << config.duration.ToString() << " at "
+                              << config.user_scale;
+    EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument)
+        << runner.status();
+  }
+  // Zero users is a valid (idle) run, and so is a second-long one.
+  EXPECT_TRUE(
+      SimulationRunner::Create(landscape, config_with(Duration::Hours(1), 0.0))
+          .ok());
+  EXPECT_TRUE(SimulationRunner::Create(
+                  landscape, config_with(Duration::Seconds(1), 1.0))
+                  .ok());
+}
+
+TEST(RunnerTest, LandscapeRefusalsKeepTheirStatus) {
+  // Every refusal of a bad landscape reaches Create with its code and
+  // message: the cluster's per-entity entries, the demand model and
+  // the monitor's name index each keep their checks.
+  struct Case {
+    const char* what;
+    std::function<void(Landscape*)> edit;
+    StatusCode code;
+    const char* message;
+  };
+  auto place = [](std::string service, std::string server) {
+    return [service, server](Landscape* landscape) {
+      landscape->initial_allocation.emplace_back(service, server);
+    };
+  };
+  const Case cases[] = {
+      {"duplicate server",
+       [](Landscape* l) { l->servers.push_back(l->servers[3]); },
+       StatusCode::kAlreadyExists, "server \"Blade4\" already exists"},
+      {"duplicate service",
+       [](Landscape* l) { l->services.push_back(l->services[1]); },
+       StatusCode::kAlreadyExists, "service \"LES\" already exists"},
+      {"placement on an unknown server", place("FI", "Ghost"),
+       StatusCode::kNotFound, "unknown server \"Ghost\""},
+      {"placement of an unknown service", place("Ghost", "Blade1"),
+       StatusCode::kNotFound, "unknown service \"Ghost\""},
+      {"demand for an unknown service",
+       [](Landscape* l) {
+         workload::ServiceDemandSpec spec;
+         spec.service = "Ghost";
+         l->demand.push_back(spec);
+       },
+       StatusCode::kNotFound, "unknown service \"Ghost\""},
+      {"duplicate demand spec",
+       [](Landscape* l) { l->demand.push_back(l->demand[0]); },
+       StatusCode::kAlreadyExists,
+       "demand spec for \"FI\" already registered"},
+      {"co-tenant on an exclusive host", place("FI", "DBServer1"),
+       StatusCode::kFailedPrecondition,
+       "server \"DBServer1\" is exclusively reserved for service "
+       "\"DB-ERP\""},
+      {"exclusive service on a shared host",
+       [](Landscape* l) {
+         auto& allocation = l->initial_allocation;
+         allocation.erase(std::find(
+             allocation.begin(), allocation.end(),
+             std::pair<std::string, std::string>("DB-ERP", "DBServer1")));
+         allocation.emplace_back("DB-ERP", "DBServer2");
+       },
+       StatusCode::kFailedPrecondition,
+       "exclusive service \"DB-ERP\" cannot share server \"DBServer2\" "
+       "with \"DB-CRM\""},
+      {"memory", place("FI", "Blade1"), StatusCode::kResourceExhausted,
+       "server \"Blade1\": 1.2 GB used + 1.2 GB footprint exceeds 2.0 GB"},
+      {"performance index", place("DB-BW", "Blade2"),
+       StatusCode::kFailedPrecondition,
+       "server \"Blade2\" (PI 1) below minimum performance index 5 of "
+       "service \"DB-BW\""},
+      {"second instance on one host", place("LES", "Blade1"),
+       StatusCode::kFailedPrecondition,
+       "service \"LES\" already has an instance on server \"Blade1\""},
+      {"instance cap", place("CI-ERP", "DBServer2"),
+       StatusCode::kFailedPrecondition,
+       "service \"CI-ERP\" already runs its maximum of 1 instances"},
+      {"server and service sharing a name",
+       [](Landscape* l) {
+         l->services.push_back(l->services[2]);
+         l->services.back().name = "Blade7";
+       },
+       StatusCode::kAlreadyExists, "subject \"Blade7\" already registered"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Landscape landscape = MakePaperLandscape(Scenario::kStatic);
+    c.edit(&landscape);
+    RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0);
+    config.duration = Duration::Hours(1);
+    auto runner = SimulationRunner::Create(landscape, config);
+    ASSERT_FALSE(runner.ok());
+    EXPECT_EQ(runner.status().code(), c.code) << runner.status();
+    EXPECT_EQ(runner.status().message(), c.message);
+  }
+}
+
+TEST(RunnerTest, SubjectIdsAreDenseIds) {
+  // The runner feeds the monitor by dense id: server i is subject i and
+  // service j is subject servers + j, with the subject's archive key.
+  for (const Landscape& landscape :
+       {MakePaperLandscape(Scenario::kFullMobility),
+        *GenerateLandscape(MakeScaleSpec(100))}) {
+    RunnerConfig config = MakeScenarioConfig(Scenario::kFullMobility, 1.0);
+    config.duration = Duration::Hours(1);
+    auto runner = SimulationRunner::Create(landscape, config);
+    ASSERT_TRUE(runner.ok()) << runner.status();
+    const infra::LandscapeIndex& index = (*runner)->cluster().Index();
+    const monitor::LoadMonitoringSystem& monitoring =
+        (*runner)->monitoring();
+    const size_t servers = index.num_servers();
+    ASSERT_EQ(servers, landscape.servers.size());
+    ASSERT_EQ(monitoring.num_subjects(), servers + index.num_services());
+    for (size_t i = 0; i < servers; ++i) {
+      const std::string& name = index.ServerName(static_cast<int32_t>(i));
+      auto id = monitoring.SubjectIdOf(name);
+      ASSERT_TRUE(id.ok()) << id.status();
+      EXPECT_EQ(*id, static_cast<monitor::SubjectId>(i)) << name;
+      EXPECT_EQ(monitoring.Key(*id),
+                monitor::LoadMonitoringSystem::ArchiveKey(
+                    monitor::TriggerKind::kServerOverloaded, name));
+    }
+    for (size_t j = 0; j < index.num_services(); ++j) {
+      const std::string& name = index.ServiceName(static_cast<int32_t>(j));
+      auto id = monitoring.SubjectIdOf(name);
+      ASSERT_TRUE(id.ok()) << id.status();
+      EXPECT_EQ(*id, static_cast<monitor::SubjectId>(servers + j)) << name;
+      EXPECT_EQ(monitoring.Key(*id),
+                monitor::LoadMonitoringSystem::ArchiveKey(
+                    monitor::TriggerKind::kServiceOverloaded, name));
+    }
+  }
+}
+
+TEST(RunnerTest, ShuffledLandscapeRunsIdentically) {
+  // Dense ids are name ranks, not input positions: a 1k-server
+  // landscape listing its servers, services and demand specs in a
+  // shuffled order (the placements unchanged, so instance ids and IPs
+  // match) runs to the same state, metrics and checkpoint bytes.
+  Landscape sorted = *GenerateLandscape(MakeScaleSpec(1000));
+  Landscape shuffled = sorted;
+  std::mt19937_64 rng(2026);
+  std::shuffle(shuffled.servers.begin(), shuffled.servers.end(), rng);
+  std::shuffle(shuffled.services.begin(), shuffled.services.end(), rng);
+  std::shuffle(shuffled.demand.begin(), shuffled.demand.end(), rng);
+  ASSERT_NE(shuffled.servers[0].name, sorted.servers[0].name);
+
+  RunnerConfig config;
+  config.duration = Duration::Hours(3);
+  config.seed = 7;
+  config.user_scale = 1.5;
+  config.archive_retention = Duration::Hours(1);
+  config.controller.pool_prescreen = true;
+  auto run = [&config](const Landscape& landscape) {
+    auto runner = SimulationRunner::Create(landscape, config);
+    EXPECT_TRUE(runner.ok()) << runner.status();
+    EXPECT_TRUE((*runner)->Run().ok());
+    return std::move(*runner);
+  };
+  std::unique_ptr<SimulationRunner> a = run(sorted);
+  std::unique_ptr<SimulationRunner> b = run(shuffled);
+  EXPECT_EQ(a->StateFingerprint(), b->StateFingerprint());
+
+  const RunMetrics& ma = a->metrics();
+  const RunMetrics& mb = b->metrics();
+  EXPECT_GT(ma.triggers, 0);
+  EXPECT_EQ(ma.overload_server_minutes, mb.overload_server_minutes);
+  EXPECT_EQ(ma.max_overload_streak_minutes, mb.max_overload_streak_minutes);
+  EXPECT_EQ(ma.overload_fraction, mb.overload_fraction);
+  EXPECT_EQ(ma.lost_work_wu, mb.lost_work_wu);
+  EXPECT_EQ(ma.average_cpu_load, mb.average_cpu_load);
+  EXPECT_EQ(ma.triggers, mb.triggers);
+  EXPECT_EQ(ma.actions_executed, mb.actions_executed);
+  EXPECT_EQ(ma.actions_failed, mb.actions_failed);
+  EXPECT_EQ(ma.alerts, mb.alerts);
+  EXPECT_EQ(ma.oscillations, mb.oscillations);
+  EXPECT_EQ(a->messages(), b->messages());
+
+  std::vector<std::pair<std::string, std::string>> sa, sb;
+  ASSERT_TRUE(a->SaveStateSections(&sa).ok());
+  ASSERT_TRUE(b->SaveStateSections(&sb).ok());
+  ASSERT_EQ(sa.size(), sb.size());
+  for (size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].first, sb[i].first);
+    EXPECT_TRUE(sa[i].second == sb[i].second) << sa[i].first;
+  }
 }
 
 TEST(RunnerTest, FaultPlanCrashesAreRemediated) {

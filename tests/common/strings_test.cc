@@ -11,6 +11,23 @@ TEST(StringsTest, StrFormatBasics) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
+TEST(StringsTest, AppendIntMatchesPrintfZeroPadding) {
+  const long long values[] = {0, 7, 42, 99999, 100000, 123456789,
+                              -3, -12345, 9223372036854775807LL,
+                              -9223372036854775807LL - 1};
+  for (long long value : values) {
+    for (int width : {0, 1, 3, 5, 8, 25}) {
+      std::string appended = "x-";
+      AppendInt(&appended, value, width);
+      EXPECT_EQ(appended, StrFormat("x-%0*lld", width, value))
+          << value << " width " << width;
+    }
+  }
+  std::string unpadded;
+  AppendInt(&unpadded, 250, -4);
+  EXPECT_EQ(unpadded, "250");
+}
+
 TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("  abc  "), "abc");
   EXPECT_EQ(StripWhitespace("\t\nabc"), "abc");

@@ -74,6 +74,67 @@ TEST_F(ClusterTest, VirtualIpsAreUniquePerInstance) {
             (*cluster_.FindInstance(*b))->virtual_ip);
 }
 
+TEST(ClusterIpTest, VirtualIpsFollowTheSuffixScheme) {
+  // Checkpoints store the IPs, so their bytes are part of the format:
+  // suffix s (from 1) is 10.42.<s / 250>.<s % 250 + 1>.
+  Cluster cluster;
+  ASSERT_TRUE(cluster.AddService(MakeService("app", 1.0, 0, 600)).ok());
+  for (int s = 1; s <= 520; ++s) {
+    std::string server = "host-" + std::to_string(s);
+    ASSERT_TRUE(cluster.AddServer(MakeServer(server, 1, 2)).ok());
+    auto id = cluster.PlaceInstance("app", server, SimTime::Start());
+    ASSERT_TRUE(id.ok()) << id.status();
+    EXPECT_EQ((*cluster.FindInstance(*id))->virtual_ip,
+              "10.42." + std::to_string(s / 250) + "." +
+                  std::to_string(s % 250 + 1));
+  }
+}
+
+TEST_F(ClusterTest, ServerHealthSurvivesFlipsAndRestore) {
+  ASSERT_TRUE(cluster_.AddServer(MakeServer("mid", 2, 4)).ok());
+  ASSERT_TRUE(cluster_.SetServerUp("small", false).ok());
+  ASSERT_TRUE(cluster_.SetServerUp("small", false).ok());  // idempotent
+  ASSERT_TRUE(cluster_.SetServerUp("big", false).ok());
+  ASSERT_TRUE(cluster_.SetServerUp("big", true).ok());
+  ASSERT_TRUE(cluster_.SetServerUp("mid", false).ok());
+  EXPECT_EQ(cluster_.SetServerUp("ghost", false).code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(cluster_.IsServerUp("small"));
+  EXPECT_TRUE(cluster_.IsServerUp("big"));
+  EXPECT_FALSE(cluster_.IsServerUp("mid"));
+  EXPECT_TRUE(cluster_.IsServerUp("ghost"));
+  EXPECT_EQ(cluster_.CanPlace("app", "small").code(),
+            StatusCode::kUnavailable);
+  const LandscapeIndex& index = cluster_.Index();
+  EXPECT_FALSE(index.ServerDown(index.ServerIdOf("big")));
+  EXPECT_TRUE(index.ServerDown(index.ServerIdOf("mid")));
+
+  // A restore onto the same topology brings the same health back, and
+  // saves the same bytes.
+  ByteWriter saved;
+  cluster_.SaveState(&saved);
+  Cluster restored;
+  ASSERT_TRUE(restored.AddServer(MakeServer("small", 1, 2)).ok());
+  ASSERT_TRUE(restored.AddServer(MakeServer("big", 9, 12)).ok());
+  ASSERT_TRUE(restored.AddServer(MakeServer("mid", 2, 4)).ok());
+  ASSERT_TRUE(restored.AddService(MakeService("app", 1.0, 0, 8)).ok());
+  ByteReader reader(saved.data());
+  ASSERT_TRUE(restored.RestoreState(&reader).ok());
+  EXPECT_FALSE(restored.IsServerUp("small"));
+  EXPECT_TRUE(restored.IsServerUp("big"));
+  EXPECT_FALSE(restored.IsServerUp("mid"));
+  ByteWriter resaved;
+  restored.SaveState(&resaved);
+  EXPECT_EQ(resaved.data(), saved.data());
+
+  // Bringing every server back up leaves none down.
+  ASSERT_TRUE(restored.SetServerUp("small", true).ok());
+  ASSERT_TRUE(restored.SetServerUp("mid", true).ok());
+  EXPECT_TRUE(restored.IsServerUp("small"));
+  EXPECT_TRUE(restored.IsServerUp("mid"));
+  EXPECT_TRUE(restored.CanPlace("app", "small").ok());
+}
+
 TEST_F(ClusterTest, OneInstancePerServerPerService) {
   ASSERT_TRUE(cluster_.PlaceInstance("app", "small", t0_).ok());
   auto second = cluster_.PlaceInstance("app", "small", t0_);
