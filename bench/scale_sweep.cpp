@@ -8,7 +8,10 @@
 // sublinearity evidence), per-tick wall latency, an RSS estimate, and
 // the cost of bringing the fleet up: GenerateLandscape + Create wall
 // time (create_ms) and heap allocations (create_allocs, gated per
-// server in CI — unlike wall time, the count is deterministic).
+// server in CI — unlike wall time, the count is deterministic), and
+// the load archive's heap run storage per monitored subject at the end
+// of the window (archive_bytes_per_subject, also deterministic and
+// gated in CI).
 //
 //   ./scale_sweep [--max-servers N]   (default sweeps 19/100/1k/10k)
 
@@ -60,9 +63,8 @@ bench::BenchRecord SweepOne(int num_servers) {
   // Zero fluctuation + zero demand noise keep inactive services
   // bitwise-constant, so only the fixed active set dirties per tick.
   config.fluctuation_per_minute = 0.0;
-  // One-hour retention bounds each subject's raw ring: ten thousand
-  // servers of archive fit a laptop instead of needing the default
-  // 48 h history nobody reads in a sweep.
+  // One-hour retention bounds what a varying subject's raw runs
+  // reserve: the sweep does not read the default 48 h history.
   config.archive_retention = Duration::Hours(1);
   config.archive_bucket = Duration::Minutes(15);
   config.controller.pool_prescreen = true;
@@ -112,15 +114,19 @@ bench::BenchRecord SweepOne(int num_servers) {
   record.extra["vm_hwm_mb"] = ProcStatusMb("VmHWM:");
   record.extra["create_ms"] = create_seconds * 1e3;
   record.extra["create_allocs"] = static_cast<double>(create_allocs);
+  record.extra["archive_bytes_per_subject"] =
+      static_cast<double>((*runner)->archive().StorageBytes()) /
+      static_cast<double>(num_servers + spec.num_services);
   std::printf(
       "%-18s %8.1f sim-min/s  tick %8.1f us  evals/tick %7.1f  "
       "skips/tick %8.1f  allocs/tick %6.2f  rss %7.1f MB  "
-      "create %7.2f ms / %llu allocs\n",
+      "create %7.2f ms / %llu allocs  archive %6.1f B/subject\n",
       record.name.c_str(), record.items_per_second,
       record.extra["tick_micros"], record.extra["evals_per_tick"],
       record.extra["skips_per_tick"], record.extra["allocs_per_tick"],
       record.extra["vm_rss_mb"], record.extra["create_ms"],
-      static_cast<unsigned long long>(create_allocs));
+      static_cast<unsigned long long>(create_allocs),
+      record.extra["archive_bytes_per_subject"]);
   return record;
 }
 

@@ -1,12 +1,29 @@
 #include "autoglobe/batch_runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
 
 namespace autoglobe {
+
+namespace {
+
+/// InvalidArgument when a lane's user scale is not a finite,
+/// non-negative factor (Create and Rerun check every lane).
+Status CheckLanes(const std::vector<BatchLane>& lanes) {
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    if (!std::isfinite(lanes[i].user_scale) || lanes[i].user_scale < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "lane %zu: user_scale must be finite and non-negative", i));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 BatchRunner::BatchRunner(RunnerConfig config, std::vector<BatchLane> lanes)
     : config_(std::move(config)),
@@ -58,10 +75,12 @@ Status BatchRunner::CheckEligibility(const RunnerConfig& config) {
 Result<std::unique_ptr<BatchRunner>> BatchRunner::Create(
     const Landscape& landscape, RunnerConfig config,
     std::vector<BatchLane> lanes) {
+  AG_RETURN_IF_ERROR(config.Validate());
   AG_RETURN_IF_ERROR(CheckEligibility(config));
   if (lanes.empty()) {
     return Status::InvalidArgument("a batch needs at least one lane");
   }
+  AG_RETURN_IF_ERROR(CheckLanes(lanes));
   std::unique_ptr<BatchRunner> runner(
       new BatchRunner(std::move(config), std::move(lanes)));
   AG_RETURN_IF_ERROR(runner->Init(landscape));
@@ -184,6 +203,7 @@ Status BatchRunner::Rerun(std::vector<BatchLane> lanes) {
         "a rerun must keep the batch width (the engine's lane count is "
         "fixed)");
   }
+  AG_RETURN_IF_ERROR(CheckLanes(lanes));
   lanes_ = std::move(lanes);
   engine_->ResetLanes();
   ResetRunState();

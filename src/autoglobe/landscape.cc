@@ -4,6 +4,7 @@
 
 namespace autoglobe {
 
+using infra::ActionSet;
 using infra::ActionType;
 using infra::ServerSpec;
 using infra::ServiceRole;
@@ -193,7 +194,7 @@ Result<Landscape> Landscape::FromXml(const xml::Element& element) {
 namespace {
 
 /// Action capability sets per scenario (Tables 5 and 6).
-std::set<ActionType> AppActions(Scenario scenario) {
+ActionSet AppActions(Scenario scenario) {
   switch (scenario) {
     case Scenario::kStatic:
       return {};
@@ -207,7 +208,7 @@ std::set<ActionType> AppActions(Scenario scenario) {
   return {};
 }
 
-std::set<ActionType> CentralInstanceActions(Scenario scenario) {
+ActionSet CentralInstanceActions(Scenario scenario) {
   if (scenario == Scenario::kFullMobility) {
     return {ActionType::kScaleUp, ActionType::kScaleDown,
             ActionType::kMove};
@@ -215,7 +216,7 @@ std::set<ActionType> CentralInstanceActions(Scenario scenario) {
   return {};
 }
 
-std::set<ActionType> BwDatabaseActions(Scenario scenario) {
+ActionSet BwDatabaseActions(Scenario scenario) {
   if (scenario == Scenario::kFullMobility) {
     // Table 6: "database BW ... scale-in, scale-out" — it can be
     // distributed across several servers.
@@ -270,7 +271,7 @@ ServiceSpec CentralInstance(const std::string& name,
 
 ServiceSpec Database(const std::string& name, const std::string& subsystem,
                      bool exclusive, int max_instances,
-                     std::set<ActionType> actions) {
+                     ActionSet actions) {
   ServiceSpec spec;
   spec.name = name;
   spec.role = ServiceRole::kDatabase;

@@ -71,6 +71,52 @@ class SimulationRunner::View : public controller::LoadView {
   SimulationRunner* runner_;
 };
 
+namespace {
+
+/// The archive capacity hints of a run: the raw samples one window can
+/// hold (the shorter of retention and duration at one sample per tick,
+/// both ends included) and the run's aggregate buckets, each plus two.
+/// Needs a positive tick and bucket.
+size_t ArchiveRawHint(const RunnerConfig& config) {
+  return static_cast<size_t>(
+             std::min(config.archive_retention, config.duration).seconds() /
+             config.tick.seconds()) +
+         2;
+}
+
+size_t ArchiveAggregateHint(const RunnerConfig& config) {
+  return static_cast<size_t>(config.duration.seconds() /
+                             config.archive_bucket.seconds()) +
+         2;
+}
+
+}  // namespace
+
+Status RunnerConfig::Validate() const {
+  if (duration <= Duration::Zero()) {
+    return Status::InvalidArgument("duration must be positive");
+  }
+  if (!std::isfinite(user_scale) || user_scale < 0) {
+    return Status::InvalidArgument(
+        "user_scale must be finite and non-negative");
+  }
+  // The hints below divide by the tick and the bucket width, and a
+  // negative retention would evict every sample as it arrives.
+  if (tick <= Duration::Zero()) {
+    return Status::InvalidArgument("tick must be positive");
+  }
+  if (archive_bucket <= Duration::Zero()) {
+    return Status::InvalidArgument("archive_bucket must be positive");
+  }
+  if (archive_retention < Duration::Zero()) {
+    return Status::InvalidArgument("archive_retention must not be negative");
+  }
+  // A run too long for its history to be reserved is refused here
+  // rather than dying of bad_alloc at the first spill.
+  return monitor::LoadArchive::CheckCapacityHints(
+      ArchiveRawHint(*this), ArchiveAggregateHint(*this));
+}
+
 SimulationRunner::SimulationRunner(RunnerConfig config)
     : config_(config),
       archive_(config.archive_retention, config.archive_bucket),
@@ -86,13 +132,7 @@ Result<std::unique_ptr<SimulationRunner>> SimulationRunner::Create(
 }
 
 Status SimulationRunner::Init(const Landscape& landscape) {
-  if (config_.duration <= Duration::Zero()) {
-    return Status::InvalidArgument("duration must be positive");
-  }
-  if (!std::isfinite(config_.user_scale) || config_.user_scale < 0) {
-    return Status::InvalidArgument(
-        "user_scale must be finite and non-negative");
-  }
+  AG_RETURN_IF_ERROR(config_.Validate());
   // Observability first: the registry is always on (inert-handle cost
   // only), tracing/audit are created on demand and handed to every
   // component below as it is built.
@@ -138,37 +178,17 @@ Status SimulationRunner::Init(const Landscape& landscape) {
   demand_->set_fluctuation_per_minute(config_.fluctuation_per_minute);
   demand_->set_overload_threshold(config_.overload_threshold);
 
-  // The overload books, per server in dense-id order. Init refuses a
-  // non-positive tick, which the archive hints below divide by.
+  // The overload books, per server in dense-id order.
   AG_RETURN_IF_ERROR(ledger_.Init(cluster_.Index().num_servers(),
                                   /*lanes=*/1,
                                   config_.tick, config_.overload_smoothing,
                                   config_.overload_threshold));
-  // The hints below divide by the bucket width, and a negative
-  // retention would evict every sample as it arrives.
-  if (config_.archive_bucket <= Duration::Zero()) {
-    return Status::InvalidArgument("archive_bucket must be positive");
-  }
-  if (config_.archive_retention < Duration::Zero()) {
-    return Status::InvalidArgument("archive_retention must not be negative");
-  }
-  // Pre-size every archive series for the full retention window, and
-  // reserve the whole run's aggregate buckets for the series whose
-  // aggregate runs spill: steady-state appends never grow a ring.
-  // (A few KB per subject at the default 1-min tick.)
-  // A run too long for its aggregate history to be reserved is
-  // refused here rather than dying of bad_alloc at the first spill.
-  const size_t raw_hint =
-      static_cast<size_t>(archive_.raw_retention().seconds() /
-                          config_.tick.seconds()) +
-      2;
-  const size_t aggregate_hint =
-      static_cast<size_t>(config_.duration.seconds() /
-                          archive_.aggregate_bucket().seconds()) +
-      2;
-  AG_RETURN_IF_ERROR(
-      monitor::LoadArchive::CheckCapacityHints(raw_hint, aggregate_hint));
-  archive_.set_capacity_hints(raw_hint, aggregate_hint);
+  // A series whose raw or aggregate runs spill reserves the samples
+  // one window can hold, or the whole run's buckets, at once, so
+  // steady-state appends never grow its runs. Quiescent series keep
+  // their runs inline and reserve nothing.
+  archive_.set_capacity_hints(ArchiveRawHint(config_),
+                              ArchiveAggregateHint(config_));
   // The proactive ablation reads forecasts (hence the archive) before
   // every observation — carry-forward compression would serve it
   // stale series, so it runs with the exhaustive evaluation path.

@@ -58,11 +58,12 @@ struct RunnerConfig {
   infra::ExecutorConfig executor;
   controller::ControllerConfig controller;
 
-  /// Load-archive shape. Retention bounds each subject's raw-sample
-  /// ring (retention / tick samples); hyperscale sweeps shrink it so
-  /// ten thousand subjects fit a sane memory budget. The runner
-  /// pre-sizes every series from these at Init, so steady-state
-  /// archive appends never touch the heap.
+  /// Load-archive shape. Retention bounds each subject's raw window
+  /// (retention / tick samples, held as runs of repeated values); a
+  /// varying subject reserves room for the whole window once, so
+  /// hyperscale sweeps shrink it. The runner sizes every series' spill
+  /// from these at Init, so steady-state archive appends never touch
+  /// the heap.
   Duration archive_retention = Duration::Hours(48);
   Duration archive_bucket = Duration::Minutes(15);
 
@@ -136,6 +137,14 @@ struct RunnerConfig {
   /// one oscillation (the instability §4's protection mode exists to
   /// prevent).
   Duration oscillation_window = Duration::Minutes(60);
+
+  /// InvalidArgument when no run could use this config: a duration or
+  /// tick that is not positive, a user scale that is not a finite
+  /// non-negative factor, an archive bucket that is not positive, a
+  /// negative archive retention, or archive capacity hints one series
+  /// could not reserve (LoadArchive::CheckCapacityHints). Both
+  /// runners' Create call it before building anything.
+  Status Validate() const;
 };
 
 /// Aggregate quality metrics of a run.

@@ -1,7 +1,11 @@
 #ifndef AUTOGLOBE_INFRA_ACTION_H_
 #define AUTOGLOBE_INFRA_ACTION_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 
 #include "common/result.h"
@@ -32,6 +36,66 @@ inline constexpr ActionType kAllActionTypes[] = {
     ActionType::kScaleUp,      ActionType::kScaleDown,
     ActionType::kMove,         ActionType::kIncreasePriority,
     ActionType::kReducePriority,
+};
+
+/// A set of action types, held as a bitmask over the nine
+/// enumerators: no heap, and iteration visits the members in enum
+/// (Table 2) order, as a std::set<ActionType> would.
+class ActionSet {
+ public:
+  /// Visits the set bits, lowest first.
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = ActionType;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const ActionType*;
+    using reference = ActionType;
+
+    iterator() = default;
+    ActionType operator*() const {
+      return static_cast<ActionType>(std::countr_zero(bits_));
+    }
+    iterator& operator++() {
+      bits_ &= static_cast<uint16_t>(bits_ - 1);  // clear the lowest bit
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    friend class ActionSet;
+    explicit iterator(uint16_t bits) : bits_(bits) {}
+    uint16_t bits_ = 0;
+  };
+  using const_iterator = iterator;
+  using value_type = ActionType;
+
+  ActionSet() = default;
+  ActionSet(std::initializer_list<ActionType> actions) {
+    for (ActionType action : actions) insert(action);
+  }
+
+  void insert(ActionType action) { bits_ |= Bit(action); }
+  size_t count(ActionType action) const {
+    return (bits_ & Bit(action)) != 0 ? 1 : 0;
+  }
+  void clear() { bits_ = 0; }
+  bool empty() const { return bits_ == 0; }
+  size_t size() const { return static_cast<size_t>(std::popcount(bits_)); }
+  iterator begin() const { return iterator(bits_); }
+  iterator end() const { return iterator(0); }
+  bool operator==(const ActionSet&) const = default;
+
+ private:
+  static uint16_t Bit(ActionType action) {
+    return static_cast<uint16_t>(1u << static_cast<unsigned>(action));
+  }
+  uint16_t bits_ = 0;
 };
 
 /// Fuzzy output-variable name of an action, e.g. "scaleOut".

@@ -1,7 +1,6 @@
 #ifndef AUTOGLOBE_INFRA_SPECS_H_
 #define AUTOGLOBE_INFRA_SPECS_H_
 
-#include <set>
 #include <string>
 
 #include "common/result.h"
@@ -61,7 +60,7 @@ struct ServiceSpec {
   /// landscape default). Paper §4.1: load variables are averaged over
   /// "the service specific watchTime".
   int watch_time_minutes = 0;
-  std::set<ActionType> allowed_actions;
+  ActionSet allowed_actions;
 
   bool Allows(ActionType action) const {
     return allowed_actions.count(action) > 0;

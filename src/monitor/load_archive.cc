@@ -12,11 +12,10 @@ namespace autoglobe::monitor {
 
 namespace {
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+// The widest step and the most samples one raw run holds (its
+// interval and count are 32-bit); longer stretches open further runs.
+constexpr int64_t kMaxRunInterval = std::numeric_limits<int32_t>::max();
+constexpr int64_t kMaxRunCount = std::numeric_limits<int32_t>::max();
 
 /// Runs merge only on equal bits, so a merged mean is exactly the
 /// mean each of its buckets had (and -0.0 never merges with 0.0).
@@ -71,13 +70,10 @@ Status ReadBlock(ByteReader* r, bool as_runs, int64_t plain_interval,
 /// Validates a series' raw runs: each non-empty with a positive
 /// interval (0 for a single sample), in time order without overlap,
 /// and all of them inside the retention window that ends at the newest
-/// sample — what Append's eviction leaves. Returns the sample count,
-/// which is then at most retention/interval + 1 per run however large
-/// the claimed counts were.
-Result<uint64_t> CheckRawRuns(const std::string& key,
-                              const std::vector<SampleRun>& runs,
-                              int64_t retention_s) {
-  uint64_t samples = 0;
+/// sample — what Append's eviction leaves. A run then holds at most
+/// retention/interval + 1 samples however large its claimed count was.
+Status CheckRawRuns(const std::string& key,
+                    const std::vector<SampleRun>& runs, int64_t retention_s) {
   int64_t last = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     const SampleRun& run = runs[i];
@@ -117,7 +113,6 @@ Result<uint64_t> CheckRawRuns(const std::string& key,
           i, key.c_str(), static_cast<long long>(run.first)));
     }
     last = run.first + span;
-    samples += run.count;
   }
   if (!runs.empty()) {
     // last >= runs[0].first, so the unsigned difference is exact.
@@ -131,7 +126,7 @@ Result<uint64_t> CheckRawRuns(const std::string& key,
           static_cast<long long>(retention_s)));
     }
   }
-  return samples;
+  return Status::OK();
 }
 
 /// Validates a series' aggregate runs against its open bucket: each
@@ -196,32 +191,40 @@ Status CheckAggregateRuns(const std::string& key,
 
 }  // namespace
 
-void LoadArchive::AggregateRuns::push_back(const AggregateRun& run,
-                                           size_t spill_capacity) {
-  if (heap_.capacity() == 0) {
-    if (size_ < kInline) {
-      inline_[size_++] = run;
-      return;
-    }
-    heap_.reserve(std::max(spill_capacity, kInline + 1));
-    heap_.assign(inline_, inline_ + kInline);
+template <typename Run>
+void LoadArchive::RunRing<Run>::push_back(const Run& run,
+                                          size_t spill_capacity) {
+  if (size_ == capacity()) {
+    // Spill to the reserved ring, or double a full one; either way the
+    // runs are laid out oldest first.
+    std::vector<Run> grown(heap_.empty()
+                               ? std::max(spill_capacity, 2 * kInline)
+                               : 2 * heap_.size());
+    for (size_t i = 0; i < size_; ++i) grown[i] = (*this)[i];
+    heap_.swap(grown);
+    head_ = 0;
   }
-  heap_.push_back(run);
+  slots()[Slot(size_)] = run;
   ++size_;
 }
 
-size_t LoadArchive::FirstAfterIdx(const Series& series, SimTime t) {
+LoadArchive::RawPos LoadArchive::FirstAfter(const Series& series,
+                                            int64_t t) {
+  // Runs are time-ordered, so their newest samples are too.
   size_t lo = 0;
-  size_t hi = series.count;
+  size_t hi = series.raw.size();
   while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (series.At(mid).at <= t) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (series.raw[mid].last() <= t) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return lo;
+  if (lo == series.raw.size()) return RawPos{lo, 0};
+  const RawRun& run = series.raw[lo];
+  // run.last() > t, so a run starting at or before t has a step.
+  return RawPos{lo, run.first > t ? 0 : (t - run.first) / run.interval + 1};
 }
 
 LoadArchive::LoadArchive(Duration raw_retention, Duration aggregate_bucket)
@@ -235,10 +238,9 @@ void LoadArchive::set_capacity_hints(size_t raw_samples,
 
 Status LoadArchive::CheckCapacityHints(size_t raw_samples,
                                        size_t aggregate_buckets) {
-  constexpr size_t kMaxRaw = kMaxSeriesReserveBytes / sizeof(LoadSample);
-  if (raw_samples > kMaxRaw || RoundUpPow2(raw_samples) > kMaxRaw) {
+  if (raw_samples > kMaxSeriesReserveBytes / sizeof(RawRun)) {
     return Status::InvalidArgument(StrFormat(
-        "a raw ring of %zu samples exceeds the %zu-byte series limit",
+        "a raw window of %zu samples exceeds the %zu-byte series limit",
         raw_samples, kMaxSeriesReserveBytes));
   }
   if (aggregate_buckets > kMaxSeriesReserveBytes / sizeof(AggregateRun)) {
@@ -254,9 +256,6 @@ LoadArchive::Handle LoadArchive::Acquire(std::string_view key) {
   if (it == series_.end()) {
     it = series_.emplace(std::string(key), Series{}).first;
     it->second.key = it->first;
-    if (raw_hint_ > 0) {
-      it->second.raw.resize(RoundUpPow2(raw_hint_));
-    }
   }
   return Handle(&it->second);
 }
@@ -272,22 +271,49 @@ const LoadArchive::Series* LoadArchive::FindSeries(
   return it == series_.end() ? nullptr : &it->second;
 }
 
-void LoadArchive::EnsureRawCapacity(Series* series, size_t samples) {
-  if (samples <= series->raw.size()) return;
-  size_t capacity = series->raw.empty() ? 16 : series->raw.size() * 2;
-  while (capacity < samples) capacity *= 2;
-  std::vector<LoadSample> grown(capacity);
-  for (size_t i = 0; i < series->count; ++i) {
-    grown[i] = series->At(i);
+void LoadArchive::EvictBefore(Series* series, int64_t horizon) {
+  while (!series->raw.empty()) {
+    RawRun& run = series->raw.front();
+    if (run.first >= horizon) return;
+    if (run.last() < horizon) {
+      series->raw.pop_front();
+      continue;
+    }
+    // The horizon falls inside the run, which therefore has a step.
+    const int64_t drop = (horizon - run.first + run.interval - 1) /
+                         run.interval;
+    run.first += drop * run.interval;
+    run.count -= static_cast<int32_t>(drop);
+    if (run.count == 1) run.interval = 0;
+    return;
   }
-  series->raw.swap(grown);
-  series->head = 0;
 }
 
-void LoadArchive::EvictBefore(Series* series, SimTime horizon) {
-  while (series->count > 0 && series->At(0).at < horizon) {
-    series->head = (series->head + 1) & (series->raw.size() - 1);
-    --series->count;
+void LoadArchive::PushRaw(Series* series, int64_t first, int64_t step,
+                          int64_t count, double value) const {
+  while (count > 0) {
+    int64_t take = 1;
+    RawRun* last = series->raw.empty() ? nullptr : &series->raw.back();
+    if (last != nullptr && SameBits(last->value, value) &&
+        last->count < kMaxRunCount &&
+        (last->count == 1 ? first - last->first <= kMaxRunInterval
+                          : first - last->last() == last->interval)) {
+      if (last->count == 1) {
+        last->interval = static_cast<int32_t>(first - last->first);
+      }
+      if (count == 1 || step == last->interval) {
+        take = std::min(count, kMaxRunCount - last->count);
+      }
+      last->count += static_cast<int32_t>(take);
+    } else {
+      if (step <= kMaxRunInterval) take = std::min(count, kMaxRunCount);
+      series->raw.push_back(
+          RawRun{first, static_cast<int32_t>(take > 1 ? step : 0),
+                 static_cast<int32_t>(take), value},
+          raw_hint_);
+    }
+    count -= take;
+    if (count > 0) first += take * step;
   }
 }
 
@@ -295,7 +321,7 @@ Status LoadArchive::OutOfOrder(const Series& series, SimTime at) {
   return Status::InvalidArgument(StrFormat(
       "out-of-order sample for \"%s\": %s < %s", series.key.c_str(),
       at.ToString().c_str(),
-      series.At(series.count - 1).at.ToString().c_str()));
+      SimTime::FromSeconds(series.raw.back().last()).ToString().c_str()));
 }
 
 Status LoadArchive::Append(std::string_view key, SimTime at, double value) {
@@ -303,41 +329,30 @@ Status LoadArchive::Append(std::string_view key, SimTime at, double value) {
 }
 
 Status LoadArchive::Append(Handle handle, SimTime at, double value) {
-  Series& series = *handle.series_;
-  if (series.count > 0 && at < series.At(series.count - 1).at) {
-    return OutOfOrder(series, at);
-  }
-  EnsureRawCapacity(&series, series.count + 1);
-  series.raw[(series.head + series.count) & (series.raw.size() - 1)] =
-      LoadSample{at, value};
-  ++series.count;
-  FoldIntoAggregate(&series, at.seconds() / aggregate_bucket_.seconds(),
-                    value, 1);
-  EvictBefore(&series, at - raw_retention_);
-  return Status::OK();
+  return AppendRun(handle, at, Duration::Zero(), 1, value);
 }
 
 Status LoadArchive::AppendRun(Handle handle, SimTime first,
                               Duration interval, int64_t count,
                               double value) {
   if (count <= 0) return Status::OK();
-  const int64_t step = interval.seconds();
-  if (step < 0 || first.seconds() < 0) {
+  const int64_t step = count > 1 ? interval.seconds() : 0;
+  const int64_t first_s = first.seconds();
+  if (step < 0 || (count > 1 && first_s < 0)) {
     // Shapes the bulk fold does not model: a run that goes out of
     // order at its second sample, or negative times (where the bucket
-    // division truncates toward zero). Replay them sample by sample.
+    // division truncates toward zero). Append them one at a time.
     for (int64_t i = 0; i < count; ++i) {
       AG_RETURN_IF_ERROR(Append(handle, first + interval * i, value));
     }
     return Status::OK();
   }
   Series& series = *handle.series_;
-  if (series.count > 0 && first < series.At(series.count - 1).at) {
+  if (!series.raw.empty() && first_s < series.raw.back().last()) {
     return OutOfOrder(series, first);
   }
   // Aggregates: every sample of the run, one bucket-run at a time.
   const int64_t bucket_seconds = aggregate_bucket_.seconds();
-  const int64_t first_s = first.seconds();
   for (int64_t i = 0; i < count;) {
     int64_t bucket = (first_s + step * i) / bucket_seconds;
     int64_t end = count;
@@ -352,20 +367,19 @@ Status LoadArchive::AppendRun(Handle handle, SimTime first,
   // Raw window: Append evicts against its own sample's horizon, and
   // the horizons only grow along the run, so after the last Append
   // exactly the samples older than the last horizon are gone — older
-  // archived samples first, then possibly the run's own head.
-  const SimTime horizon = first + interval * (count - 1) - raw_retention_;
-  EvictBefore(&series, horizon);
+  // archived samples first, then possibly the run's own head, which
+  // is never stored. Evicting before storing keeps the runs within
+  // what one window holds.
+  const int64_t horizon =
+      (first + interval * (count - 1) - raw_retention_).seconds();
   int64_t skip = 0;
-  if (step > 0 && first < horizon) {
-    skip = ((horizon - first).seconds() + step - 1) / step;
+  if (first_s < horizon) {
+    skip = step > 0 ? std::min(count, (horizon - first_s + step - 1) / step)
+                    : count;
   }
-  const size_t kept = static_cast<size_t>(count - skip);
-  EnsureRawCapacity(&series, series.count + kept);
-  const size_t mask = series.raw.size() - 1;
-  for (int64_t i = skip; i < count; ++i) {
-    series.raw[(series.head + series.count) & mask] =
-        LoadSample{first + interval * i, value};
-    ++series.count;
+  EvictBefore(&series, horizon);
+  if (skip < count) {
+    PushRaw(&series, first_s + skip * step, step, count - skip, value);
   }
   return Status::OK();
 }
@@ -387,8 +401,8 @@ void LoadArchive::FoldIntoAggregate(Series* series, int64_t bucket,
 
 void LoadArchive::AddAggregateRun(Series* series, int64_t first,
                                   int64_t count, double value) const {
-  AggregateRuns& runs = series->aggregated;
-  if (runs.size() > 0) {
+  RunRing<AggregateRun>& runs = series->aggregated;
+  if (!runs.empty()) {
     AggregateRun& last = runs.back();
     if (last.first + last.count == first && SameBits(last.value, value)) {
       last.count += count;
@@ -400,20 +414,20 @@ void LoadArchive::AddAggregateRun(Series* series, int64_t first,
 
 Result<double> LoadArchive::Latest(std::string_view key) const {
   const Series* series = FindSeries(key);
-  if (series == nullptr || series->count == 0) {
+  if (series == nullptr || series->raw.empty()) {
     return Status::NotFound(
         StrFormat("no samples for \"%.*s\"", static_cast<int>(key.size()),
                   key.data()));
   }
-  return series->At(series->count - 1).value;
+  return series->raw.back().value;
 }
 
 Result<double> LoadArchive::Latest(Handle handle) const {
-  if (handle.series_->count == 0) {
+  if (handle.series_->raw.empty()) {
     return Status::NotFound(StrFormat("no samples for \"%s\"",
                                       handle.series_->key.c_str()));
   }
-  return handle.series_->At(handle.series_->count - 1).value;
+  return handle.series_->raw.back().value;
 }
 
 Result<double> LoadArchive::Average(std::string_view key, Duration window,
@@ -432,24 +446,33 @@ Result<double> LoadArchive::Average(std::string_view key, Duration window,
 Result<double> LoadArchive::Average(Handle handle, Duration window,
                                     SimTime now) const {
   const Series& series = *handle.series_;
-  SimTime from = now - window;
-  // The ring is time-ordered, so the (from, now] window is a
-  // contiguous logical range found by binary search.
-  size_t lo = FirstAfterIdx(series, from);
-  size_t hi = FirstAfterIdx(series, now);
-  if (lo == hi) {
+  // The samples are time-ordered, so the (from, now] window is the
+  // contiguous stretch between two binary-searched positions.
+  const RawPos lo = FirstAfter(series, (now - window).seconds());
+  const RawPos hi = FirstAfter(series, now.seconds());
+  // Newest-first accumulation, one add per sample, matching the
+  // original reverse scan so the floating-point sum is bit-identical.
+  double sum = 0.0;
+  int64_t samples = 0;
+  size_t run = hi.run;
+  int64_t end = hi.sample;  // exclusive, within `run`
+  while (run > lo.run || (run == lo.run && end > lo.sample)) {
+    if (end == 0) {
+      end = series.raw[--run].count;
+      continue;
+    }
+    const int64_t begin = run == lo.run ? lo.sample : 0;
+    const double value = series.raw[run].value;
+    for (int64_t i = begin; i < end; ++i) sum += value;
+    samples += end - begin;
+    end = begin;
+  }
+  if (samples == 0) {
     return Status::NotFound(StrFormat(
         "no samples for \"%s\" in the last %s", series.key.c_str(),
         window.ToString().c_str()));
   }
-  // Newest-first accumulation, matching the original reverse scan so
-  // the floating-point sum is bit-identical.
-  double sum = 0.0;
-  for (size_t i = hi; i != lo;) {
-    --i;
-    sum += series.At(i).value;
-  }
-  return sum / static_cast<double>(hi - lo);
+  return sum / static_cast<double>(samples);
 }
 
 std::vector<LoadSample> LoadArchive::RawBetween(std::string_view key,
@@ -458,10 +481,16 @@ std::vector<LoadSample> LoadArchive::RawBetween(std::string_view key,
   std::vector<LoadSample> out;
   const Series* series = FindSeries(key);
   if (series == nullptr) return out;
-  size_t lo = FirstAfterIdx(*series, from);
-  size_t hi = FirstAfterIdx(*series, to);
-  out.reserve(hi - lo);
-  for (size_t i = lo; i < hi; ++i) out.push_back(series->At(i));
+  const RawPos lo = FirstAfter(*series, from.seconds());
+  const RawPos hi = FirstAfter(*series, to.seconds());
+  for (size_t r = lo.run; r <= hi.run && r < series->raw.size(); ++r) {
+    const RawRun& run = series->raw[r];
+    const int64_t end = r == hi.run ? hi.sample : run.count;
+    for (int64_t i = r == lo.run ? lo.sample : 0; i < end; ++i) {
+      out.push_back(LoadSample{
+          SimTime::FromSeconds(run.first + i * run.interval), run.value});
+    }
+  }
   return out;
 }
 
@@ -469,12 +498,13 @@ std::vector<LoadSample> LoadArchive::AggregatedOf(
     const Series& series) const {
   const int64_t bucket_seconds = aggregate_bucket_.seconds();
   size_t buckets = series.open_count > 0 ? 1 : 0;
-  for (const AggregateRun& run : series.aggregated) {
-    buckets += static_cast<size_t>(run.count);
+  for (size_t r = 0; r < series.aggregated.size(); ++r) {
+    buckets += static_cast<size_t>(series.aggregated[r].count);
   }
   std::vector<LoadSample> out;
   out.reserve(buckets);
-  for (const AggregateRun& run : series.aggregated) {
+  for (size_t r = 0; r < series.aggregated.size(); ++r) {
+    const AggregateRun& run = series.aggregated[r];
     for (int64_t i = 0; i < run.count; ++i) {
       out.push_back(LoadSample{
           SimTime::FromSeconds((run.first + i) * bucket_seconds),
@@ -504,13 +534,20 @@ std::vector<std::string> LoadArchive::Keys() const {
 
 void LoadArchive::ClearSamples() {
   for (auto& [key, series] : series_) {
-    series.head = 0;
-    series.count = 0;
+    series.raw.clear();
     series.aggregated.clear();
     series.open_bucket = -1;
     series.open_sum = 0.0;
     series.open_count = 0;
   }
+}
+
+size_t LoadArchive::StorageBytes() const {
+  size_t bytes = 0;
+  for (const auto& [key, series] : series_) {
+    bytes += series.raw.heap_bytes() + series.aggregated.heap_bytes();
+  }
+  return bytes;
 }
 
 Status LoadArchive::Save(const std::string& path) const {
@@ -563,29 +600,42 @@ Result<LoadArchive> LoadArchive::Load(const std::string& path) {
 }
 
 size_t LoadArchive::RawRuns(const Series& series, ByteWriter* w) {
+  // The greedy split of the samples, walked run by run: a stored run
+  // whose step the open image run already has joins it whole, which
+  // is what joining its samples one by one would do.
   size_t runs = 0;
-  for (size_t i = 0; i < series.count;) {
-    const LoadSample& first = series.At(i);
-    int64_t interval = 0;
-    size_t n = 1;
-    for (; i + n < series.count; ++n) {
-      const LoadSample& next = series.At(i + n);
-      const int64_t step = (next.at - series.At(i + n - 1).at).seconds();
-      if (!SameBits(next.value, first.value) || step <= 0 ||
-          (n > 1 && step != interval)) {
-        break;
-      }
-      interval = step;
-    }
+  SampleRun open;  // the image run being grown; count 0 = none
+  int64_t newest = 0;  // its newest sample
+  auto emit = [&] {
     if (w != nullptr) {
-      w->I64(first.at.seconds());
-      w->I64(interval);
-      w->U64(n);
-      w->F64(first.value);
+      w->I64(open.first);
+      w->I64(open.interval);
+      w->U64(open.count);
+      w->F64(open.value);
     }
     ++runs;
-    i += n;
+  };
+  for (size_t r = 0; r < series.raw.size(); ++r) {
+    const RawRun& run = series.raw[r];
+    int64_t at = run.first;
+    for (int64_t left = run.count; left > 0;) {
+      const int64_t step = at - newest;
+      int64_t take = 1;
+      if (open.count > 0 && SameBits(run.value, open.value) && step > 0 &&
+          (open.count == 1 || step == open.interval)) {
+        open.interval = step;
+        if (run.interval == step) take = left;
+        open.count += static_cast<uint64_t>(take);
+      } else {
+        if (open.count > 0) emit();
+        open = SampleRun{at, 0, 1, run.value};
+      }
+      newest = at + (take - 1) * run.interval;
+      at = newest + run.interval;
+      left -= take;
+    }
   }
+  if (open.count > 0) emit();
   return runs;
 }
 
@@ -593,6 +643,7 @@ void LoadArchive::SaveState(ByteWriter* w) const {
   // Sizing pass: pick each series' encodings and reserve the section.
   struct Plan {
     size_t raw_runs = 0;
+    size_t samples = 0;
     size_t buckets = 0;
     uint8_t flags = 0;
   };
@@ -602,11 +653,14 @@ void LoadArchive::SaveState(ByteWriter* w) const {
   for (const auto& [key, series] : series_) {
     Plan plan;
     plan.raw_runs = RawRuns(series, nullptr);
-    for (const AggregateRun& run : series.aggregated) {
-      plan.buckets += static_cast<size_t>(run.count);
+    for (size_t r = 0; r < series.raw.size(); ++r) {
+      plan.samples += static_cast<size_t>(series.raw[r].count);
+    }
+    for (size_t r = 0; r < series.aggregated.size(); ++r) {
+      plan.buckets += static_cast<size_t>(series.aggregated[r].count);
     }
     const size_t raw_runs = plan.raw_runs * kRunBytes;
-    const size_t raw_plain = series.count * kSampleBytes;
+    const size_t raw_plain = plan.samples * kSampleBytes;
     const size_t aggregate_runs = series.aggregated.size() * kRunBytes;
     const size_t aggregate_plain = plan.buckets * kSampleBytes;
     if (raw_runs < raw_plain) plan.flags |= kRawAsRuns;
@@ -628,16 +682,19 @@ void LoadArchive::SaveState(ByteWriter* w) const {
       w->U64(plan->raw_runs);
       RawRuns(series, w);
     } else {
-      w->U64(series.count);
-      for (size_t i = 0; i < series.count; ++i) {
-        const LoadSample& sample = series.At(i);
-        w->I64(sample.at.seconds());
-        w->F64(sample.value);
+      w->U64(plan->samples);
+      for (size_t r = 0; r < series.raw.size(); ++r) {
+        const RawRun& run = series.raw[r];
+        for (int64_t i = 0; i < run.count; ++i) {
+          w->I64(run.first + i * run.interval);
+          w->F64(run.value);
+        }
       }
     }
     if (plan->flags & kAggregatesAsRuns) {
       w->U64(series.aggregated.size());
-      for (const AggregateRun& run : series.aggregated) {
+      for (size_t r = 0; r < series.aggregated.size(); ++r) {
+        const AggregateRun& run = series.aggregated[r];
         w->I64(run.first * bucket_seconds);
         w->I64(bucket_seconds);
         w->U64(static_cast<uint64_t>(run.count));
@@ -645,7 +702,8 @@ void LoadArchive::SaveState(ByteWriter* w) const {
       }
     } else {
       w->U64(plan->buckets);
-      for (const AggregateRun& run : series.aggregated) {
+      for (size_t r = 0; r < series.aggregated.size(); ++r) {
+        const AggregateRun& run = series.aggregated[r];
         for (int64_t i = 0; i < run.count; ++i) {
           w->I64((run.first + i) * bucket_seconds);
           w->F64(run.value);
@@ -690,9 +748,7 @@ Status LoadArchive::RestoreState(ByteReader* r) {
     AG_ASSIGN_OR_RETURN(open_bucket, r->I64());
     AG_ASSIGN_OR_RETURN(open_sum, r->F64());
     AG_ASSIGN_OR_RETURN(open_count, r->I64());
-    uint64_t raw_count = 0;
-    AG_ASSIGN_OR_RETURN(raw_count,
-                        CheckRawRuns(key, raw, raw_retention_.seconds()));
+    AG_RETURN_IF_ERROR(CheckRawRuns(key, raw, raw_retention_.seconds()));
     int64_t newest = 0;
     if (!raw.empty()) {
       newest = raw.back().first +
@@ -704,20 +760,10 @@ Status LoadArchive::RestoreState(ByteReader* r) {
                                           raw.empty() ? nullptr : &newest));
 
     Series& series = *Acquire(key).series_;
-    size_t capacity = series.raw.size();
-    if (capacity < raw_count) capacity = RoundUpPow2(raw_count);
-    if (capacity != series.raw.size()) {
-      series.raw.assign(capacity, LoadSample{});
-    }
-    series.head = 0;
-    series.count = 0;
+    series.raw.clear();
     for (const SampleRun& run : raw) {
-      for (uint64_t i = 0; i < run.count; ++i) {
-        series.raw[series.count++] = LoadSample{
-            SimTime::FromSeconds(run.first +
-                                 static_cast<int64_t>(i) * run.interval),
-            run.value};
-      }
+      PushRaw(&series, run.first, run.interval,
+              static_cast<int64_t>(run.count), run.value);
     }
     series.aggregated.clear();
     for (const SampleRun& run : aggregates) {

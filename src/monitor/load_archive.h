@@ -2,6 +2,7 @@
 #define AUTOGLOBE_MONITOR_LOAD_ARCHIVE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -29,21 +30,23 @@ struct LoadSample {
 /// they are folded into fixed-width aggregate buckets (mean values),
 /// which is what the load-forecasting extension consumes.
 ///
-/// Raw storage is a per-series ring buffer (power-of-two capacity):
-/// the steady-state retention window slides without touching the heap
-/// — a deque would allocate and free blocks while sliding, which
-/// breaks the hyperscale zero-allocation-per-tick contract. Capacity
-/// hints (set_capacity_hints) pre-size new series so even the first
-/// pass through the window allocates nothing per append.
+/// Both are held as runs, sized by information rather than by the
+/// clock. The raw window is a sequence of `(first, interval, count,
+/// value)` runs of samples with bit-identical values at a constant
+/// step: a sample that repeats the newest value one interval later
+/// extends the newest run in O(1), and eviction trims or drops the
+/// oldest runs. Completed aggregate buckets are runs of consecutive
+/// buckets with bit-identical means. Reads (Average, RawBetween,
+/// Aggregated, SaveState) walk the runs sample by sample in the order
+/// a slot-per-sample store would, so every mean keeps its bits.
 ///
-/// Completed aggregate buckets are stored as runs of consecutive
-/// buckets with bit-identical means, expanded only when read
-/// (Aggregated, Save). Most series repeat their mean bucket after
-/// bucket, so a series holds one or two runs. Those two live inline
-/// in the series; the third run moves them to the heap, reserved for
-/// the aggregate capacity hint at once. A constant series therefore
-/// never allocates aggregate storage, and a varying one allocates
-/// once, on its third distinct mean.
+/// Each kind of run keeps two runs inline in the series; the third
+/// moves them to the heap, reserved once at the capacity hint. A
+/// quiescent series (at most two raw runs in any window, at most two
+/// bucket runs of history) therefore never allocates, and a varying
+/// one allocates once per kind: the raw hint bounds the samples a
+/// window can hold, so the reserved runs never grow in the steady
+/// state.
 ///
 /// All name-based entry points take `std::string_view` and resolve it
 /// with heterogeneous lookup — no temporary std::string per call. Hot
@@ -56,6 +59,19 @@ class LoadArchive {
                        Duration aggregate_bucket = Duration::Minutes(15));
 
  private:
+  /// Samples at `first`, `first + interval`, ... (`count` of them,
+  /// times in seconds), all with value `value`. A one-sample run has
+  /// interval 0; a longer one has the step its second sample set.
+  struct RawRun {
+    int64_t first = 0;
+    int32_t interval = 0;
+    int32_t count = 0;
+    double value = 0.0;
+    int64_t last() const {
+      return first + int64_t{interval} * (int64_t{count} - 1);
+    }
+  };
+
   /// Completed buckets `first`, `first + 1`, ... `first + count - 1`
   /// (bucket indices), all with mean `value`.
   struct AggregateRun {
@@ -64,52 +80,66 @@ class LoadArchive {
     double value = 0.0;
   };
 
-  /// A series' aggregate runs: the first two inline, all of them on
-  /// the heap once a third opens (or once the heap holds capacity, so
-  /// a cleared series keeps appending allocation-free).
-  class AggregateRuns {
+  /// A ring of runs, oldest first: two slots inline, all of them on
+  /// the heap once a third run opens. The heap ring is reserved at
+  /// `spill_capacity` runs (its exact size) and doubles only when it
+  /// fills; it is kept by clear(), so a cleared series appends
+  /// allocation-free.
+  template <typename Run>
+  class RunRing {
    public:
-    const AggregateRun* begin() const {
-      return heap_.capacity() > 0 ? heap_.data() : inline_;
-    }
-    const AggregateRun* end() const { return begin() + size_; }
     size_t size() const { return size_; }
-    AggregateRun& back() {
-      return heap_.capacity() > 0 ? heap_.back() : inline_[size_ - 1];
+    bool empty() const { return size_ == 0; }
+    /// Logical index -> run (0 = oldest).
+    const Run& operator[](size_t i) const { return slots()[Slot(i)]; }
+    Run& front() { return slots()[head_]; }
+    Run& back() { return slots()[Slot(size_ - 1)]; }
+    const Run& back() const { return slots()[Slot(size_ - 1)]; }
+    void push_back(const Run& run, size_t spill_capacity);
+    void pop_front() {
+      head_ = Slot(1);
+      --size_;
     }
-    /// Appends `run`; a spill reserves `spill_capacity` runs.
-    void push_back(const AggregateRun& run, size_t spill_capacity);
     void clear() {
-      heap_.clear();  // capacity kept
+      head_ = 0;
       size_ = 0;
     }
+    /// Heap bytes reserved (0 while the runs fit inline).
+    size_t heap_bytes() const { return heap_.size() * sizeof(Run); }
 
    private:
     static constexpr size_t kInline = 2;
-    AggregateRun inline_[kInline];
-    std::vector<AggregateRun> heap_;
+    size_t capacity() const { return heap_.empty() ? kInline : heap_.size(); }
+    size_t Slot(size_t i) const {
+      const size_t slot = head_ + i;
+      return slot < capacity() ? slot : slot - capacity();
+    }
+    Run* slots() { return heap_.empty() ? inline_ : heap_.data(); }
+    const Run* slots() const {
+      return heap_.empty() ? inline_ : heap_.data();
+    }
+
+    Run inline_[kInline];
+    std::vector<Run> heap_;  // the ring once spilled; size() is capacity
+    size_t head_ = 0;
     size_t size_ = 0;
   };
 
   struct Series {
     std::string key;  // for error messages
-    /// Ring storage; size() is the capacity and is always a power of
-    /// two once non-empty. `head` indexes the oldest sample, `count`
-    /// the live samples.
-    std::vector<LoadSample> raw;
-    size_t head = 0;
-    size_t count = 0;
-    AggregateRuns aggregated;
+    RunRing<RawRun> raw;
+    RunRing<AggregateRun> aggregated;
     // Accumulator of the bucket currently being filled.
     int64_t open_bucket = -1;  // bucket index, -1 = none
     double open_sum = 0.0;
     int64_t open_count = 0;
+  };
 
-    /// Logical index -> sample (0 = oldest). Capacity is a power of
-    /// two, so the wrap is a mask.
-    const LoadSample& At(size_t i) const {
-      return raw[(head + i) & (raw.size() - 1)];
-    }
+  /// A raw sample's place: sample `sample` of run `run` (run ==
+  /// raw.size() past the newest).
+  struct RawPos {
+    size_t run = 0;
+    int64_t sample = 0;
   };
 
  public:
@@ -132,20 +162,19 @@ class LoadArchive {
   /// when the key has never been acquired.
   Handle Find(std::string_view key);
 
-  /// Pre-sizes every series created by later Acquire calls:
-  /// `raw_samples` ring slots (rounded up to a power of two), and
-  /// `aggregate_buckets` aggregate runs reserved when a series' runs
-  /// spill to the heap. Callers that know their cadence (the runner:
-  /// retention/tick raw samples, duration/bucket aggregates) set this
-  /// once at startup so the steady state appends allocation-free.
+  /// Sizes the heap spill of every series: `raw_samples` raw runs and
+  /// `aggregate_buckets` aggregate runs, each reserved once, when a
+  /// series' runs of that kind first outgrow the two inline ones.
+  /// Callers that know their cadence (the runner: the samples one
+  /// window can hold, duration/bucket aggregates) set this once at
+  /// startup so the steady state appends allocation-free.
   void set_capacity_hints(size_t raw_samples, size_t aggregate_buckets);
   /// The most a capacity hint may ask one series to reserve, in bytes.
   static constexpr size_t kMaxSeriesReserveBytes = size_t{1} << 30;
-  /// InvalidArgument when hints would ask a series for a ring of more
-  /// than kMaxSeriesReserveBytes (`raw_samples`, rounded up to a power
-  /// of two) or a spill of more (`aggregate_buckets` runs) — a run
-  /// that long could never reserve its history. Check before
-  /// set_capacity_hints.
+  /// InvalidArgument when hints would ask a series to reserve more
+  /// than kMaxSeriesReserveBytes for either spill (`raw_samples` or
+  /// `aggregate_buckets` runs) — a run that long could never reserve
+  /// its history. Check before set_capacity_hints.
   static Status CheckCapacityHints(size_t raw_samples,
                                    size_t aggregate_buckets);
 
@@ -154,12 +183,13 @@ class LoadArchive {
   Status Append(std::string_view key, SimTime at, double value);
   Status Append(Handle handle, SimTime at, double value);
   /// Appends `count` copies of `value` at `first + i * interval` and
-  /// leaves exactly the state (raw window, aggregates, open bucket,
-  /// error) that `count` separate Append calls would. Aggregates fold
-  /// bucket-run by bucket-run with one sequential add per sample —
-  /// FP summation is order-sensitive, so `count * value` would not
-  /// do — but only the samples that survive retention are written to
-  /// the ring, and eviction runs once.
+  /// leaves exactly the samples, aggregates, open bucket and error
+  /// that `count` separate Append calls would (Append is the one-sample
+  /// case). Aggregates fold bucket-run by bucket-run with one
+  /// sequential add per sample — FP summation is order-sensitive, so
+  /// `count * value` would not do — while the raw window takes only
+  /// the samples that survive retention, as one run, extending the
+  /// newest run when they continue it.
   Status AppendRun(Handle handle, SimTime first, Duration interval,
                    int64_t count, double value);
 
@@ -184,11 +214,15 @@ class LoadArchive {
   /// All known subject keys.
   std::vector<std::string> Keys() const;
 
-  /// Drops every sample (raw rings, aggregates, open buckets) while
-  /// keeping the series themselves and their ring capacity, so
+  /// Drops every sample (raw runs, aggregates, open buckets) while
+  /// keeping the series themselves and their reserved runs, so
   /// previously issued Handles stay valid and a rerun appends
   /// allocation-free from the first tick.
   void ClearSamples();
+
+  /// Heap bytes reserved for run storage, summed over every series by
+  /// capacity (raw and aggregate spills; not keys or map nodes).
+  size_t StorageBytes() const;
 
   /// Serializes the aggregated view ("persistent aggregated view of
   /// historic load data") to / from a simple text format.
@@ -196,20 +230,23 @@ class LoadArchive {
   static Result<LoadArchive> Load(const std::string& path);
 
   // --- Checkpoint/restore ----------------------------------------------
-  /// Full binary serialization for snapshots: raw rings (in logical
-  /// order), aggregate buckets and open-bucket accumulators of every
-  /// series — unlike Save/Load, which keeps only the aggregated view.
-  /// Raw rings and aggregates are written as `(first, interval, count,
-  /// value)` runs, or as plain samples where runs would be larger; a
-  /// per-series flag byte says which.
+  /// Full binary serialization for snapshots: raw samples, aggregate
+  /// buckets and open-bucket accumulators of every series — unlike
+  /// Save/Load, which keeps only the aggregated view. Raw samples and
+  /// aggregates are written as `(first, interval, count, value)` runs,
+  /// or as plain samples where runs would be larger; a per-series flag
+  /// byte says which. Raw runs are a greedy split of the samples (each
+  /// run as long as equal value bits and a constant positive step
+  /// allow), whatever runs memory holds — eviction can leave another
+  /// segmentation of the same samples.
   void SaveState(ByteWriter* w) const;
   /// Restores a SaveState image. Existing series are reused (issued
-  /// Handles stay valid); ring capacity is re-derived from the sample
-  /// counts and capacity hints — capacity never affects values. Each
-  /// series' runs are checked before anything is sized from them:
-  /// a raw series must fit its retention window in time order, and
-  /// aggregate runs must be bucket-wide, ordered, and older than the
-  /// open bucket. Violations are ParseErrors.
+  /// Handles stay valid); the image's runs go straight into run
+  /// storage — capacity never affects values. Each series' runs are
+  /// checked before any is stored: a raw series must fit its
+  /// retention window in time order, and aggregate runs must be
+  /// bucket-wide, ordered, and older than the open bucket. Violations
+  /// are ParseErrors.
   Status RestoreState(ByteReader* r);
 
   Duration raw_retention() const { return raw_retention_; }
@@ -226,21 +263,24 @@ class LoadArchive {
   void AddAggregateRun(Series* series, int64_t first, int64_t count,
                        double value) const;
   static Status OutOfOrder(const Series& series, SimTime at);
-  /// Splits the raw window into `(first, interval, count, value)` runs
-  /// of equal value bits and a constant positive interval, writes them
-  /// to `w` when it is not null, and returns how many there are.
+  /// Appends `count` samples of `value` from `first` on, `step`
+  /// seconds apart, newer than every held sample: extends the newest
+  /// run while they continue it, then opens runs.
+  void PushRaw(Series* series, int64_t first, int64_t step, int64_t count,
+               double value) const;
+  /// Drops the raw samples older than `horizon` (seconds): whole runs,
+  /// then the head of the oldest remaining one.
+  static void EvictBefore(Series* series, int64_t horizon);
+  /// Splits the raw samples greedily into `(first, interval, count,
+  /// value)` runs of equal value bits and a constant positive
+  /// interval, writes them to `w` when it is not null, and returns how
+  /// many there are.
   static size_t RawRuns(const Series& series, ByteWriter* w);
+  /// The first raw sample strictly after `t` seconds — binary search
+  /// over the time-ordered runs.
+  static RawPos FirstAfter(const Series& series, int64_t t);
   const Series* FindSeries(std::string_view key) const;
   std::vector<LoadSample> AggregatedOf(const Series& series) const;
-  /// Grows the ring to hold `samples` samples (doubling, samples
-  /// re-laid-out in logical order). No-op while capacity suffices.
-  static void EnsureRawCapacity(Series* series, size_t samples);
-  /// Drops the raw samples older than `horizon` (the ring just
-  /// advances its head — no deallocation).
-  static void EvictBefore(Series* series, SimTime horizon);
-  /// Logical index of the first sample strictly after `t` (== count
-  /// when none) — binary search over the time-ordered ring.
-  static size_t FirstAfterIdx(const Series& series, SimTime t);
 
   Duration raw_retention_;
   Duration aggregate_bucket_;

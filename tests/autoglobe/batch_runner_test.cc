@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "autoglobe/capacity.h"
@@ -175,6 +177,57 @@ TEST(BatchRunnerTest, NonPositiveTicksAreInvalidArguments) {
     EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument)
         << batch.status();
   }
+}
+
+TEST(BatchRunnerTest, UnrunnableConfigsAreInvalidArguments) {
+  // Both runners refuse what RunnerConfig::Validate refuses, with the
+  // same message; the batch also checks each lane's own user scale.
+  Landscape landscape = MakePaperLandscape(Scenario::kStatic);
+  auto with = [](auto edit) {
+    RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0);
+    config.duration = Duration::Hours(1);
+    edit(&config);
+    return config;
+  };
+  const RunnerConfig refused[] = {
+      with([](RunnerConfig* c) { c->duration = Duration::Zero(); }),
+      with([](RunnerConfig* c) { c->duration = Duration::Hours(-1); }),
+      with([](RunnerConfig* c) { c->duration = Duration::Hours(99999999999); }),
+      with([](RunnerConfig* c) { c->user_scale = -3.0; }),
+      with([](RunnerConfig* c) { c->user_scale = std::nan(""); }),
+      with([](RunnerConfig* c) { c->archive_bucket = Duration::Zero(); }),
+      with([](RunnerConfig* c) {
+        c->archive_retention = Duration::Minutes(-1);
+      }),
+  };
+  for (const RunnerConfig& config : refused) {
+    const Status validated = config.Validate();
+    ASSERT_FALSE(validated.ok());
+    EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument) << validated;
+    auto scalar = SimulationRunner::Create(landscape, config);
+    ASSERT_FALSE(scalar.ok());
+    EXPECT_EQ(scalar.status().ToString(), validated.ToString());
+    auto batch = BatchRunner::Create(landscape, config, {{42, 1.0}});
+    ASSERT_FALSE(batch.ok()) << validated;
+    EXPECT_EQ(batch.status().ToString(), validated.ToString());
+  }
+
+  const RunnerConfig config = with([](RunnerConfig*) {});
+  ASSERT_TRUE(config.Validate().ok());
+  for (double scale : {-3.0, std::nan(""), HUGE_VAL}) {
+    auto batch =
+        BatchRunner::Create(landscape, config, {{1, 1.0}, {2, scale}});
+    ASSERT_FALSE(batch.ok()) << scale;
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(batch.status().message().find("lane 1"), std::string::npos)
+        << batch.status();
+  }
+  // Zero users is a valid (idle) lane; a rerun checks its lanes too.
+  auto batch = BatchRunner::Create(landscape, config, {{1, 0.0}, {2, 1.0}});
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ((*batch)->Rerun({{1, 1.0}, {2, -3.0}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE((*batch)->Rerun({{1, 1.0}, {2, 0.5}}).ok());
 }
 
 }  // namespace

@@ -100,8 +100,8 @@ TEST(LandscapeTest, ConstraintsMatchTable5ForCm) {
   //  scale-in, scale-out".
   EXPECT_EQ(by_name["FI"]->min_instances, 2);
   EXPECT_EQ(by_name["LES"]->min_instances, 2);
-  std::set<ActionType> cm_actions = {ActionType::kScaleIn,
-                                     ActionType::kScaleOut};
+  infra::ActionSet cm_actions = {ActionType::kScaleIn,
+                                 ActionType::kScaleOut};
   EXPECT_EQ(by_name["FI"]->allowed_actions, cm_actions);
   EXPECT_EQ(by_name["CRM"]->allowed_actions, cm_actions);
 }
@@ -112,19 +112,18 @@ TEST(LandscapeTest, ConstraintsMatchTable6ForFm) {
   for (const auto& spec : landscape.services) by_name[spec.name] = &spec;
 
   // "database BW ... scale-in, scale-out" — distributable.
-  std::set<ActionType> bw_db = {ActionType::kScaleIn,
-                                ActionType::kScaleOut};
+  infra::ActionSet bw_db = {ActionType::kScaleIn, ActionType::kScaleOut};
   EXPECT_EQ(by_name["DB-BW"]->allowed_actions, bw_db);
   EXPECT_GT(by_name["DB-BW"]->max_instances, 1);
   // "central instances: scale-up, scale-down, move".
-  std::set<ActionType> ci = {ActionType::kScaleUp, ActionType::kScaleDown,
-                             ActionType::kMove};
+  infra::ActionSet ci = {ActionType::kScaleUp, ActionType::kScaleDown,
+                         ActionType::kMove};
   EXPECT_EQ(by_name["CI-ERP"]->allowed_actions, ci);
   // "application server: scale-up, scale-down, scale-in, scale-out,
   //  move".
-  std::set<ActionType> app = {ActionType::kScaleIn, ActionType::kScaleOut,
-                              ActionType::kScaleUp, ActionType::kScaleDown,
-                              ActionType::kMove};
+  infra::ActionSet app = {ActionType::kScaleIn, ActionType::kScaleOut,
+                          ActionType::kScaleUp, ActionType::kScaleDown,
+                          ActionType::kMove};
   EXPECT_EQ(by_name["LES"]->allowed_actions, app);
   // DB-ERP stays pinned even in FM.
   EXPECT_TRUE(by_name["DB-ERP"]->allowed_actions.empty());

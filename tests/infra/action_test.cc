@@ -1,5 +1,8 @@
 #include "infra/action.h"
 
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace autoglobe::infra {
@@ -70,6 +73,37 @@ TEST(ActionTest, ToStringFormats) {
   EXPECT_EQ(scale_in.ToString(), "scaleIn FI@Blade5");
   Action move{ActionType::kMove, "LES", 3, "Blade1", "Blade9"};
   EXPECT_EQ(move.ToString(), "move LES@Blade1 -> Blade9");
+}
+
+TEST(ActionSetTest, BehavesLikeAnOrderedSetOfActionTypes) {
+  // Every subset, inserted in reverse and twice over, holds and visits
+  // exactly the members a std::set would, in enum order.
+  for (unsigned mask = 0; mask < (1u << 9); ++mask) {
+    std::set<ActionType> reference;
+    ActionSet set;
+    for (int i = 8; i >= 0; --i) {
+      if ((mask >> i) & 1u) {
+        reference.insert(kAllActionTypes[i]);
+        set.insert(kAllActionTypes[i]);
+        set.insert(kAllActionTypes[i]);
+      }
+    }
+    EXPECT_EQ(std::vector<ActionType>(set.begin(), set.end()),
+              std::vector<ActionType>(reference.begin(), reference.end()))
+        << mask;
+    EXPECT_EQ(set.size(), reference.size());
+    EXPECT_EQ(set.empty(), reference.empty());
+    for (ActionType type : kAllActionTypes) {
+      EXPECT_EQ(set.count(type), reference.count(type));
+    }
+  }
+  ActionSet set = {ActionType::kMove, ActionType::kScaleIn,
+                   ActionType::kScaleIn};
+  EXPECT_EQ(set, (ActionSet{ActionType::kScaleIn, ActionType::kMove}));
+  EXPECT_NE(set, ActionSet{ActionType::kMove});
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.begin(), set.end());
 }
 
 }  // namespace

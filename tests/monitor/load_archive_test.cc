@@ -119,6 +119,76 @@ TEST(LoadArchiveTest, AggregatesSurviveRawEviction) {
   EXPECT_EQ(aggregated.front().at, Min(0));
 }
 
+TEST(LoadArchiveTest, ConstantSeriesHoldsNoHeapStorage) {
+  // Two days of one value at the paper's 48 h retention: the raw
+  // window is one run and the aggregates one run, both inline, so the
+  // series reserves nothing however long the window.
+  LoadArchive archive(Duration::Hours(48), Duration::Minutes(15));
+  archive.set_capacity_hints(48 * 60 + 2, 200);
+  LoadArchive::Handle handle = archive.Acquire("server/x");
+  for (int m = 0; m < 2 * 24 * 60; ++m) {
+    ASSERT_TRUE(archive.Append(handle, Min(m), 0.4).ok());
+  }
+  // A carried-forward stretch appended in one call extends the run.
+  ASSERT_TRUE(archive
+                  .AppendRun(handle, Min(2 * 24 * 60), Duration::Minutes(1),
+                             600, 0.4)
+                  .ok());
+  EXPECT_EQ(archive.StorageBytes(), 0u);
+  EXPECT_EQ(archive.RawBetween("server/x", Min(0), Min(5000)).size(),
+            48u * 60 + 1);
+  EXPECT_DOUBLE_EQ(
+      *archive.Average(handle, Duration::Minutes(20), Min(3479)), 0.4);
+}
+
+TEST(LoadArchiveTest, RunPastTheWindowReplacesHeldRunsInline) {
+  // Two runs held inline, then a carried-forward run longer than the
+  // window: eviction empties the window before the run is stored, so
+  // the series never holds three runs and never spills.
+  LoadArchive archive(Duration::Hours(1), Duration::Minutes(15));
+  archive.set_capacity_hints(62, 20);
+  LoadArchive::Handle handle = archive.Acquire("server/x");
+  ASSERT_TRUE(archive.Append(handle, Min(0), 0.1).ok());
+  ASSERT_TRUE(archive.Append(handle, Min(1), 0.2).ok());
+  ASSERT_TRUE(
+      archive.AppendRun(handle, Min(5), Duration::Minutes(1), 120, 0.3).ok());
+  EXPECT_EQ(archive.StorageBytes(), 0u);
+  auto raw = archive.RawBetween("server/x", Min(0), Min(200));
+  ASSERT_EQ(raw.size(), 61u);
+  EXPECT_EQ(raw.front().at, Min(64));
+  EXPECT_EQ(raw.back().at, Min(124));
+}
+
+TEST(LoadArchiveTest, VaryingSeriesReservesExactlyOneSpill) {
+  // Every sample differs: the raw runs spill once, at the hint's exact
+  // size, and never grow while the window slides; so do the aggregate
+  // runs, whose bucket means all differ. A run is 24 bytes.
+  constexpr size_t kRawHint = 48 * 60 + 2;
+  constexpr size_t kAggregateHint = 200;
+  LoadArchive archive(Duration::Hours(48), Duration::Minutes(15));
+  archive.set_capacity_hints(kRawHint, kAggregateHint);
+  LoadArchive::Handle handle = archive.Acquire("server/x");
+  for (int m = 0; m < 2 * 24 * 60; ++m) {
+    ASSERT_TRUE(archive.Append(handle, Min(m), 0.001 * (m % 997)).ok());
+    if (m == 2) {
+      EXPECT_EQ(archive.StorageBytes(), kRawHint * 24);
+    }
+  }
+  const size_t spilled = (kRawHint + kAggregateHint) * 24;
+  EXPECT_EQ(archive.StorageBytes(), spilled);
+  // Past the retention window eviction frees the runs it reuses.
+  for (int m = 2 * 24 * 60; m < 3 * 24 * 60; ++m) {
+    ASSERT_TRUE(archive.Append(handle, Min(m), 0.001 * (m % 991)).ok());
+  }
+  EXPECT_EQ(archive.StorageBytes(), spilled + kAggregateHint * 24)
+      << "aggregates outgrew their 200-bucket hint once";
+  EXPECT_EQ(archive.RawBetween("server/x", Min(0), Min(5000)).size(),
+            48u * 60 + 1);
+  archive.ClearSamples();
+  EXPECT_EQ(archive.StorageBytes(), spilled + kAggregateHint * 24)
+      << "cleared series keep their runs";
+}
+
 TEST(LoadArchiveTest, KeysLists) {
   LoadArchive archive;
   ASSERT_TRUE(archive.Append("server/a", Min(1), 1).ok());

@@ -232,5 +232,41 @@ TEST_F(AppendRunTest, BucketCrossingRunsMergeLikeSamples) {
   ExpectSameState();
 }
 
+TEST_F(AppendRunTest, EvictionKeepsTheGreedySplitInTheImage) {
+  // One value at minutes 0, 1, 3, 4, ..., 8 with a 7-minute window:
+  // memory holds (0, 1 min, 2) and (3, 1 min, 6) until minute 8
+  // evicts minute 0 and trims the first run to (1, -, 1). A fresh
+  // greedy split of minutes 1, 3, 4, ..., 8 is (1, 2 min, 2) and
+  // (4, 1 min, 5), and that is what the image must hold.
+  Make(Duration::Minutes(7), Duration::Minutes(15), 9);
+  for (int m : {0, 1, 3, 4, 5, 6, 7, 8}) Sample(Min(m), 0.3);
+  ExpectSameState();
+  const std::string image = ArchiveBytes(*loop_);
+  ByteReader r(image);
+  EXPECT_EQ(*r.U64(), 1u);
+  EXPECT_EQ(*r.Str(), "server/s");
+  EXPECT_EQ(*r.U8() & 1, 1) << "two runs are smaller than seven samples";
+  ASSERT_EQ(*r.U64(), 2u);
+  const int64_t runs[2][3] = {{60, 120, 2}, {240, 60, 5}};
+  for (const auto& run : runs) {
+    EXPECT_EQ(*r.I64(), run[0]);
+    EXPECT_EQ(*r.I64(), run[1]);
+    EXPECT_EQ(*r.U64(), static_cast<uint64_t>(run[2]));
+    EXPECT_EQ(*r.F64(), 0.3);
+  }
+  // A restore holds the image's split; appending to it and to the
+  // original, whose runs differ, still gives equal images.
+  LoadArchive restored(retention_, bucket_);
+  restored.set_capacity_hints(raw_hint_, aggregate_hint_);
+  ByteReader image_reader(image);
+  ASSERT_TRUE(restored.RestoreState(&image_reader).ok());
+  for (int m : {9, 10, 12}) {
+    Sample(Min(m), 0.3);
+    ASSERT_TRUE(restored.Append(restored.Acquire("server/s"), Min(m), 0.3)
+                    .ok());
+    EXPECT_EQ(ArchiveBytes(restored), ArchiveBytes(*loop_)) << m;
+  }
+}
+
 }  // namespace
 }  // namespace autoglobe::monitor
