@@ -166,7 +166,6 @@ Status BatchRunner::Init(const Landscape& landscape) {
     AG_RETURN_IF_ERROR(add_subject(service));
   }
 
-  triggers_.assign(L, 0);
   metrics_.assign(L, RunMetrics{});
   watch_sum_.assign(L, 0.0);
   expiring_.assign(L, 0);
@@ -193,7 +192,6 @@ void BatchRunner::ResetRunState() {
     std::fill(subject.normal_mask.begin(), subject.normal_mask.end(),
               ~uint64_t{0});
   }
-  std::fill(triggers_.begin(), triggers_.end(), int64_t{0});
   std::fill(metrics_.begin(), metrics_.end(), RunMetrics{});
 }
 
@@ -241,7 +239,6 @@ Status BatchRunner::Run() {
   for (size_t lane = 0; lane < lanes_.size(); ++lane) {
     RunMetrics& m = metrics_[lane];
     ledger_.Fold(lane, total_minutes, &m);
-    m.triggers = triggers_[lane];
     m.lost_work_wu = engine_->TotalLostWork(lane);
     m.sla_violation_minutes = 0.0;
   }
@@ -347,7 +344,7 @@ void BatchRunner::ObserveRowReplica(Subject& subject, const double* loads,
       const double average = sum[lane] / count;
       const bool fired = watching_overload ? average > overload
                                            : average < idle;
-      if (fired) ++triggers_[lane];
+      if (fired) ++metrics_[lane].triggers;
     }
     return;
   }
@@ -448,7 +445,7 @@ void BatchRunner::ObserveRowReplica(Subject& subject, const double* loads,
         const double average = sum[lane] / count;
         const bool fired = watching_overload ? average > threshold
                                              : average < threshold;
-        if (fired) ++triggers_[lane];
+        if (fired) ++metrics_[lane].triggers;
       }
     }
     // Re-derive the earliest remaining deadline from the survivors.

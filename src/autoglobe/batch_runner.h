@@ -143,7 +143,6 @@ class BatchRunner {
 
   std::vector<Subject> subjects_;  // servers (sorted) then services
 
-  std::vector<int64_t> triggers_;    // per lane
   std::vector<RunMetrics> metrics_;  // per lane
   std::vector<double> watch_sum_;    // expiry-walk scratch, per lane
   std::vector<uint32_t> expiring_;   // expiring-lane index scratch

@@ -86,7 +86,7 @@ Result<CapacityStep> RunStep(Scenario scenario, double scale,
   CapacityStep step;
   step.scale = scale;
   step.metrics = runner->metrics();
-  step.observed = runner->metrics_registry().Snapshot();
+  step.observed = runner->metrics_snapshot();
   step.passed = Passes(step.metrics, options.criteria);
   return step;
 }

@@ -136,26 +136,6 @@ Status SimulationRunner::Init(const Landscape& landscape) {
   // Observability first: the registry is always on (inert-handle cost
   // only), tracing/audit are created on demand and handed to every
   // component below as it is built.
-  triggers_counter_ = registry_.AddCounter("triggers_fired");
-  actions_executed_counter_ = registry_.AddCounter("actions_executed");
-  actions_failed_counter_ = registry_.AddCounter("actions_failed");
-  alerts_counter_ = registry_.AddCounter("alerts");
-  sla_violations_counter_ = registry_.AddCounter("sla_violations_entered");
-  executor_actions_failed_counter_ =
-      registry_.AddCounter("executor_actions_failed_total");
-  executor_retries_counter_ = registry_.AddCounter("executor_retries_total");
-  recoveries_counter_ = registry_.AddCounter("recoveries_total");
-  recovery_abandoned_counter_ =
-      registry_.AddCounter("recovery_abandoned_total");
-  oscillations_counter_ = registry_.AddCounter("oscillations");
-  strategy_reward_updates_counter_ =
-      registry_.AddCounter("strategy_reward_updates");
-  strategy_weight_updates_counter_ =
-      registry_.AddCounter("strategy_weight_updates");
-  degraded_entries_counter_ = registry_.AddCounter("degraded_mode_entries");
-  degraded_ticks_counter_ = registry_.AddCounter("degraded_mode_ticks");
-  degraded_suppressed_counter_ =
-      registry_.AddCounter("degraded_mode_suppressed_triggers");
   server_cpu_load_ = registry_.AddHistogram(
       "server_cpu_load",
       {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
@@ -231,19 +211,19 @@ Status SimulationRunner::Init(const Landscape& landscape) {
                                                       config_.executor);
   executor_->set_trace_buffer(trace_.get());
   executor_->set_audit_log(audit_.get());
-  executor_->set_metrics(executor_actions_failed_counter_,
-                         executor_retries_counter_);
+  // Two statements: the registration order is the published order.
+  obs::Counter failed = registry_.AddCounter("executor_actions_failed_total");
+  obs::Counter retries = registry_.AddCounter("executor_retries_total");
+  executor_->set_metrics(failed, retries);
   executor_->AddListener([this](const infra::ActionRecord& record) {
     if (record.status.ok()) {
       ++metrics_.actions_executed;
-      actions_executed_counter_.Increment();
       TrackOscillation(record);
       messages_.push_back(StrFormat("%s  EXEC %s",
                                     record.at.ToString().c_str(),
                                     record.action.ToString().c_str()));
     } else {
       ++metrics_.actions_failed;
-      actions_failed_counter_.Increment();
     }
   });
 
@@ -266,7 +246,6 @@ Status SimulationRunner::Init(const Landscape& landscape) {
   controller_->set_alert_callback(
       [this](const Trigger& trigger, const std::string& reason) {
         ++metrics_.alerts;
-        alerts_counter_.Increment();
         if (trace_ != nullptr) {
           trace_->Record(trigger.at, obs::TraceEventKind::kAlert,
                          "administrator-alert",
@@ -341,12 +320,9 @@ Status SimulationRunner::Init(const Landscape& landscape) {
     recovery_->set_trace_buffer(trace_.get());
     recovery_->set_audit_log(audit_.get());
     recovery_->set_availability_tracker(availability_.get());
-    recovery_->set_metrics(recoveries_counter_,
-                           recovery_abandoned_counter_);
     recovery_->set_alert_callback(
         [this](SimTime at, const std::string& reason) {
           ++metrics_.alerts;
-          alerts_counter_.Increment();
           messages_.push_back(StrFormat("%s  ALERT recovery: %s",
                                         at.ToString().c_str(),
                                         reason.c_str()));
@@ -468,12 +444,9 @@ void SimulationRunner::OnTick() {
                          std::chrono::steady_clock::now() - tick_started)
                          .count();
     }
-    bool was_degraded = degraded_.degraded();
     int change = degraded_.ObserveTick(silent_servers, tick_wall_ms);
-    if (was_degraded || change > 0) degraded_ticks_counter_.Increment();
     if (change != 0) {
       const char* verb = change > 0 ? "ENTER" : "EXIT";
-      if (change > 0) degraded_entries_counter_.Increment();
       messages_.push_back(StrFormat(
           "%s  %s degraded mode (%d silent server(s), tick %.1f ms)",
           now.ToString().c_str(), verb, silent_servers, tick_wall_ms));
@@ -502,7 +475,6 @@ void SimulationRunner::OnTick() {
     if (!entered.ok() || !*entered) continue;
     double satisfaction =
         (*slas_.StatusOf(sla.service))->current_satisfaction;
-    sla_violations_counter_.Increment();
     if (trace_ != nullptr) {
       trace_->Record(now, obs::TraceEventKind::kSlaViolation, sla.service,
                      StrFormat("satisfaction %.1f%% < %.1f%%",
@@ -520,7 +492,6 @@ void SimulationRunner::OnTick() {
       Trigger trigger{TriggerKind::kServiceOverloaded, sla.service, now,
                       demand_->ServiceLoad(sla.service)};
       ++metrics_.triggers;
-      triggers_counter_.Increment();
       auto outcome = strategy_->HandleTrigger(trigger, /*urgent=*/true);
       if (!outcome.ok()) {
         messages_.push_back(StrFormat(
@@ -546,7 +517,6 @@ std::optional<double> SimulationRunner::DetectionLoad(
 
 void SimulationRunner::OnTrigger(const Trigger& trigger) {
   ++metrics_.triggers;
-  triggers_counter_.Increment();
   if (trigger.kind == TriggerKind::kInstanceFailed ||
       trigger.kind == TriggerKind::kServerFailed) {
     // Failure triggers bypass the fuzzy action selection: recovery is
@@ -572,7 +542,6 @@ void SimulationRunner::OnTrigger(const Trigger& trigger) {
   // directly — both stay live.
   if (degraded_.ShouldSuppress(/*urgent=*/false)) {
     degraded_.NoteSuppressed();
-    degraded_suppressed_counter_.Increment();
     messages_.push_back(StrFormat(
         "%s  SUPPRESS %s(%s): degraded mode, urgent-only posture",
         trigger.at.ToString().c_str(),
@@ -709,8 +678,47 @@ Status SimulationRunner::RunUntil(SimTime end) {
               .seconds()) /
       60.0;
   ledger_.Fold(0, total_minutes, &metrics_);
-  FoldStrategyTelemetry();
+  metrics_.strategy_reward_updates = strategy_->reward_updates();
+  metrics_.strategy_weight_updates = strategy_->weight_updates();
   return Status::OK();
+}
+
+std::vector<std::pair<std::string, uint64_t>>
+SimulationRunner::OwnerCounters() const {
+  auto count = [](int64_t value) { return static_cast<uint64_t>(value); };
+  int64_t sla_violations_entered = 0;
+  for (const SlaStatus* status : slas_.Report()) {
+    sla_violations_entered += status->violation_episodes;
+  }
+  faults::RecoveryStats recovery;
+  if (recovery_ != nullptr) recovery = recovery_->stats();
+  return {
+      {"triggers_fired", count(metrics_.triggers)},
+      {"actions_executed", count(metrics_.actions_executed)},
+      {"actions_failed", count(metrics_.actions_failed)},
+      {"alerts", count(metrics_.alerts)},
+      {"sla_violations_entered", count(sla_violations_entered)},
+      {"recoveries_total", count(recovery.recovered)},
+      {"recovery_abandoned_total", count(recovery.abandoned)},
+      {"oscillations", count(metrics_.oscillations)},
+      {"strategy_reward_updates", count(metrics_.strategy_reward_updates)},
+      {"strategy_weight_updates", count(metrics_.strategy_weight_updates)},
+      {"degraded_mode_entries", count(degraded_.entries())},
+      {"degraded_mode_ticks", count(degraded_.degraded_ticks())},
+      {"degraded_mode_suppressed_triggers",
+       count(degraded_.suppressed_triggers())},
+  };
+}
+
+obs::MetricsSnapshot SimulationRunner::metrics_snapshot() const {
+  obs::MetricsSnapshot snapshot = registry_.Snapshot();
+  std::vector<std::pair<std::string, uint64_t>> counters = OwnerCounters();
+  // The registry's own counters (the executor's) follow
+  // sla_violations_entered, the fifth, as the published order has them.
+  counters.insert(counters.begin() + 5, snapshot.counters.begin(),
+                  snapshot.counters.end());
+  snapshot.counters = std::move(counters);
+  return snapshot;
 }
 
 void SimulationRunner::TrackOscillation(const infra::ActionRecord& record) {
@@ -720,10 +728,6 @@ void SimulationRunner::TrackOscillation(const infra::ActionRecord& record) {
   auto within_window = [&](SimTime then) {
     return record.at - then <= config_.oscillation_window;
   };
-  auto bump = [&] {
-    ++metrics_.oscillations;
-    oscillations_counter_.Increment();
-  };
   switch (action.type) {
     case ActionType::kScaleOut:
     case ActionType::kScaleIn: {
@@ -732,7 +736,7 @@ void SimulationRunner::TrackOscillation(const infra::ActionRecord& record) {
                                 : ActionType::kScaleOut;
       if (history.last_scale == opposite &&
           within_window(history.last_scale_at)) {
-        bump();
+        ++metrics_.oscillations;
       }
       history.last_scale = action.type;
       history.last_scale_at = record.at;
@@ -745,7 +749,7 @@ void SimulationRunner::TrackOscillation(const infra::ActionRecord& record) {
                                 : ActionType::kIncreasePriority;
       if (history.last_priority == opposite &&
           within_window(history.last_priority_at)) {
-        bump();
+        ++metrics_.oscillations;
       }
       history.last_priority = action.type;
       history.last_priority_at = record.at;
@@ -758,7 +762,7 @@ void SimulationRunner::TrackOscillation(const infra::ActionRecord& record) {
           action.target_server == history.last_move_source &&
           action.source_server == history.last_move_target &&
           within_window(history.last_move_at)) {
-        bump();
+        ++metrics_.oscillations;
       }
       history.last_move_source = action.source_server;
       history.last_move_target = action.target_server;
@@ -768,26 +772,6 @@ void SimulationRunner::TrackOscillation(const infra::ActionRecord& record) {
     default:
       break;
   }
-}
-
-void SimulationRunner::FoldStrategyTelemetry() {
-  if (strategy_ == nullptr) return;
-  int64_t reward = strategy_->reward_updates();
-  int64_t weight = strategy_->weight_updates();
-  int64_t reward_delta = reward - folded_reward_updates_;
-  int64_t weight_delta = weight - folded_weight_updates_;
-  if (reward_delta > 0) {
-    strategy_reward_updates_counter_.Increment(
-        static_cast<uint64_t>(reward_delta));
-  }
-  if (weight_delta > 0) {
-    strategy_weight_updates_counter_.Increment(
-        static_cast<uint64_t>(weight_delta));
-  }
-  folded_reward_updates_ = reward;
-  folded_weight_updates_ = weight;
-  metrics_.strategy_reward_updates = reward;
-  metrics_.strategy_weight_updates = weight;
 }
 
 }  // namespace autoglobe

@@ -239,10 +239,13 @@ class SimulationRunner {
   /// SLA report (empty when no SLAs are configured).
   const SlaTracker& slas() const { return slas_; }
 
-  /// Always-on metrics registry (counters mirroring RunMetrics plus a
-  /// server CPU-load histogram); snapshot it for BENCH_* sidecars or
-  /// merge snapshots across the FindCapacityAll worker pool.
-  const obs::MetricsRegistry& metrics_registry() const { return registry_; }
+  /// The run's metrics as one snapshot, for BENCH_* sidecars or to
+  /// merge across the FindCapacityAll worker pool. Each counter is read
+  /// from its one book: the run counters from RunMetrics, the SLA
+  /// tracker, the recovery stats and the degraded-mode watchdog; the
+  /// executor's failure/retry counters and the server CPU-load
+  /// histogram from the always-on registry, which keeps nothing else.
+  obs::MetricsSnapshot metrics_snapshot() const;
   /// Trace buffer / audit log, or nullptr when the corresponding
   /// ObservabilityConfig switch is off.
   obs::TraceBuffer* trace_buffer() { return trace_.get(); }
@@ -315,9 +318,10 @@ class SimulationRunner {
   /// Oscillation detection on every successfully executed action (see
   /// RunnerConfig::oscillation_window).
   void TrackOscillation(const infra::ActionRecord& record);
-  /// Folds strategy telemetry (reward/weight-update counts) into
-  /// RunMetrics and the registry counters; idempotent per delta.
-  void FoldStrategyTelemetry();
+  /// The metrics-snapshot counters whose books live outside the
+  /// registry, by name, in published order; the registry's own
+  /// counters follow the fifth (sla_violations_entered).
+  std::vector<std::pair<std::string, uint64_t>> OwnerCounters() const;
   /// Heartbeat-watch reconciliation against the topology epoch: new
   /// instances get a watch, removed instances are unwatched, so the
   /// monitor never holds a live reference to a dead subject.
@@ -368,31 +372,13 @@ class SimulationRunner {
   std::vector<std::string> messages_;
 
   /// Observability: the registry lives here (one per runner, so the
-  /// parallel capacity sweeps each own one and merge snapshots);
-  /// trace/audit are heap-allocated only when enabled.
+  /// parallel capacity sweeps each own one and merge snapshots) and
+  /// holds only what no other component counts; trace/audit are
+  /// heap-allocated only when enabled.
   obs::MetricsRegistry registry_;
   std::unique_ptr<obs::TraceBuffer> trace_;
   std::unique_ptr<obs::AuditLog> audit_;
-  obs::Counter triggers_counter_;
-  obs::Counter actions_executed_counter_;
-  obs::Counter actions_failed_counter_;
-  obs::Counter alerts_counter_;
-  obs::Counter sla_violations_counter_;
-  obs::Counter executor_actions_failed_counter_;
-  obs::Counter executor_retries_counter_;
-  obs::Counter recoveries_counter_;
-  obs::Counter recovery_abandoned_counter_;
-  obs::Counter oscillations_counter_;
-  obs::Counter strategy_reward_updates_counter_;
-  obs::Counter strategy_weight_updates_counter_;
-  obs::Counter degraded_entries_counter_;
-  obs::Counter degraded_ticks_counter_;
-  obs::Counter degraded_suppressed_counter_;
   obs::Histogram server_cpu_load_;
-  /// Telemetry already folded into the counters above (RunUntil may
-  /// be called repeatedly).
-  int64_t folded_reward_updates_ = 0;
-  int64_t folded_weight_updates_ = 0;
   /// Oscillation detection state: per service, the last executed
   /// scale direction, priority direction, and move (source -> target)
   /// with their times.

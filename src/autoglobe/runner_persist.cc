@@ -7,6 +7,7 @@
 // simulator events from their descriptors. Framing, checksums, and
 // generation rotation live one layer up, in src/persist.
 
+#include <algorithm>
 #include <utility>
 
 #include "autoglobe/runner.h"
@@ -209,8 +210,10 @@ Status SimulationRunner::SaveStateSections(
     // Per-server smoothing rings (stored in physical ring order; head
     // and count reproduce the exact eviction sequence) and load sums.
     ledger_.SaveState(&w);
-    w.I64(folded_reward_updates_);
-    w.I64(folded_weight_updates_);
+    // The layout's second copy of the strategy counts (restore skips
+    // it).
+    w.I64(metrics_.strategy_reward_updates);
+    w.I64(metrics_.strategy_weight_updates);
     // Heartbeat watches: ids + keys; the dense heartbeat slots are
     // re-resolved against the restored monitor.
     w.U64(watched_epoch_);
@@ -224,7 +227,7 @@ Status SimulationRunner::SaveStateSections(
   }
   {
     ByteWriter w;
-    WriteMetricsSnapshot(&w, registry_.Snapshot());
+    WriteMetricsSnapshot(&w, metrics_snapshot());
     add("metrics", &w);
   }
   return Status::OK();
@@ -414,8 +417,8 @@ Status SimulationRunner::RestoreStateSections(
     AG_RETURN_IF_ERROR(ledger_.RestoreState(&r));
     ledger_.RestoreTotals(metrics_.overload_server_minutes,
                           metrics_.max_overload_streak_minutes);
-    AG_ASSIGN_OR_RETURN(folded_reward_updates_, r.I64());
-    AG_ASSIGN_OR_RETURN(folded_weight_updates_, r.I64());
+    AG_RETURN_IF_ERROR(r.I64().status());
+    AG_RETURN_IF_ERROR(r.I64().status());
     AG_ASSIGN_OR_RETURN(watched_epoch_, r.U64());
     AG_ASSIGN_OR_RETURN(uint32_t watch_count, r.U32());
     AG_RETURN_IF_ERROR(r.CheckCount(watch_count, 8 + 4));
@@ -445,6 +448,27 @@ Status SimulationRunner::RestoreStateSections(
     obs::MetricsSnapshot snapshot;
     AG_RETURN_IF_ERROR(ReadMetricsSnapshot(&r, &snapshot));
     AG_RETURN_IF_ERROR(r.ExpectEnd());
+    // The registry takes back its own instruments. Every other counter
+    // is a copy of a book restored above, and must agree with it.
+    const std::vector<std::pair<std::string, uint64_t>> owners =
+        OwnerCounters();
+    std::vector<std::pair<std::string, uint64_t>> counters =
+        std::move(snapshot.counters);
+    snapshot.counters.clear();
+    for (auto& [name, value] : counters) {
+      auto owner = std::find_if(
+          owners.begin(), owners.end(),
+          [&name](const auto& counter) { return counter.first == name; });
+      if (owner == owners.end()) {
+        snapshot.counters.emplace_back(std::move(name), value);
+      } else if (owner->second != value) {
+        return Status::ParseError(StrFormat(
+            "metrics counter \"%s\" is %llu but its owner's restored "
+            "state counts %llu",
+            name.c_str(), static_cast<unsigned long long>(value),
+            static_cast<unsigned long long>(owner->second)));
+      }
+    }
     AG_RETURN_IF_ERROR(registry_.Restore(snapshot));
   }
   {

@@ -251,7 +251,6 @@ void RecoveryManager::Relocate(uint64_t token, infra::InstanceId id,
 void RecoveryManager::Abandon(uint64_t token, SimTime now,
                               const std::string& reason) {
   ++stats_.abandoned;
-  abandoned_counter_.Increment();
   if (tracker_ != nullptr) tracker_->OnAbandoned(token, now);
   Trace(now, "recovery-abandoned", reason);
   // Out of autonomic options: alert the administrator (the paper's
@@ -263,7 +262,6 @@ void RecoveryManager::Abandon(uint64_t token, SimTime now,
 void RecoveryManager::Recovered(uint64_t token, infra::InstanceId id,
                                 SimTime now) {
   ++stats_.recovered;
-  recovered_counter_.Increment();
   if (tracker_ != nullptr) tracker_->OnRecovered(token, now);
   Trace(now, "recovery-recovered",
         StrFormat("token %llu serving again",

@@ -13,7 +13,6 @@
 #include "infra/cluster.h"
 #include "infra/executor.h"
 #include "obs/audit.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
 
@@ -81,12 +80,6 @@ class RecoveryManager {
   void set_alert_callback(AlertCallback alert) {
     alert_ = std::move(alert);
   }
-  /// Optional counters (inert handles by default): episodes recovered
-  /// and abandoned.
-  void set_metrics(obs::Counter recovered, obs::Counter abandoned) {
-    recovered_counter_ = recovered;
-    abandoned_counter_ = abandoned;
-  }
 
   const RecoveryStats& stats() const { return stats_; }
   const RecoveryConfig& config() const { return config_; }
@@ -147,8 +140,6 @@ class RecoveryManager {
   obs::AuditLog* audit_ = nullptr;
   AvailabilityTracker* tracker_ = nullptr;
   AlertCallback alert_;
-  obs::Counter recovered_counter_;
-  obs::Counter abandoned_counter_;
 };
 
 }  // namespace autoglobe::faults

@@ -103,12 +103,6 @@ Result<SubjectId> LoadMonitoringSystem::SubjectIdOf(
   return *it;
 }
 
-Result<Duration> LoadMonitoringSystem::WatchTime(
-    std::string_view name) const {
-  AG_ASSIGN_OR_RETURN(SubjectId id, SubjectIdOf(name));
-  return subjects_[static_cast<size_t>(id)].overload_watch;
-}
-
 Status LoadMonitoringSystem::Observe(SimTime now, std::string_view name,
                                      double load,
                                      std::optional<double> detection_load) {

@@ -121,9 +121,6 @@ class LoadMonitoringSystem {
     return subjects_[static_cast<size_t>(subject)].key;
   }
 
-  /// The effective overload watchTime of a registered subject.
-  Result<Duration> WatchTime(std::string_view name) const;
-
   /// Feeds one measurement; appends to the archive and advances the
   /// detection state machine. Fires the callback on confirmation.
   /// `detection_load` optionally drives the threshold logic with a

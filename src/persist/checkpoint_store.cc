@@ -62,7 +62,7 @@ Result<std::vector<std::string>> CheckpointStore::ListGenerations() const {
 
 Result<std::string> CheckpointStore::Write(
     uint64_t fingerprint,
-    const std::vector<std::pair<std::string, std::string>>& sections) {
+    std::vector<std::pair<std::string, std::string>> sections) {
   AG_ASSIGN_OR_RETURN(std::vector<std::string> generations,
                       ListGenerations());
   uint64_t next = 1;
@@ -72,7 +72,8 @@ Result<std::string> CheckpointStore::Write(
   std::string path = StrFormat("%s/checkpoint-%06llu%s", dir_.c_str(),
                                static_cast<unsigned long long>(next),
                                std::string(kSuffix).c_str());
-  AG_RETURN_IF_ERROR(WriteSnapshotFile(path, fingerprint, sections));
+  AG_RETURN_IF_ERROR(
+      WriteSnapshotFile(path, fingerprint, std::move(sections)));
   // Prune: keep the newest `keep_` generations (the one just written
   // counts).
   while (static_cast<int>(generations.size()) + 1 > keep_) {

@@ -33,7 +33,7 @@ class CheckpointStore {
   /// written.
   Result<std::string> Write(
       uint64_t fingerprint,
-      const std::vector<std::pair<std::string, std::string>>& sections);
+      std::vector<std::pair<std::string, std::string>> sections);
 
   /// Loaded snapshot plus where it came from and what was skipped.
   struct Loaded {

@@ -9,14 +9,15 @@ Result<std::string> CheckpointRunner(const SimulationRunner& runner,
                                      CheckpointStore* store) {
   std::vector<std::pair<std::string, std::string>> sections;
   AG_RETURN_IF_ERROR(runner.SaveStateSections(&sections));
-  return store->Write(runner.StateFingerprint(), sections);
+  return store->Write(runner.StateFingerprint(), std::move(sections));
 }
 
 Status SaveRunnerSnapshot(const SimulationRunner& runner,
                           const std::string& path) {
   std::vector<std::pair<std::string, std::string>> sections;
   AG_RETURN_IF_ERROR(runner.SaveStateSections(&sections));
-  return WriteSnapshotFile(path, runner.StateFingerprint(), sections);
+  return WriteSnapshotFile(path, runner.StateFingerprint(),
+                           std::move(sections));
 }
 
 Result<std::unique_ptr<SimulationRunner>> RestoreRunner(
@@ -50,7 +51,7 @@ Result<std::unique_ptr<SimulationRunner>> RunWithCrashes(
     std::vector<std::pair<std::string, std::string>> sections;
     AG_RETURN_IF_ERROR(runner->SaveStateSections(&sections));
     std::string image =
-        EncodeSnapshot(runner->StateFingerprint(), sections);
+        EncodeSnapshot(runner->StateFingerprint(), std::move(sections));
     runner.reset();
     AG_ASSIGN_OR_RETURN(SnapshotData snapshot, DecodeSnapshot(image));
     AG_ASSIGN_OR_RETURN(runner,

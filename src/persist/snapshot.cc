@@ -10,7 +10,7 @@ namespace autoglobe::persist {
 
 std::string EncodeSnapshot(
     uint64_t fingerprint,
-    const std::vector<std::pair<std::string, std::string>>& sections) {
+    std::vector<std::pair<std::string, std::string>> sections) {
   // Header, table, payloads and trailer go into one buffer, reserved
   // once at the image's exact size.
   size_t size = sizeof(kSnapshotMagic) + 4 + 8 + 4 + 8;
@@ -28,8 +28,9 @@ std::string EncodeSnapshot(
     w.U64(payload.size());
     w.U64(Fnv1a64(payload));
   }
-  for (const auto& [name, payload] : sections) {
+  for (auto& [name, payload] : sections) {
     w.Raw(payload.data(), payload.size());
+    std::string().swap(payload);
   }
   w.U64(Fnv1a64(w.data()));
   return w.Take();
@@ -111,8 +112,9 @@ Result<SnapshotData> DecodeSnapshot(std::string_view bytes) {
 
 Status WriteSnapshotFile(
     const std::string& path, uint64_t fingerprint,
-    const std::vector<std::pair<std::string, std::string>>& sections) {
-  return AtomicWriteFile(path, EncodeSnapshot(fingerprint, sections));
+    std::vector<std::pair<std::string, std::string>> sections) {
+  return AtomicWriteFile(path,
+                         EncodeSnapshot(fingerprint, std::move(sections)));
 }
 
 Result<SnapshotData> ReadSnapshotFile(const std::string& path,

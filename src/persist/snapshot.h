@@ -38,10 +38,12 @@ struct SnapshotData {
   std::vector<std::pair<std::string, std::string>> sections;
 };
 
-/// Encodes the container to bytes (no I/O).
+/// Encodes the container to bytes (no I/O). Takes the sections by
+/// value and releases each payload once it is copied into the image,
+/// so a moved-in checkpoint never holds all of its state twice.
 std::string EncodeSnapshot(
     uint64_t fingerprint,
-    const std::vector<std::pair<std::string, std::string>>& sections);
+    std::vector<std::pair<std::string, std::string>> sections);
 
 /// Decodes and fully validates a container image: magic, version,
 /// section table bounds, every per-section checksum, and the trailer.
@@ -51,7 +53,7 @@ Result<SnapshotData> DecodeSnapshot(std::string_view bytes);
 /// Encode + AtomicWriteFile.
 Status WriteSnapshotFile(
     const std::string& path, uint64_t fingerprint,
-    const std::vector<std::pair<std::string, std::string>>& sections);
+    std::vector<std::pair<std::string, std::string>> sections);
 
 /// Read + DecodeSnapshot. When `expected_fingerprint` is nonzero, a
 /// snapshot taken under a different fingerprint (other landscape,

@@ -60,7 +60,7 @@ TEST(DegradedModeRunnerTest, DropoutStormFlipsPostureAndRecovers) {
   EXPECT_GT(watchdog.degraded_ticks(), 0);
   EXPECT_FALSE(watchdog.degraded()) << "storm ended hours before the end";
 
-  obs::MetricsSnapshot snapshot = (*runner)->metrics_registry().Snapshot();
+  obs::MetricsSnapshot snapshot = (*runner)->metrics_snapshot();
   EXPECT_EQ(CounterValue(snapshot, "degraded_mode_entries"),
             static_cast<uint64_t>(watchdog.entries()));
   EXPECT_EQ(CounterValue(snapshot, "degraded_mode_ticks"),

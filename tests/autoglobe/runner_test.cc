@@ -419,10 +419,9 @@ TEST(RunnerTest, ObservabilityDisabledByDefault) {
   ASSERT_NE(runner, nullptr);
   EXPECT_EQ(runner->trace_buffer(), nullptr);
   EXPECT_EQ(runner->audit_log(), nullptr);
-  // The metrics registry always exists; without a run its counters
+  // The metrics snapshot always exists; without a run its counters
   // stay at zero.
-  for (const auto& [name, value] :
-       runner->metrics_registry().Snapshot().counters) {
+  for (const auto& [name, value] : runner->metrics_snapshot().counters) {
     EXPECT_EQ(value, 0u) << name;
   }
 }
@@ -463,7 +462,7 @@ TEST(RunnerTest, ObservabilityCapturesAWholeRun) {
   ASSERT_TRUE(obs::ExportChromeTrace(trace, path).ok());
 
   // Metrics: the registry agrees with the runner's own counters.
-  obs::MetricsSnapshot snapshot = runner.metrics_registry().Snapshot();
+  obs::MetricsSnapshot snapshot = runner.metrics_snapshot();
   uint64_t triggers = 0;
   for (const auto& [name, value] : snapshot.counters) {
     if (name == "triggers_fired") triggers = value;

@@ -378,7 +378,7 @@ int CmdRun(const Args& args) {
   }
   if (args.Has("metrics-out")) {
     const std::string path = args.Get("metrics-out", "");
-    obs::MetricsSnapshot snapshot = (*runner)->metrics_registry().Snapshot();
+    obs::MetricsSnapshot snapshot = (*runner)->metrics_snapshot();
     if (Status s = snapshot.WriteJson(path); !s.ok()) return Fail(s);
     std::printf("wrote %s\n", path.c_str());
   }
