@@ -6,16 +6,21 @@
 // state). Before reporting any number, the harness proves the restore
 // is *correct*: the restored runner's re-serialized sections must be
 // byte-identical to the source runner's, and a restored run continued
-// to the end must match the uninterrupted run bit for bit. CI gates
-// the size and latency columns (see ci.yml, crash-recovery job).
+// to the end must match the uninterrupted run bit for bit. It also
+// records each direction's heap transient — the most one checkpoint
+// or one restore holds at its peak beyond what it leaves behind — which
+// streaming keeps to about one section payload. CI gates the size,
+// latency and transient columns (see ci.yml, crash-recovery job).
 //
 //   ./recovery_checkpoint
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "autoglobe/capacity.h"
 #include "autoglobe/landscape.h"
 #include "autoglobe/landscape_gen.h"
@@ -54,6 +59,25 @@ bench::BenchRecord MeasureOne(const std::string& name,
 
   auto bytes = ReadFileToString(path);
   AG_CHECK_OK(bytes.status());
+
+  // Heap transients of one checkpoint and one restore.
+  ResetHeapHighWater();
+  AG_CHECK_OK(persist::SaveRunnerSnapshot(**runner, path));
+  const int64_t checkpoint_transient = HeapTransientBytes();
+  int64_t restore_transient = 0;
+  {
+    std::unique_ptr<SimulationRunner> revived;
+    ResetHeapHighWater();
+    {
+      auto snapshot =
+          persist::ReadSnapshotFile(path, (*runner)->StateFingerprint());
+      AG_CHECK_OK(snapshot.status());
+      auto restored_once = persist::RestoreRunner(landscape, config, *snapshot);
+      AG_CHECK_OK(restored_once.status());
+      revived = std::move(*restored_once);
+    }
+    restore_transient = HeapTransientBytes();
+  }
 
   // Restore: file -> decode -> fresh runner with overwritten state.
   std::unique_ptr<SimulationRunner> restored;
@@ -94,13 +118,18 @@ bench::BenchRecord MeasureOne(const std::string& name,
   record.extra["checkpoint_write_ms"] = checkpoint_ms;
   record.extra["restore_ms"] = restore_ms;
   record.extra["snapshot_bytes"] = static_cast<double>(bytes->size());
+  record.extra["checkpoint_heap_transient_bytes"] =
+      static_cast<double>(checkpoint_transient);
+  record.extra["restore_heap_transient_bytes"] =
+      static_cast<double>(restore_transient);
   record.extra["servers"] = static_cast<double>(landscape.servers.size());
   record.extra["parity_verified"] = 1.0;
   std::printf(
       "%-18s %7.2f ms checkpoint, %7.2f ms restore, %9zu bytes "
-      "(%zu servers)\n",
+      "(%zu servers), heap transient %lld B checkpoint, %lld B restore\n",
       name.c_str(), checkpoint_ms, restore_ms, bytes->size(),
-      landscape.servers.size());
+      landscape.servers.size(), static_cast<long long>(checkpoint_transient),
+      static_cast<long long>(restore_transient));
   return record;
 }
 

@@ -37,6 +37,8 @@
 
 namespace autoglobe {
 
+class ByteWriter;
+
 /// All knobs of one simulation run. Defaults follow paper §5.1: 1-min
 /// sampling, 80 simulated hours, 70 % overload threshold with a
 /// 10-min watchTime, idle threshold 12.5 %/PI with a 20-min
@@ -278,18 +280,39 @@ class SimulationRunner {
   // learner state, and fault/recovery bookkeeping. The section payloads
   // are raw bytes; framing, checksums, and rotation live in src/persist.
 
-  /// Appends every state section as (name, payload) pairs. Fails
-  /// (FailedPrecondition) if a pending simulator event carries no
-  /// re-arm descriptor — every schedule site in this codebase attaches
-  /// one, so this only fires for foreign callbacks.
+  /// The state sections' names, in the order SaveStateSections emits
+  /// them ("faults" only with a fault plan).
+  std::vector<std::string_view> StateSectionNames() const;
+  /// Receives one section: its name and payload. The payload view is
+  /// valid only during the call.
+  using SectionSink =
+      std::function<Status(std::string_view name, std::string_view payload)>;
+  /// Serializes each state section, in StateSectionNames() order, into
+  /// one reused buffer and hands it to `sink`; the first error a sink
+  /// returns stops the walk. Fails (FailedPrecondition) if a pending
+  /// simulator event carries no re-arm descriptor — every schedule site
+  /// in this codebase attaches one, so this only fires for foreign
+  /// callbacks.
+  Status SaveStateSections(const SectionSink& sink) const;
+  /// Appends every state section as (name, payload) pairs.
   Status SaveStateSections(
       std::vector<std::pair<std::string, std::string>>* sections) const;
+
+  /// Where RestoreStateSections reads a checkpoint's sections from.
+  /// Read() may reuse one buffer for every section: RestoreState never
+  /// keeps a view into a payload past its own section.
+  class SectionSource {
+   public:
+    virtual ~SectionSource() = default;
+    virtual bool Has(std::string_view name) const = 0;
+    /// The named section's payload, valid until the next Read().
+    virtual Result<std::string_view> Read(std::string_view name) = 0;
+  };
   /// Restores from sections produced by SaveStateSections on a runner
   /// Create()d from the *same* landscape and config. Everything Init
   /// set up is overwritten; pending events are re-armed from their
   /// descriptors.
-  Status RestoreStateSections(
-      const std::vector<std::pair<std::string, std::string>>& sections);
+  Status RestoreStateSections(SectionSource* source);
   /// Fingerprint of the identity-defining configuration (landscape
   /// names, seed, rng plane, strategy kind, fault-plan presence) — a
   /// snapshot taken under one fingerprint refuses to restore under
@@ -304,6 +327,9 @@ class SimulationRunner {
   /// Warmup-end reset (one-shot event): discards quality metrics
   /// accumulated during the controller's cold start.
   void OnWarmupEnd();
+  /// Serializes the named section into `w` (see StateSectionNames).
+  Status SaveSection(std::string_view name, ByteWriter* w) const;
+  void SaveRunnerSection(ByteWriter* w) const;
   /// Rebuilds pending-event callbacks from their re-arm descriptors
   /// during RestoreStateSections.
   Result<sim::Simulator::Callback> RebuildCallback(

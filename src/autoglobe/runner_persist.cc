@@ -24,6 +24,13 @@ namespace {
 /// section layout specifically.
 constexpr uint64_t kSectionLayoutVersion = 2;
 
+/// Every state section in save order ("faults" exists only with a fault
+/// plan). The container stores sections in this order; restore reads
+/// them by name, in its own dependency order.
+constexpr std::string_view kSectionOrder[] = {
+    "sim",      "cluster",  "demand",  "archive", "monitor", "pool_stats",
+    "executor", "sla",      "strategy", "faults", "runner",  "metrics"};
+
 void WriteMetricsSnapshot(ByteWriter* w, const obs::MetricsSnapshot& snap) {
   w->U32(static_cast<uint32_t>(snap.counters.size()));
   for (const auto& [name, value] : snap.counters) {
@@ -112,125 +119,120 @@ uint64_t SimulationRunner::StateFingerprint() const {
   return Fnv1a64(w.data());
 }
 
-Status SimulationRunner::SaveStateSections(
-    std::vector<std::pair<std::string, std::string>>* sections) const {
+std::vector<std::string_view> SimulationRunner::StateSectionNames() const {
+  std::vector<std::string_view> names;
+  for (std::string_view name : kSectionOrder) {
+    if (name == "faults" && !config_.fault_plan.has_value()) continue;
+    names.push_back(name);
+  }
+  return names;
+}
+
+Status SimulationRunner::SaveStateSections(const SectionSink& sink) const {
   if (!initialized_) {
     return Status::FailedPrecondition("runner not initialized");
   }
-  auto add = [sections](const char* name, ByteWriter* w) {
-    sections->emplace_back(name, w->Take());
-  };
-
-  {
-    ByteWriter w;
-    AG_RETURN_IF_ERROR(simulator_.SaveState(&w));
-    add("sim", &w);
-  }
-  {
-    ByteWriter w;
-    cluster_.SaveState(&w);
-    add("cluster", &w);
-  }
-  {
-    ByteWriter w;
-    demand_->SaveState(&w);
-    add("demand", &w);
-  }
-  {
-    ByteWriter w;
-    archive_.SaveState(&w);
-    add("archive", &w);
-  }
-  {
-    ByteWriter w;
-    monitoring_->SaveState(&w);
-    add("monitor", &w);
-  }
-  {
-    ByteWriter w;
-    pool_stats_.SaveState(&w);
-    add("pool_stats", &w);
-  }
-  {
-    ByteWriter w;
-    executor_->SaveState(&w);
-    add("executor", &w);
-  }
-  {
-    ByteWriter w;
-    slas_.SaveState(&w);
-    add("sla", &w);
-  }
-  {
-    ByteWriter w;
-    strategy_->SaveState(&w);
-    add("strategy", &w);
-  }
-  if (config_.fault_plan.has_value()) {
-    ByteWriter w;
-    fault_injector_->SaveState(&w);
-    recovery_->SaveState(&w);
-    availability_->SaveState(&w);
-    add("faults", &w);
-  }
-  {
-    ByteWriter w;
-    // RunMetrics, declaration order; the overload totals are the
-    // ledger's live values (metrics_ holds them as of the last fold).
-    w.F64(ledger_.overload_minutes(0));
-    w.F64(ledger_.max_streak(0));
-    w.F64(metrics_.overload_fraction);
-    w.F64(metrics_.lost_work_wu);
-    w.F64(metrics_.average_cpu_load);
-    w.I64(metrics_.triggers);
-    w.I64(metrics_.actions_executed);
-    w.I64(metrics_.actions_failed);
-    w.I64(metrics_.alerts);
-    w.I64(metrics_.failures_injected);
-    w.I64(metrics_.failures_remedied);
-    w.F64(metrics_.sla_violation_minutes);
-    w.I64(metrics_.oscillations);
-    w.I64(metrics_.strategy_reward_updates);
-    w.I64(metrics_.strategy_weight_updates);
-    // Message log (the console view must survive a restore).
-    w.U32(static_cast<uint32_t>(messages_.size()));
-    for (const std::string& message : messages_) w.Str(message);
-    // Oscillation-detection history.
-    w.U32(static_cast<uint32_t>(action_history_.size()));
-    for (const auto& [service, history] : action_history_) {
-      w.Str(service);
-      w.U8(static_cast<uint8_t>(history.last_scale));
-      w.I64(history.last_scale_at.seconds());
-      w.U8(static_cast<uint8_t>(history.last_priority));
-      w.I64(history.last_priority_at.seconds());
-      w.Str(history.last_move_source);
-      w.Str(history.last_move_target);
-      w.I64(history.last_move_at.seconds());
-    }
-    // Per-server smoothing rings (stored in physical ring order; head
-    // and count reproduce the exact eviction sequence) and load sums.
-    ledger_.SaveState(&w);
-    // The layout's second copy of the strategy counts (restore skips
-    // it).
-    w.I64(metrics_.strategy_reward_updates);
-    w.I64(metrics_.strategy_weight_updates);
-    // Heartbeat watches: ids + keys; the dense heartbeat slots are
-    // re-resolved against the restored monitor.
-    w.U64(watched_epoch_);
-    w.U32(static_cast<uint32_t>(watched_instances_.size()));
-    for (const auto& [id, watch] : watched_instances_) {
-      w.U64(static_cast<uint64_t>(id));
-      w.Str(watch.key);
-    }
-    degraded_.SaveState(&w);
-    add("runner", &w);
-  }
-  {
-    ByteWriter w;
-    WriteMetricsSnapshot(&w, metrics_snapshot());
-    add("metrics", &w);
+  ByteWriter w;
+  for (std::string_view name : StateSectionNames()) {
+    w.Clear();
+    AG_RETURN_IF_ERROR(SaveSection(name, &w));
+    AG_RETURN_IF_ERROR(sink(name, w.data()));
   }
   return Status::OK();
+}
+
+Status SimulationRunner::SaveStateSections(
+    std::vector<std::pair<std::string, std::string>>* sections) const {
+  return SaveStateSections(
+      [sections](std::string_view name, std::string_view payload) {
+        sections->emplace_back(name, payload);
+        return Status::OK();
+      });
+}
+
+Status SimulationRunner::SaveSection(std::string_view name,
+                                     ByteWriter* w) const {
+  if (name == "sim") return simulator_.SaveState(w);
+  if (name == "cluster") {
+    cluster_.SaveState(w);
+  } else if (name == "demand") {
+    demand_->SaveState(w);
+  } else if (name == "archive") {
+    archive_.SaveState(w);
+  } else if (name == "monitor") {
+    monitoring_->SaveState(w);
+  } else if (name == "pool_stats") {
+    pool_stats_.SaveState(w);
+  } else if (name == "executor") {
+    executor_->SaveState(w);
+  } else if (name == "sla") {
+    slas_.SaveState(w);
+  } else if (name == "strategy") {
+    strategy_->SaveState(w);
+  } else if (name == "faults") {
+    fault_injector_->SaveState(w);
+    recovery_->SaveState(w);
+    availability_->SaveState(w);
+  } else if (name == "runner") {
+    SaveRunnerSection(w);
+  } else if (name == "metrics") {
+    WriteMetricsSnapshot(w, metrics_snapshot());
+  } else {
+    return Status::Internal(StrFormat("no state section \"%s\"",
+                                      std::string(name).c_str()));
+  }
+  return Status::OK();
+}
+
+void SimulationRunner::SaveRunnerSection(ByteWriter* w) const {
+  // RunMetrics, declaration order; the overload totals are the
+  // ledger's live values (metrics_ holds them as of the last fold).
+  w->F64(ledger_.overload_minutes(0));
+  w->F64(ledger_.max_streak(0));
+  w->F64(metrics_.overload_fraction);
+  w->F64(metrics_.lost_work_wu);
+  w->F64(metrics_.average_cpu_load);
+  w->I64(metrics_.triggers);
+  w->I64(metrics_.actions_executed);
+  w->I64(metrics_.actions_failed);
+  w->I64(metrics_.alerts);
+  w->I64(metrics_.failures_injected);
+  w->I64(metrics_.failures_remedied);
+  w->F64(metrics_.sla_violation_minutes);
+  w->I64(metrics_.oscillations);
+  w->I64(metrics_.strategy_reward_updates);
+  w->I64(metrics_.strategy_weight_updates);
+  // Message log (the console view must survive a restore).
+  w->U32(static_cast<uint32_t>(messages_.size()));
+  for (const std::string& message : messages_) w->Str(message);
+  // Oscillation-detection history.
+  w->U32(static_cast<uint32_t>(action_history_.size()));
+  for (const auto& [service, history] : action_history_) {
+    w->Str(service);
+    w->U8(static_cast<uint8_t>(history.last_scale));
+    w->I64(history.last_scale_at.seconds());
+    w->U8(static_cast<uint8_t>(history.last_priority));
+    w->I64(history.last_priority_at.seconds());
+    w->Str(history.last_move_source);
+    w->Str(history.last_move_target);
+    w->I64(history.last_move_at.seconds());
+  }
+  // Per-server smoothing rings (stored in physical ring order; head
+  // and count reproduce the exact eviction sequence) and load sums.
+  ledger_.SaveState(w);
+  // The layout's second copy of the strategy counts (restore skips
+  // it).
+  w->I64(metrics_.strategy_reward_updates);
+  w->I64(metrics_.strategy_weight_updates);
+  // Heartbeat watches: ids + keys; the dense heartbeat slots are
+  // re-resolved against the restored monitor.
+  w->U64(watched_epoch_);
+  w->U32(static_cast<uint32_t>(watched_instances_.size()));
+  for (const auto& [id, watch] : watched_instances_) {
+    w->U64(static_cast<uint64_t>(id));
+    w->Str(watch.key);
+  }
+  degraded_.SaveState(w);
 }
 
 Result<sim::Simulator::Callback> SimulationRunner::RebuildCallback(
@@ -279,24 +281,19 @@ Result<sim::Simulator::Callback> SimulationRunner::RebuildCallback(
       std::string(desc.kind).c_str()));
 }
 
-Status SimulationRunner::RestoreStateSections(
-    const std::vector<std::pair<std::string, std::string>>& sections) {
+Status SimulationRunner::RestoreStateSections(SectionSource* source) {
   if (!initialized_) {
     return Status::FailedPrecondition("runner not initialized");
   }
-  auto find = [&sections](
-                  std::string_view name) -> Result<std::string_view> {
-    for (const auto& [section_name, payload] : sections) {
-      if (section_name == name) return std::string_view(payload);
+  auto find = [source](std::string_view name) -> Result<std::string_view> {
+    if (!source->Has(name)) {
+      return Status::ParseError(
+          StrFormat("snapshot is missing section \"%s\"",
+                    std::string(name).c_str()));
     }
-    return Status::ParseError(
-        StrFormat("snapshot is missing section \"%s\"",
-                  std::string(name).c_str()));
+    return source->Read(name);
   };
-  bool has_faults_section = false;
-  for (const auto& [section_name, payload] : sections) {
-    if (section_name == "faults") has_faults_section = true;
-  }
+  const bool has_faults_section = source->Has("faults");
   if (has_faults_section != config_.fault_plan.has_value()) {
     return Status::ParseError(
         has_faults_section

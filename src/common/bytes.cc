@@ -7,8 +7,8 @@
 
 namespace autoglobe {
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a64(std::string_view data, uint64_t seed) {
+  uint64_t hash = seed;
   for (char c : data) {
     hash ^= static_cast<uint8_t>(c);
     hash *= 0x100000001b3ULL;

@@ -10,10 +10,15 @@
 
 namespace autoglobe {
 
+/// FNV-1a's offset basis: the hash of no bytes.
+inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// FNV-1a over `data` — the checksum guarding every snapshot section.
 /// Not cryptographic; it detects the torn writes and bit flips the
-/// persistence layer cares about.
-uint64_t Fnv1a64(std::string_view data);
+/// persistence layer cares about. `seed` continues an earlier hash, so
+/// Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a + b) and a long input can be
+/// hashed chunk by chunk.
+uint64_t Fnv1a64(std::string_view data, uint64_t seed = kFnv1a64Basis);
 
 /// Append-only little-endian byte encoder for snapshot sections.
 /// Fixed-width integers, doubles as IEEE bit patterns (restores are
@@ -31,8 +36,16 @@ class ByteWriter {
   /// Raw bytes with no length prefix (caller encodes the size).
   void Raw(const void* bytes, size_t n);
   /// Reserves room for `n` more bytes, so writers that know their
-  /// encoded size grow the buffer once.
-  void Reserve(size_t n) { data_.reserve(data_.size() + n); }
+  /// encoded size grow the buffer once. An empty writer releases its
+  /// old buffer before growing: it has nothing to copy, so the old and
+  /// the new never coexist.
+  void Reserve(size_t n) {
+    if (data_.empty() && data_.capacity() < n) std::string().swap(data_);
+    data_.reserve(data_.size() + n);
+  }
+  /// Drops the bytes but keeps the capacity, so one writer can encode
+  /// section after section into the same buffer.
+  void Clear() { data_.clear(); }
 
   const std::string& data() const { return data_; }
   std::string Take() { return std::move(data_); }

@@ -61,8 +61,23 @@ Result<std::vector<std::string>> CheckpointStore::ListGenerations() const {
 }
 
 Result<std::string> CheckpointStore::Write(
+    uint64_t fingerprint, const std::vector<std::string_view>& names,
+    const SectionProducer& produce) {
+  return WriteGeneration([&](const std::string& path) {
+    return WriteSnapshotFile(path, fingerprint, names, produce);
+  });
+}
+
+Result<std::string> CheckpointStore::Write(
     uint64_t fingerprint,
-    std::vector<std::pair<std::string, std::string>> sections) {
+    const std::vector<std::pair<std::string, std::string>>& sections) {
+  return WriteGeneration([&](const std::string& path) {
+    return WriteSnapshotFile(path, fingerprint, sections);
+  });
+}
+
+Result<std::string> CheckpointStore::WriteGeneration(
+    const std::function<Status(const std::string& path)>& write) {
   AG_ASSIGN_OR_RETURN(std::vector<std::string> generations,
                       ListGenerations());
   uint64_t next = 1;
@@ -72,8 +87,7 @@ Result<std::string> CheckpointStore::Write(
   std::string path = StrFormat("%s/checkpoint-%06llu%s", dir_.c_str(),
                                static_cast<unsigned long long>(next),
                                std::string(kSuffix).c_str());
-  AG_RETURN_IF_ERROR(
-      WriteSnapshotFile(path, fingerprint, std::move(sections)));
+  AG_RETURN_IF_ERROR(write(path));
   // Prune: keep the newest `keep_` generations (the one just written
   // counts).
   while (static_cast<int>(generations.size()) + 1 > keep_) {

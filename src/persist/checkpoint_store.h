@@ -2,6 +2,7 @@
 #define AUTOGLOBE_PERSIST_CHECKPOINT_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,13 +30,18 @@ class CheckpointStore {
   /// retained.
   static Result<CheckpointStore> Open(std::string dir, int keep = 3);
 
-  /// Writes the next generation and prunes old ones. Returns the path
-  /// written.
+  /// Streams the next generation (see WriteSnapshotFile) and prunes
+  /// old ones. Returns the path written.
+  Result<std::string> Write(uint64_t fingerprint,
+                            const std::vector<std::string_view>& names,
+                            const SectionProducer& produce);
+  /// The same for sections already in memory.
   Result<std::string> Write(
       uint64_t fingerprint,
-      std::vector<std::pair<std::string, std::string>> sections);
+      const std::vector<std::pair<std::string, std::string>>& sections);
 
-  /// Loaded snapshot plus where it came from and what was skipped.
+  /// Loaded snapshot (its validated table; the payloads stay in the
+  /// file) plus where it came from and what was skipped.
   struct Loaded {
     SnapshotData data;
     std::string path;
@@ -56,6 +62,10 @@ class CheckpointStore {
  private:
   CheckpointStore(std::string dir, int keep)
       : dir_(std::move(dir)), keep_(keep) {}
+
+  /// Names the next generation, has `write` create it, then prunes.
+  Result<std::string> WriteGeneration(
+      const std::function<Status(const std::string& path)>& write);
 
   std::string dir_;
   int keep_;

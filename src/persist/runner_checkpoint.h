@@ -17,17 +17,18 @@ namespace autoglobe::persist {
 /// runner back. Used by autoglobectl, the recovery bench, and the
 /// crash-injection harness.
 
-/// Serializes the runner's state and writes the next checkpoint
-/// generation. Returns the path written.
+/// Streams the runner's state, one section at a time, into the next
+/// checkpoint generation. Returns the path written.
 Result<std::string> CheckpointRunner(const SimulationRunner& runner,
                                      CheckpointStore* store);
 
-/// Serializes the runner's state to a single snapshot file.
+/// Streams the runner's state to a single snapshot file.
 Status SaveRunnerSnapshot(const SimulationRunner& runner,
                           const std::string& path);
 
 /// Creates a fresh runner from (landscape, config) and overwrites its
-/// state with the snapshot. The snapshot's fingerprint must match the
+/// state with the snapshot, reading one section payload at a time
+/// through SnapshotData::Payload. The snapshot's fingerprint must match the
 /// new runner's (same landscape names, seed, rng plane, strategy kind,
 /// fault-plan presence) — FailedPrecondition otherwise.
 Result<std::unique_ptr<SimulationRunner>> RestoreRunner(

@@ -21,5 +21,16 @@ TEST(ByteReaderTest, CheckCountBoundsByTheUnreadBytes) {
   EXPECT_TRUE(r.CheckCount(0, sizeof(double)).ok());
 }
 
+TEST(Fnv1a64Test, SeedContinuesTheHash) {
+  const std::string whole = "header and table, then the payloads";
+  for (size_t cut = 0; cut <= whole.size(); cut += 7) {
+    EXPECT_EQ(Fnv1a64(std::string_view(whole).substr(cut),
+                      Fnv1a64(std::string_view(whole).substr(0, cut))),
+              Fnv1a64(whole))
+        << "cut at " << cut;
+  }
+  EXPECT_EQ(Fnv1a64(""), kFnv1a64Basis);
+}
+
 }  // namespace
 }  // namespace autoglobe

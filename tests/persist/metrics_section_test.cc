@@ -151,10 +151,10 @@ TEST(RunnerCheckpointTest, MetricsCounterDisagreeingWithOwnerIsParseError) {
   }
   ASSERT_TRUE(bumped);
 
-  persist::SnapshotData snapshot;
-  snapshot.fingerprint = (*runner)->StateFingerprint();
-  snapshot.sections = std::move(sections);
-  auto restored = persist::RestoreRunner(landscape, config, snapshot);
+  auto snapshot = persist::DecodeSnapshot(persist::EncodeSnapshot(
+      (*runner)->StateFingerprint(), std::move(sections)));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  auto restored = persist::RestoreRunner(landscape, config, *snapshot);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
   EXPECT_NE(restored.status().message().find("recoveries_total"),

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 
 #include "autoglobe/capacity.h"
 #include "autoglobe/landscape.h"
+#include "autoglobe/landscape_gen.h"
 #include "common/bytes.h"
 #include "common/fileio.h"
 #include "monitor/load_archive.h"
@@ -48,13 +50,50 @@ Sections SampleSections() {
           {"gamma", ""}};
 }
 
+/// Every payload of a validated snapshot, read through Payload().
+Sections PayloadsOf(const SnapshotData& snapshot) {
+  Sections sections;
+  std::string buffer;
+  for (size_t i = 0; i < snapshot.sections.size(); ++i) {
+    auto payload = snapshot.Payload(i, &buffer);
+    EXPECT_TRUE(payload.ok()) << payload.status();
+    sections.emplace_back(snapshot.sections[i].name,
+                          std::string(payload.value_or("")));
+  }
+  return sections;
+}
+
+/// `sections` through the full container codec, ready to restore.
+SnapshotData Snapshotted(uint64_t fingerprint, Sections sections) {
+  auto decoded =
+      DecodeSnapshot(EncodeSnapshot(fingerprint, std::move(sections)));
+  EXPECT_TRUE(decoded.ok()) << decoded.status();
+  return decoded.ok() ? std::move(*decoded) : SnapshotData{};
+}
+
+/// Validates `bytes` both ways a container is read: decoded from
+/// memory and read from a file holding them.
+std::vector<Status> ReadBothWays(const std::string& bytes,
+                                 const std::string& path) {
+  std::vector<Status> statuses;
+  statuses.push_back(DecodeSnapshot(bytes).status());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+    EXPECT_TRUE(out.good()) << path;
+  }
+  statuses.push_back(persist::ReadSnapshotFile(path).status());
+  return statuses;
+}
+
 TEST(SnapshotTest, RoundTrips) {
   Sections sections = SampleSections();
   std::string image = EncodeSnapshot(0xfeedf00d, sections);
   auto decoded = DecodeSnapshot(image);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->fingerprint, 0xfeedf00dull);
-  EXPECT_EQ(decoded->sections, sections);
+  EXPECT_EQ(decoded->size, image.size());
+  EXPECT_EQ(PayloadsOf(*decoded), sections);
 }
 
 TEST(SnapshotTest, EncodedImageBytesArePinned) {
@@ -66,15 +105,22 @@ TEST(SnapshotTest, EncodedImageBytesArePinned) {
 }
 
 TEST(SnapshotTest, RejectsTruncation) {
+  std::string dir = TempDir("truncation");
+  ASSERT_TRUE(MakeDirectories(dir).ok());
   std::string image = EncodeSnapshot(1, SampleSections());
-  // Every proper prefix must be rejected — a torn write never parses.
+  // Every proper prefix must be rejected — a torn write never parses,
+  // from memory or from a file.
   for (size_t cut : {image.size() - 1, image.size() / 2, size_t{5}}) {
-    auto decoded = DecodeSnapshot(std::string_view(image).substr(0, cut));
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << cut << " bytes parsed";
+    for (const Status& status :
+         ReadBothWays(image.substr(0, cut), dir + "/cut.agsnap")) {
+      EXPECT_FALSE(status.ok()) << "prefix of " << cut << " bytes parsed";
+    }
   }
 }
 
 TEST(SnapshotTest, RejectsEveryBitFlip) {
+  std::string dir = TempDir("bitflip");
+  ASSERT_TRUE(MakeDirectories(dir).ok());
   Sections sections = {{"alpha", "payload-a"}, {"beta", "payload-b"}};
   std::string image = EncodeSnapshot(2, sections);
   // Flip one bit per byte position; a single-bit error anywhere in
@@ -82,8 +128,10 @@ TEST(SnapshotTest, RejectsEveryBitFlip) {
   for (size_t i = 0; i < image.size(); ++i) {
     std::string corrupt = image;
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x10);
-    auto decoded = DecodeSnapshot(corrupt);
-    EXPECT_FALSE(decoded.ok()) << "bit flip at byte " << i << " parsed";
+    for (const Status& status :
+         ReadBothWays(corrupt, dir + "/flipped.agsnap")) {
+      EXPECT_FALSE(status.ok()) << "bit flip at byte " << i << " parsed";
+    }
   }
 }
 
@@ -167,9 +215,8 @@ TEST(SnapshotTest, WrongLandscapeRefusesToRestore) {
                   .ok());
   Sections sections;
   ASSERT_TRUE((*runner)->SaveStateSections(&sections).ok());
-  SnapshotData snapshot;
-  snapshot.fingerprint = (*runner)->StateFingerprint();
-  snapshot.sections = sections;
+  SnapshotData snapshot =
+      Snapshotted((*runner)->StateFingerprint(), std::move(sections));
 
   Landscape other = MakePaperLandscape(Scenario::kStatic);
   RunnerConfig other_config =
@@ -197,7 +244,8 @@ TEST(CheckpointStoreTest, RotationKeepsNewestGenerations) {
   EXPECT_EQ((*generations)[2], "checkpoint-000005.agsnap");
   auto loaded = store->LoadLatest(7);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->data.sections[0].second, "5");
+  EXPECT_EQ(PayloadsOf(loaded->data)[0].second, "5");
+  EXPECT_EQ(loaded->data.path, loaded->path);
   EXPECT_TRUE(loaded->skipped.empty());
 }
 
@@ -216,7 +264,7 @@ TEST(CheckpointStoreTest, CorruptNewestFallsBackToPrevious) {
 
   auto loaded = store->LoadLatest(7);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->data.sections[0].second, "good");
+  EXPECT_EQ(PayloadsOf(loaded->data)[0].second, "good");
   ASSERT_EQ(loaded->skipped.size(), 1u);
   EXPECT_NE(loaded->skipped[0].find("checkpoint-000002"),
             std::string::npos);
@@ -241,6 +289,192 @@ TEST(CheckpointStoreTest, AllCorruptReportsEveryCandidate) {
   EXPECT_NE(loaded.status().ToString().find("checkpoint-000002"),
             std::string::npos)
       << loaded.status();
+}
+
+/// CheckpointRunner and SaveRunnerSnapshot stream `runner` to files
+/// equal to EncodeSnapshot of its sections, and the file's table reads
+/// those sections back.
+void ExpectStreamedFilesEqualImage(const SimulationRunner& runner,
+                                   const std::string& dir) {
+  Sections sections;
+  ASSERT_TRUE(runner.SaveStateSections(&sections).ok());
+  const std::string image =
+      EncodeSnapshot(runner.StateFingerprint(), sections);
+
+  auto store = CheckpointStore::Open(dir, 1);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto checkpoint = persist::CheckpointRunner(runner, &*store);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
+  auto stored = ReadFileToString(*checkpoint);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(stored->size(), image.size());
+  EXPECT_TRUE(*stored == image) << "CheckpointRunner file differs";
+
+  const std::string path = dir + "/single.agsnap";
+  ASSERT_TRUE(persist::SaveRunnerSnapshot(runner, path).ok());
+  auto single = ReadFileToString(path);
+  ASSERT_TRUE(single.ok()) << single.status();
+  EXPECT_TRUE(*single == image) << "SaveRunnerSnapshot file differs";
+
+  auto loaded = store->LoadLatest(runner.StateFingerprint());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->data.size, image.size());
+  EXPECT_TRUE(PayloadsOf(loaded->data) == sections);
+}
+
+const std::string& SectionNamed(const Sections& sections,
+                                std::string_view name) {
+  static const std::string kAbsent = "<absent>";
+  for (const auto& [section, payload] : sections) {
+    if (section == name) return payload;
+  }
+  return kAbsent;
+}
+
+TEST(SnapshotTest, StreamedFileEqualsEncodedImage) {
+  {
+    // Paper FM with a fault plan: the faults section is present, and
+    // the default strategy's section is empty.
+    SCOPED_TRACE("paper FM with a fault plan");
+    Landscape landscape = MakePaperLandscape(Scenario::kFullMobility);
+    RunnerConfig config =
+        MakeScenarioConfig(Scenario::kFullMobility, 1.15, 42);
+    config.duration = Duration::Hours(8);
+    faults::FaultPlan plan;
+    plan.events.push_back({SimTime::Start() + Duration::Hours(1),
+                           faults::FaultKind::kServerFailure, "Blade3",
+                           Duration::Hours(1)});
+    config.fault_plan = plan;
+    auto runner = SimulationRunner::Create(landscape, config);
+    ASSERT_TRUE(runner.ok()) << runner.status();
+    ASSERT_TRUE(
+        (*runner)->RunUntil(SimTime::Start() + Duration::Minutes(90)).ok());
+    Sections sections;
+    ASSERT_TRUE((*runner)->SaveStateSections(&sections).ok());
+    EXPECT_FALSE(SectionNamed(sections, "faults").empty());
+    EXPECT_TRUE(SectionNamed(sections, "strategy").empty());
+    ASSERT_EQ(sections.size(), (*runner)->StateSectionNames().size());
+    for (size_t i = 0; i < sections.size(); ++i) {
+      EXPECT_EQ(sections[i].first, (*runner)->StateSectionNames()[i]);
+    }
+    ExpectStreamedFilesEqualImage(**runner, TempDir("streamed_paper"));
+  }
+  {
+    SCOPED_TRACE("1k-server fleet");
+    auto landscape = GenerateLandscape(MakeScaleSpec(1000));
+    ASSERT_TRUE(landscape.ok()) << landscape.status();
+    RunnerConfig config;
+    config.tick = Duration::Minutes(1);
+    config.duration = Duration::Hours(3);
+    config.seed = 42;
+    config.user_scale = 1.5;
+    config.fluctuation_per_minute = 0.0;
+    config.archive_retention = Duration::Hours(1);
+    config.archive_bucket = Duration::Minutes(15);
+    config.controller.pool_prescreen = true;
+    auto runner = SimulationRunner::Create(*landscape, config);
+    ASSERT_TRUE(runner.ok()) << runner.status();
+    ASSERT_TRUE(
+        (*runner)->RunUntil(SimTime::Start() + Duration::Minutes(30)).ok());
+    EXPECT_EQ(SectionNamed(
+                  [&] {
+                    Sections sections;
+                    EXPECT_TRUE((*runner)->SaveStateSections(&sections).ok());
+                    return sections;
+                  }(),
+                  "faults"),
+              "<absent>");
+    ExpectStreamedFilesEqualImage(**runner, TempDir("streamed_fleet"));
+  }
+}
+
+TEST(CheckpointStoreTest, SectionChangedAfterLoadIsParseError) {
+  Landscape landscape = MakePaperLandscape(Scenario::kStatic);
+  RunnerConfig config = MakeScenarioConfig(Scenario::kStatic, 1.0, 42);
+  config.duration = Duration::Hours(1);
+  auto runner = SimulationRunner::Create(landscape, config);
+  ASSERT_TRUE(runner.ok()) << runner.status();
+  ASSERT_TRUE((*runner)->RunUntil(SimTime::Start() + Duration::Minutes(30))
+                  .ok());
+  auto store = CheckpointStore::Open(TempDir("changed"), 1);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto path = persist::CheckpointRunner(**runner, &*store);
+  ASSERT_TRUE(path.ok()) << path.status();
+  auto loaded = store->LoadLatest((*runner)->StateFingerprint());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  // Validation is over; the restore reads each payload again and must
+  // notice one that changed since.
+  auto archive = std::find_if(
+      loaded->data.sections.begin(), loaded->data.sections.end(),
+      [](const persist::SectionEntry& entry) {
+        return entry.name == "archive";
+      });
+  ASSERT_NE(archive, loaded->data.sections.end());
+  ASSERT_GT(archive->size, 0u);
+  auto bytes = ReadFileToString(*path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  (*bytes)[archive->offset] = static_cast<char>((*bytes)[archive->offset] ^ 1);
+  ASSERT_TRUE(AtomicWriteFile(*path, *bytes).ok());
+
+  auto restored = persist::RestoreRunner(landscape, config, loaded->data);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
+  EXPECT_NE(restored.status().message().find("section \"archive\""),
+            std::string::npos)
+      << restored.status();
+}
+
+TEST(CheckpointStoreTest, SectionOutOfDeclaredOrderIsErrorAndLeavesNoFile) {
+  std::string dir = TempDir("order");
+  auto store = CheckpointStore::Open(dir, 3);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const std::vector<std::string_view> names = {"alpha", "beta"};
+  auto emitting = [](std::vector<std::string_view> emitted) {
+    return [emitted](const persist::SectionSink& sink) {
+      for (std::string_view name : emitted) {
+        AG_RETURN_IF_ERROR(sink(name, "payload"));
+      }
+      return Status::OK();
+    };
+  };
+  struct Case {
+    const char* what;
+    std::vector<std::string_view> emitted;
+  };
+  const Case cases[] = {
+      {"swapped", {"beta", "alpha"}},
+      {"unknown", {"alpha", "delta"}},
+      {"missing", {"alpha"}},
+      {"extra", {"alpha", "beta", "gamma"}},
+  };
+  for (const Case& c : cases) {
+    auto written = store->Write(7, names, emitting(c.emitted));
+    ASSERT_FALSE(written.ok()) << c.what;
+    EXPECT_EQ(written.status().code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << written.status();
+    auto entries = ListDirectory(dir);
+    ASSERT_TRUE(entries.ok()) << entries.status();
+    EXPECT_TRUE(entries->empty())
+        << c.what << " left " << entries->front();
+
+    const std::string path = dir + "/direct.agsnap";
+    EXPECT_FALSE(
+        persist::WriteSnapshotFile(path, 7, names, emitting(c.emitted))
+            .ok())
+        << c.what;
+    entries = ListDirectory(dir);
+    ASSERT_TRUE(entries.ok()) << entries.status();
+    EXPECT_TRUE(entries->empty())
+        << c.what << " left " << entries->front();
+  }
+
+  auto written = store->Write(7, names, emitting({"alpha", "beta"}));
+  ASSERT_TRUE(written.ok()) << written.status();
+  auto loaded = store->LoadLatest(7);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(PayloadsOf(loaded->data),
+            (Sections{{"alpha", "payload"}, {"beta", "payload"}}));
 }
 
 // Offset of a server's smoothing-ring head in the runner section: past
@@ -284,10 +518,12 @@ TEST(SnapshotTest, HostileRunnerCountsAndRingHeadsAreParseErrors) {
   ASSERT_TRUE(runner.ok()) << runner.status();
   ASSERT_TRUE((*runner)->RunUntil(SimTime::Start() + Duration::Minutes(30))
                   .ok());
-  SnapshotData snapshot;
-  snapshot.fingerprint = (*runner)->StateFingerprint();
-  ASSERT_TRUE((*runner)->SaveStateSections(&snapshot.sections).ok());
-  ASSERT_TRUE(persist::RestoreRunner(landscape, config, snapshot).ok());
+  const uint64_t fingerprint = (*runner)->StateFingerprint();
+  Sections sections;
+  ASSERT_TRUE((*runner)->SaveStateSections(&sections).ok());
+  ASSERT_TRUE(persist::RestoreRunner(landscape, config,
+                                     Snapshotted(fingerprint, sections))
+                  .ok());
 
   // Each site gets 0xffffffff in its first four bytes: the runner
   // section's message-log count (after the 15 fixed-width RunMetrics
@@ -295,22 +531,23 @@ TEST(SnapshotTest, HostileRunnerCountsAndRingHeadsAreParseErrors) {
   // server's smoothing-ring head, which the next tick would use as an
   // index into its ring.
   auto runner_section = std::find_if(
-      snapshot.sections.begin(), snapshot.sections.end(),
+      sections.begin(), sections.end(),
       [](const auto& entry) { return entry.first == "runner"; });
-  ASSERT_NE(runner_section, snapshot.sections.end());
+  ASSERT_NE(runner_section, sections.end());
   const std::pair<std::string, size_t> sites[] = {
       {"runner", 15 * 8},
       {"metrics", 0},
       {"runner", RingHeadOffset(runner_section->second, 0)}};
   for (const auto& [name, offset] : sites) {
-    SnapshotData hostile = snapshot;
+    Sections hostile = sections;
     auto section = std::find_if(
-        hostile.sections.begin(), hostile.sections.end(),
+        hostile.begin(), hostile.end(),
         [&name](const auto& entry) { return entry.first == name; });
-    ASSERT_NE(section, hostile.sections.end()) << name;
+    ASSERT_NE(section, hostile.end()) << name;
     ASSERT_GE(section->second.size(), offset + 4) << name;
     section->second.replace(offset, 4, "\xff\xff\xff\xff");
-    auto restored = persist::RestoreRunner(landscape, config, hostile);
+    auto restored = persist::RestoreRunner(
+        landscape, config, Snapshotted(fingerprint, std::move(hostile)));
     ASSERT_FALSE(restored.ok()) << name;
     EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
         << name << ": " << restored.status();
@@ -328,17 +565,19 @@ TEST(SnapshotTest, HostileSmoothingRingsAreParseErrors) {
   ASSERT_TRUE(runner.ok()) << runner.status();
   ASSERT_TRUE((*runner)->RunUntil(SimTime::Start() + Duration::Minutes(37))
                   .ok());
-  SnapshotData snapshot;
-  snapshot.fingerprint = (*runner)->StateFingerprint();
-  ASSERT_TRUE((*runner)->SaveStateSections(&snapshot.sections).ok());
-  ASSERT_TRUE(persist::RestoreRunner(landscape, config, snapshot).ok());
+  const uint64_t fingerprint = (*runner)->StateFingerprint();
+  Sections sections;
+  ASSERT_TRUE((*runner)->SaveStateSections(&sections).ok());
+  ASSERT_TRUE(persist::RestoreRunner(landscape, config,
+                                     Snapshotted(fingerprint, sections))
+                  .ok());
 
   auto runner_section = std::find_if(
-      snapshot.sections.begin(), snapshot.sections.end(),
+      sections.begin(), sections.end(),
       [](const auto& entry) { return entry.first == "runner"; });
-  ASSERT_NE(runner_section, snapshot.sections.end());
+  ASSERT_NE(runner_section, sections.end());
   const size_t runner_index =
-      static_cast<size_t>(runner_section - snapshot.sections.begin());
+      static_cast<size_t>(runner_section - sections.begin());
   struct Site {
     const char* what;
     size_t server;
@@ -352,8 +591,8 @@ TEST(SnapshotTest, HostileSmoothingRingsAreParseErrors) {
       {"a count other servers do not share", 1, 1, 14},
   };
   for (const Site& site : sites) {
-    SnapshotData hostile = snapshot;
-    std::string& section = hostile.sections[runner_index].second;
+    Sections hostile = sections;
+    std::string& section = hostile[runner_index].second;
     const size_t offset =
         RingHeadOffset(section, site.server) + 8 * site.field;
     ByteReader original(std::string_view(section).substr(offset, 8));
@@ -362,7 +601,8 @@ TEST(SnapshotTest, HostileSmoothingRingsAreParseErrors) {
     ByteWriter w;
     w.U64(site.value);
     section.replace(offset, 8, w.data());
-    auto restored = persist::RestoreRunner(landscape, config, hostile);
+    auto restored = persist::RestoreRunner(
+        landscape, config, Snapshotted(fingerprint, std::move(hostile)));
     ASSERT_FALSE(restored.ok()) << site.what;
     EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
         << site.what << ": " << restored.status();

@@ -635,30 +635,26 @@ int CmdCheckpoint(const Args& args) {
   }
   size_t loadable = 0;
   for (const std::string& name : *generations) {
-    const std::string path = dir + "/" + name;
-    auto bytes = ReadFileToString(path);
-    if (!bytes.ok()) {
-      std::printf("%s: unreadable: %s\n", name.c_str(),
-                  bytes.status().ToString().c_str());
-      continue;
-    }
-    auto snapshot = persist::DecodeSnapshot(*bytes);
+    auto snapshot = persist::ReadSnapshotFile(dir + "/" + name);
     if (!snapshot.ok()) {
-      std::printf("%s: CORRUPT: %s\n", name.c_str(),
+      std::printf("%s: %s: %s\n", name.c_str(),
+                  snapshot.status().code() == StatusCode::kIoError
+                      ? "unreadable"
+                      : "CORRUPT",
                   snapshot.status().ToString().c_str());
       continue;
     }
     ++loadable;
-    std::printf("%s: OK, %zu bytes, fingerprint %016llx, %zu sections\n",
-                name.c_str(), bytes->size(),
+    std::printf("%s: OK, %llu bytes, fingerprint %016llx, %zu sections\n",
+                name.c_str(), static_cast<unsigned long long>(snapshot->size),
                 static_cast<unsigned long long>(snapshot->fingerprint),
                 snapshot->sections.size());
     // Sim time lives in the "sim" section header written first by the
     // runner; decoding it fully is a restore concern, so just list
-    // section names and sizes here.
-    for (const auto& [section, payload] : snapshot->sections) {
-      std::printf("    %-10s %8zu bytes\n", section.c_str(),
-                  payload.size());
+    // section names and sizes from the validated table here.
+    for (const persist::SectionEntry& section : snapshot->sections) {
+      std::printf("    %-10s %8llu bytes\n", section.name.c_str(),
+                  static_cast<unsigned long long>(section.size));
     }
   }
   std::printf("%zu of %zu generation(s) loadable\n", loadable,
