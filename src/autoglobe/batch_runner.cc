@@ -99,37 +99,12 @@ Status BatchRunner::Init(const Landscape& landscape) {
   tick_sec_ = config_.tick.seconds();
   idle_watch_sec_ = config_.monitor.idle_watch_time.seconds();
 
-  // Subjects in dense-id layout: sorted server names first, then
-  // sorted service names — the same ranks SimulationRunner's per-tick
-  // loops use, so ObserveReplica reads the engine views by position.
-  struct Registration {
-    std::string name;
-    double idle_divisor = 1.0;
-    Duration overload_watch = Duration::Zero();
-  };
-  std::vector<Registration> servers;
-  for (const infra::ServerSpec* server : cluster_.Servers()) {
-    servers.push_back({server->name, server->performance_index,
-                       config_.monitor.overload_watch_time});
-  }
-  std::sort(servers.begin(), servers.end(),
-            [](const Registration& a, const Registration& b) {
-              return a.name < b.name;
-            });
-  std::vector<Registration> services;
-  for (const infra::ServiceSpec* service : cluster_.Services()) {
-    Duration watch = config_.monitor.overload_watch_time;
-    if (service->watch_time_minutes > 0) {
-      watch = Duration::Minutes(service->watch_time_minutes);
-    }
-    services.push_back({service->name, 1.0, watch});
-  }
-  std::sort(services.begin(), services.end(),
-            [](const Registration& a, const Registration& b) {
-              return a.name < b.name;
-            });
-
-  num_servers_ = servers.size();
+  // Subjects in dense-id layout: servers first, then services, each
+  // in the index's sorted-name order — the same ranks
+  // SimulationRunner's per-tick loops use, so ObserveReplica reads the
+  // engine views by position.
+  const infra::LandscapeIndex& index = cluster_.Index();
+  num_servers_ = index.num_servers();
   // Sized first: it refuses a non-positive tick, which the watch
   // rings below divide by.
   AG_RETURN_IF_ERROR(ledger_.Init(num_servers_, L, config_.tick,
@@ -137,17 +112,17 @@ Status BatchRunner::Init(const Landscape& landscape) {
                                   config_.overload_threshold));
 
   subjects_.clear();
-  subjects_.reserve(servers.size() + services.size());
-  auto add_subject = [&](const Registration& reg) -> Status {
-    if (config_.archive_retention < reg.overload_watch) {
+  subjects_.reserve(index.num_servers() + index.num_services());
+  auto add_subject = [&](const std::string& name, double idle_divisor,
+                         Duration overload_watch) -> Status {
+    if (config_.archive_retention < overload_watch) {
       return Status::InvalidArgument(StrFormat(
           "archive retention shorter than the watchTime of \"%s\"",
-          reg.name.c_str()));
+          name.c_str()));
     }
     Subject subject;
-    subject.idle_threshold =
-        config_.monitor.idle_threshold_base / reg.idle_divisor;
-    subject.overload_watch_sec = reg.overload_watch.seconds();
+    subject.idle_threshold = config_.monitor.idle_threshold_base / idle_divisor;
+    subject.overload_watch_sec = overload_watch.seconds();
     subject.cap = static_cast<size_t>(
                       std::max(subject.overload_watch_sec, idle_watch_sec_) /
                       tick_sec_) +
@@ -159,11 +134,20 @@ Status BatchRunner::Init(const Landscape& landscape) {
     subjects_.push_back(std::move(subject));
     return Status::OK();
   };
-  for (const Registration& server : servers) {
-    AG_RETURN_IF_ERROR(add_subject(server));
+  for (size_t i = 0; i < index.num_servers(); ++i) {
+    const infra::ServerSpec& server =
+        index.Server(static_cast<infra::DenseId>(i));
+    AG_RETURN_IF_ERROR(add_subject(server.name, server.performance_index,
+                                   config_.monitor.overload_watch_time));
   }
-  for (const Registration& service : services) {
-    AG_RETURN_IF_ERROR(add_subject(service));
+  for (size_t j = 0; j < index.num_services(); ++j) {
+    const infra::ServiceSpec& service =
+        index.Service(static_cast<infra::DenseId>(j));
+    Duration watch = config_.monitor.overload_watch_time;
+    if (service.watch_time_minutes > 0) {
+      watch = Duration::Minutes(service.watch_time_minutes);
+    }
+    AG_RETURN_IF_ERROR(add_subject(service.name, 1.0, watch));
   }
 
   metrics_.assign(L, RunMetrics{});

@@ -331,19 +331,13 @@ Status SimulationRunner::Init(const Landscape& landscape) {
       return recovery_->FilterHost(server);
     });
 
-    // Heartbeat watches: servers first (stable registration order =
-    // sorted names), then the initial instances via the same
-    // reconciliation that keeps watches epoch-synced during the run.
-    server_hb_keys_.reserve(server_names_.size());
-    server_hb_ids_.reserve(server_names_.size());
-    for (std::string_view server : server_names_) {
-      server_hb_keys_.push_back(std::string("s/").append(server));
-      AG_RETURN_IF_ERROR(monitoring_->WatchHeartbeat(
-          TriggerKind::kServerFailed, server_hb_keys_.back(),
-          std::string(server), SimTime::Start()));
-      AG_ASSIGN_OR_RETURN(size_t hb_id,
-                          monitoring_->HeartbeatIdOf(server_hb_keys_.back()));
-      server_hb_ids_.push_back(hb_id);
+    // Heartbeat watches: every server (a server's dense id is its
+    // subject id), then the initial instances through the
+    // reconciliation that keeps the watches in step with the topology
+    // during the run.
+    for (size_t i = 0; i < server_names_.size(); ++i) {
+      AG_RETURN_IF_ERROR(monitoring_->WatchServer(
+          static_cast<monitor::SubjectId>(i), SimTime::Start()));
     }
     ReconcileInstanceWatches(SimTime::Start());
   }
@@ -581,41 +575,24 @@ void SimulationRunner::OnTrigger(const Trigger& trigger) {
 void SimulationRunner::ReconcileInstanceWatches(SimTime now) {
   if (watched_epoch_ == cluster_.topology_epoch()) return;
   watched_epoch_ = cluster_.topology_epoch();
-  // The index lists every live instance in ascending id order — the
-  // key order of watched_instances_ — so two merge passes find the
-  // gone and the new instances without a lookup per instance.
-  std::span<const infra::InstanceRef> current = cluster_.Index().Instances();
-  // Drop watches whose instance is gone (removed / relocated away) —
-  // the monitor must never raise a trigger for a dead subject.
-  auto live = current.begin();
-  for (auto it = watched_instances_.begin();
-       it != watched_instances_.end();) {
-    while (live != current.end() && live->id < it->first) ++live;
-    if (live == current.end() || live->id != it->first) {
-      AG_CHECK_OK(monitoring_->UnwatchHeartbeat(it->second.key));
-      it = watched_instances_.erase(it);
-    } else {
-      ++it;
+  // The index lists every live instance, and the monitor its instance
+  // watches, in ascending id order, so one merge unwatches the gone
+  // (removed or relocated away: the monitor must never raise a
+  // trigger for a dead subject) and watches the new.
+  auto watches = [this] { return monitoring_->instance_watches(); };
+  size_t next = 0;  // the watch the merge is at
+  for (const infra::InstanceRef& ref : cluster_.Index().Instances()) {
+    while (next < watches().size() && watches()[next].instance < ref.id) {
+      AG_CHECK_OK(monitoring_->UnwatchInstance(watches()[next].instance));
     }
+    if (next == watches().size() || watches()[next].instance != ref.id) {
+      AG_CHECK_OK(monitoring_->WatchInstance(
+          ref.id, ServiceSubject(ref.service), now));
+    }
+    ++next;
   }
-  // Watch newly placed instances (every remaining watch is live, so
-  // an id missing from the watch map is new), caching the dense
-  // heartbeat slot for the per-tick feed.
-  auto watched = watched_instances_.begin();
-  for (const infra::InstanceRef& ref : current) {
-    if (watched != watched_instances_.end() && watched->first == ref.id) {
-      ++watched;
-      continue;
-    }
-    std::string key = "i/";
-    AppendInt(&key, static_cast<long long>(ref.id));
-    AG_CHECK_OK(monitoring_->WatchHeartbeat(TriggerKind::kInstanceFailed,
-                                            key, ref.instance->service, now,
-                                            ref.id));
-    auto hb_id = monitoring_->HeartbeatIdOf(key);
-    AG_CHECK_OK(hb_id.status());
-    watched_instances_.emplace_hint(
-        watched, ref.id, WatchedInstance{std::move(key), *hb_id});
+  while (watches().size() > next) {
+    AG_CHECK_OK(monitoring_->UnwatchInstance(watches().back().instance));
   }
 }
 
@@ -623,25 +600,25 @@ void SimulationRunner::FeedHeartbeats(SimTime now) {
   ReconcileInstanceWatches(now);
   // Server heartbeats: a down server is silent; a server in a
   // monitor-dropout window is healthy but silent (the false-positive
-  // path detection must survive).
+  // path detection must survive). A server's dense id is its subject
+  // id.
   for (size_t position = 0; position < server_names_.size(); ++position) {
     std::string_view server = server_names_[position];
     if (cluster_.IsServerUp(server) &&
         fault_injector_->IsReporting(server, now)) {
-      AG_CHECK_OK(
-          monitoring_->RecordHeartbeatById(server_hb_ids_[position], now));
+      AG_CHECK_OK(monitoring_->RecordServerHeartbeat(
+          static_cast<monitor::SubjectId>(position), now));
     }
   }
   // Instance heartbeats: an instance reports while its process lives
-  // (starting or running) and its host's monitoring path is up.
-  for (const auto& [id, watch] : watched_instances_) {
-    auto instance = cluster_.FindInstance(id);
-    if (!instance.ok()) continue;  // removed this very tick
-    if ((*instance)->state == infra::InstanceState::kFailed) continue;
-    const std::string& server = (*instance)->server;
+  // (starting or running) and its host's monitoring path is up. After
+  // the reconcile the watches are exactly the index's instances.
+  for (const infra::InstanceRef& ref : cluster_.Index().Instances()) {
+    if (ref.instance->state == infra::InstanceState::kFailed) continue;
+    const std::string& server = ref.instance->server;
     if (cluster_.IsServerUp(server) &&
         fault_injector_->IsReporting(server, now)) {
-      AG_CHECK_OK(monitoring_->RecordHeartbeatById(watch.hb_id, now));
+      AG_CHECK_OK(monitoring_->RecordInstanceHeartbeat(ref.id, now));
     }
   }
   monitoring_->CheckHeartbeats(now);

@@ -375,19 +375,8 @@ class SimulationRunner {
   std::unique_ptr<faults::AvailabilityTracker> availability_;
   std::unique_ptr<faults::FaultInjector> fault_injector_;
   std::unique_ptr<faults::RecoveryManager> recovery_;
-  /// Instance heartbeat watches currently held (id -> monitor key +
-  /// dense heartbeat slot), valid for topology epoch watched_epoch_.
-  struct WatchedInstance {
-    std::string key;
-    size_t hb_id = 0;
-  };
-  std::map<infra::InstanceId, WatchedInstance> watched_instances_;
+  /// The topology epoch the monitor's instance watches reflect.
   uint64_t watched_epoch_ = 0;
-  /// Server heartbeat keys ("s/<name>") and their dense heartbeat
-  /// slots, parallel to server_names_. The per-tick feed runs purely
-  /// on the slots.
-  std::vector<std::string> server_hb_keys_;
-  std::vector<size_t> server_hb_ids_;
   controller::ReservationBook reservations_;
   monitor::PoolLoadStats pool_stats_;
   /// Urgent-only posture watchdog (inert when not enabled).

@@ -22,7 +22,7 @@ namespace {
 /// Bumped when any section's encoding changes shape. The snapshot
 /// container has its own format version; this one guards the runner's
 /// section layout specifically.
-constexpr uint64_t kSectionLayoutVersion = 2;
+constexpr uint64_t kSectionLayoutVersion = 3;
 
 /// Every state section in save order ("faults" exists only with a fault
 /// plan). The container stores sections in this order; restore reads
@@ -220,18 +220,9 @@ void SimulationRunner::SaveRunnerSection(ByteWriter* w) const {
   // Per-server smoothing rings (stored in physical ring order; head
   // and count reproduce the exact eviction sequence) and load sums.
   ledger_.SaveState(w);
-  // The layout's second copy of the strategy counts (restore skips
-  // it).
-  w->I64(metrics_.strategy_reward_updates);
-  w->I64(metrics_.strategy_weight_updates);
-  // Heartbeat watches: ids + keys; the dense heartbeat slots are
-  // re-resolved against the restored monitor.
+  // Heartbeat reconciliation: the epoch the monitor's instance
+  // watches reflect (the watches are the monitor's).
   w->U64(watched_epoch_);
-  w->U32(static_cast<uint32_t>(watched_instances_.size()));
-  for (const auto& [id, watch] : watched_instances_) {
-    w->U64(static_cast<uint64_t>(id));
-    w->Str(watch.key);
-  }
   degraded_.SaveState(w);
 }
 
@@ -304,8 +295,7 @@ Status SimulationRunner::RestoreStateSections(SectionSource* source) {
   }
 
   // Order matters: topology before anything that references it, the
-  // archive before the monitor (subjects hold series handles), the
-  // monitor before the heartbeat-slot re-resolution below, and the
+  // archive before the monitor (subjects hold series handles), and the
   // simulator last — its callback factory needs every subsystem
   // already restored.
   {
@@ -414,30 +404,21 @@ Status SimulationRunner::RestoreStateSections(SectionSource* source) {
     AG_RETURN_IF_ERROR(ledger_.RestoreState(&r));
     ledger_.RestoreTotals(metrics_.overload_server_minutes,
                           metrics_.max_overload_streak_minutes);
-    AG_RETURN_IF_ERROR(r.I64().status());
-    AG_RETURN_IF_ERROR(r.I64().status());
     AG_ASSIGN_OR_RETURN(watched_epoch_, r.U64());
-    AG_ASSIGN_OR_RETURN(uint32_t watch_count, r.U32());
-    AG_RETURN_IF_ERROR(r.CheckCount(watch_count, 8 + 4));
-    watched_instances_.clear();
-    for (uint32_t i = 0; i < watch_count; ++i) {
-      AG_ASSIGN_OR_RETURN(uint64_t id, r.U64());
-      AG_ASSIGN_OR_RETURN(std::string key, r.Str());
-      // Heartbeat slots were rebuilt by the monitor restore above;
-      // re-resolve rather than trusting stale dense ids.
-      AG_ASSIGN_OR_RETURN(size_t hb_id, monitoring_->HeartbeatIdOf(key));
-      watched_instances_[static_cast<infra::InstanceId>(id)] =
-          WatchedInstance{std::move(key), hb_id};
-    }
     AG_RETURN_IF_ERROR(degraded_.RestoreState(&r));
     AG_RETURN_IF_ERROR(r.ExpectEnd());
   }
-  // Server heartbeat slots: same re-resolution (keys are config-
-  // derived and already populated by Init when the fault plan is set).
-  for (size_t position = 0; position < server_hb_keys_.size(); ++position) {
-    AG_ASSIGN_OR_RETURN(
-        size_t hb_id, monitoring_->HeartbeatIdOf(server_hb_keys_[position]));
-    server_hb_ids_[position] = hb_id;
+  // Watches that claim to reflect the restored topology must be its
+  // instances: the heartbeat feed beats each instance's watch without
+  // reconciling first.
+  if (fault_injector_ != nullptr &&
+      watched_epoch_ == cluster_.topology_epoch() &&
+      !std::ranges::equal(
+          monitoring_->instance_watches(), cluster_.Index().Instances(), {},
+          &monitor::LoadMonitoringSystem::InstanceWatch::instance,
+          &infra::InstanceRef::id)) {
+    return Status::ParseError(
+        "heartbeat instance watches differ from the restored instances");
   }
   {
     AG_ASSIGN_OR_RETURN(std::string_view payload, find("metrics"));

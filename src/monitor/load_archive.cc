@@ -640,17 +640,18 @@ size_t LoadArchive::RawRuns(const Series& series, ByteWriter* w) {
 }
 
 void LoadArchive::SaveState(ByteWriter* w) const {
-  // Sizing pass: pick each series' encodings and reserve the section.
+  // Each series' encodings: its raw samples and its aggregate buckets
+  // each as runs or as plain samples, whichever is shorter. The plan
+  // is computed once to size the section and again while writing, so
+  // no per-series plan is held beside the payload.
   struct Plan {
     size_t raw_runs = 0;
     size_t samples = 0;
     size_t buckets = 0;
     uint8_t flags = 0;
+    size_t bytes = 0;  // the series' whole record
   };
-  std::vector<Plan> plans;
-  plans.reserve(series_.size());
-  size_t bytes = 8;
-  for (const auto& [key, series] : series_) {
+  auto plan_of = [](std::string_view key, const Series& series) {
     Plan plan;
     plan.raw_runs = RawRuns(series, nullptr);
     for (size_t r = 0; r < series.raw.size(); ++r) {
@@ -666,23 +667,27 @@ void LoadArchive::SaveState(ByteWriter* w) const {
     if (raw_runs < raw_plain) plan.flags |= kRawAsRuns;
     if (aggregate_runs < aggregate_plain) plan.flags |= kAggregatesAsRuns;
     // Key, flags, two block counts, the blocks, the open bucket.
-    bytes += 4 + key.size() + 1 + 2 * 8 + std::min(raw_runs, raw_plain) +
-             std::min(aggregate_runs, aggregate_plain) + 3 * 8;
-    plans.push_back(plan);
+    plan.bytes = 4 + key.size() + 1 + 2 * 8 + std::min(raw_runs, raw_plain) +
+                 std::min(aggregate_runs, aggregate_plain) + 3 * 8;
+    return plan;
+  };
+  size_t bytes = 8;
+  for (const auto& [key, series] : series_) {
+    bytes += plan_of(key, series).bytes;
   }
   w->Reserve(bytes);
 
   const int64_t bucket_seconds = aggregate_bucket_.seconds();
   w->U64(series_.size());
-  const Plan* plan = plans.data();
   for (const auto& [key, series] : series_) {
+    const Plan plan = plan_of(key, series);
     w->Str(key);
-    w->U8(plan->flags);
-    if (plan->flags & kRawAsRuns) {
-      w->U64(plan->raw_runs);
+    w->U8(plan.flags);
+    if (plan.flags & kRawAsRuns) {
+      w->U64(plan.raw_runs);
       RawRuns(series, w);
     } else {
-      w->U64(plan->samples);
+      w->U64(plan.samples);
       for (size_t r = 0; r < series.raw.size(); ++r) {
         const RawRun& run = series.raw[r];
         for (int64_t i = 0; i < run.count; ++i) {
@@ -691,7 +696,7 @@ void LoadArchive::SaveState(ByteWriter* w) const {
         }
       }
     }
-    if (plan->flags & kAggregatesAsRuns) {
+    if (plan.flags & kAggregatesAsRuns) {
       w->U64(series.aggregated.size());
       for (size_t r = 0; r < series.aggregated.size(); ++r) {
         const AggregateRun& run = series.aggregated[r];
@@ -701,7 +706,7 @@ void LoadArchive::SaveState(ByteWriter* w) const {
         w->F64(run.value);
       }
     } else {
-      w->U64(plan->buckets);
+      w->U64(plan.buckets);
       for (size_t r = 0; r < series.aggregated.size(); ++r) {
         const AggregateRun& run = series.aggregated[r];
         for (int64_t i = 0; i < run.count; ++i) {
@@ -713,7 +718,6 @@ void LoadArchive::SaveState(ByteWriter* w) const {
     w->I64(series.open_bucket);
     w->F64(series.open_sum);
     w->I64(series.open_count);
-    ++plan;
   }
 }
 

@@ -1,5 +1,7 @@
 #include "monitor/monitoring.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/strings.h"
 
@@ -222,108 +224,113 @@ Status LoadMonitoringSystem::MaterializeAll() {
   return Status::OK();
 }
 
-Status LoadMonitoringSystem::WatchHeartbeat(TriggerKind failed_kind,
-                                            std::string key,
-                                            std::string subject,
-                                            SimTime now,
-                                            uint64_t instance) {
-  if (failed_kind != TriggerKind::kInstanceFailed &&
-      failed_kind != TriggerKind::kServerFailed) {
+bool LoadMonitoringSystem::IsSubject(SubjectId subject,
+                                     TriggerKind overload_kind) const {
+  return subject >= 0 && static_cast<size_t>(subject) < subjects_.size() &&
+         subjects_[static_cast<size_t>(subject)].overload_kind ==
+             overload_kind;
+}
+
+std::vector<LoadMonitoringSystem::InstanceWatch>::iterator
+LoadMonitoringSystem::InstanceWatchAtOrAfter(uint64_t instance) {
+  return std::lower_bound(instance_watches_.begin(), instance_watches_.end(),
+                          instance,
+                          [](const InstanceWatch& watch, uint64_t id) {
+                            return watch.instance < id;
+                          });
+}
+
+namespace {
+
+Status InstanceNotWatched(uint64_t instance) {
+  return Status::NotFound(
+      StrFormat("instance %llu not watched",
+                static_cast<unsigned long long>(instance)));
+}
+
+}  // namespace
+
+Status LoadMonitoringSystem::WatchServer(SubjectId server, SimTime now) {
+  if (!IsSubject(server, TriggerKind::kServerOverloaded)) {
     return Status::InvalidArgument(
-        "watch heartbeats with a failure trigger kind");
+        StrFormat("subject %d is not a registered server", server));
   }
-  auto it = heartbeat_ids_.find(key);
-  if (it != heartbeat_ids_.end()) {
-    HeartbeatState& state = heartbeats_[it->second];
-    if (state.active) {
-      return Status::AlreadyExists(
-          StrFormat("heartbeat \"%s\" already watched", key.c_str()));
-    }
-    state.failed_kind = failed_kind;
-    state.subject = std::move(subject);
-    state.instance = instance;
-    state.last_seen = now;
-    state.active = true;
-    state.reported = false;
-    return Status::OK();
+  if (!server_watches_.empty() && server_watches_.back().server >= server) {
+    return Status::InvalidArgument(StrFormat(
+        "server %d watched out of ascending subject order", server));
   }
-  HeartbeatState state;
-  state.failed_kind = failed_kind;
-  state.key = key;
-  state.subject = std::move(subject);
-  state.instance = instance;
-  state.last_seen = now;
-  heartbeat_ids_.emplace(std::move(key), heartbeats_.size());
-  heartbeats_.push_back(std::move(state));
+  server_watches_.push_back(ServerWatch{server, Heartbeat{now}});
   return Status::OK();
 }
 
-Status LoadMonitoringSystem::UnwatchHeartbeat(std::string_view key) {
-  auto it = heartbeat_ids_.find(key);
-  if (it == heartbeat_ids_.end() || !heartbeats_[it->second].active) {
-    return Status::NotFound(StrFormat("heartbeat \"%.*s\" not watched",
-                                      static_cast<int>(key.size()),
-                                      key.data()));
+Status LoadMonitoringSystem::WatchInstance(uint64_t instance,
+                                           SubjectId service, SimTime now) {
+  if (!IsSubject(service, TriggerKind::kServiceOverloaded)) {
+    return Status::InvalidArgument(
+        StrFormat("subject %d is not a registered service", service));
   }
-  heartbeats_[it->second].active = false;
+  auto it = InstanceWatchAtOrAfter(instance);
+  if (it != instance_watches_.end() && it->instance == instance) {
+    return Status::AlreadyExists(StrFormat(
+        "instance %llu already watched",
+        static_cast<unsigned long long>(instance)));
+  }
+  instance_watches_.insert(it,
+                           InstanceWatch{instance, service, Heartbeat{now}});
   return Status::OK();
 }
 
-Status LoadMonitoringSystem::RecordHeartbeat(std::string_view key,
-                                             SimTime now) {
-  auto it = heartbeat_ids_.find(key);
-  if (it == heartbeat_ids_.end() || !heartbeats_[it->second].active) {
-    return Status::NotFound(StrFormat("heartbeat \"%.*s\" not watched",
-                                      static_cast<int>(key.size()),
-                                      key.data()));
+Status LoadMonitoringSystem::UnwatchInstance(uint64_t instance) {
+  auto it = InstanceWatchAtOrAfter(instance);
+  if (it == instance_watches_.end() || it->instance != instance) {
+    return InstanceNotWatched(instance);
   }
-  HeartbeatState& state = heartbeats_[it->second];
-  state.last_seen = now;
-  state.reported = false;
+  instance_watches_.erase(it);
   return Status::OK();
 }
 
-Result<size_t> LoadMonitoringSystem::HeartbeatIdOf(
-    std::string_view key) const {
-  auto it = heartbeat_ids_.find(key);
-  if (it == heartbeat_ids_.end()) {
-    return Status::NotFound(StrFormat("heartbeat \"%.*s\" not watched",
-                                      static_cast<int>(key.size()),
-                                      key.data()));
+Status LoadMonitoringSystem::RecordServerHeartbeat(SubjectId server,
+                                                   SimTime now) {
+  auto it = std::lower_bound(
+      server_watches_.begin(), server_watches_.end(), server,
+      [](const ServerWatch& watch, SubjectId id) { return watch.server < id; });
+  if (it == server_watches_.end() || it->server != server) {
+    return Status::NotFound(StrFormat("server %d not watched", server));
   }
-  return it->second;
+  it->beat = Heartbeat{now};
+  return Status::OK();
 }
 
-Status LoadMonitoringSystem::RecordHeartbeatById(size_t id, SimTime now) {
-  if (id >= heartbeats_.size() || !heartbeats_[id].active) {
-    return Status::NotFound(
-        StrFormat("heartbeat slot %zu not watched", id));
+Status LoadMonitoringSystem::RecordInstanceHeartbeat(uint64_t instance,
+                                                     SimTime now) {
+  auto it = InstanceWatchAtOrAfter(instance);
+  if (it == instance_watches_.end() || it->instance != instance) {
+    return InstanceNotWatched(instance);
   }
-  HeartbeatState& state = heartbeats_[id];
-  state.last_seen = now;
-  state.reported = false;
+  it->beat = Heartbeat{now};
   return Status::OK();
 }
 
 void LoadMonitoringSystem::CheckHeartbeats(SimTime now) {
   Duration deadline = config_.heartbeat_interval *
                       static_cast<int64_t>(config_.heartbeat_miss_threshold);
-  for (HeartbeatState& state : heartbeats_) {
-    if (!state.active || state.reported) continue;
-    if (now - state.last_seen < deadline) continue;
-    state.reported = true;
-    Trigger trigger{state.failed_kind, state.subject, now, 0.0,
-                    state.instance};
-    Confirm(std::move(trigger));
+  // Marks a beat reported when it is newly past the deadline.
+  auto newly_silent = [&](Heartbeat& beat) {
+    if (beat.reported || now - beat.last_seen < deadline) return false;
+    beat.reported = true;
+    return true;
+  };
+  for (ServerWatch& watch : server_watches_) {
+    if (!newly_silent(watch.beat)) continue;
+    Confirm(Trigger{TriggerKind::kServerFailed,
+                    std::string(NameOf(watch.server)), now});
   }
-}
-
-size_t LoadMonitoringSystem::active_heartbeat_watches() const {
-  size_t count = 0;
-  for (const HeartbeatState& state : heartbeats_) {
-    if (state.active) ++count;
+  for (InstanceWatch& watch : instance_watches_) {
+    if (!newly_silent(watch.beat)) continue;
+    Confirm(Trigger{TriggerKind::kInstanceFailed,
+                    std::string(NameOf(watch.service)), now, 0.0,
+                    watch.instance});
   }
-  return count;
 }
 
 void LoadMonitoringSystem::SaveState(ByteWriter* w) const {
@@ -340,15 +347,17 @@ void LoadMonitoringSystem::SaveState(ByteWriter* w) const {
     w->I64(subject.pending_interval.seconds());
     w->I64(subject.pending_count);
   }
-  w->U64(heartbeats_.size());
-  for (const HeartbeatState& state : heartbeats_) {
-    w->U8(static_cast<uint8_t>(state.failed_kind));
-    w->Str(state.key);
-    w->Str(state.subject);
-    w->U64(state.instance);
-    w->I64(state.last_seen.seconds());
-    w->U8(state.active ? 1 : 0);
-    w->U8(state.reported ? 1 : 0);
+  w->U64(server_watches_.size());
+  for (const ServerWatch& watch : server_watches_) {
+    w->I64(watch.beat.last_seen.seconds());
+    w->U8(watch.beat.reported ? 1 : 0);
+  }
+  w->U64(instance_watches_.size());
+  for (const InstanceWatch& watch : instance_watches_) {
+    w->U64(watch.instance);
+    w->U32(static_cast<uint32_t>(watch.service));
+    w->I64(watch.beat.last_seen.seconds());
+    w->U8(watch.beat.reported ? 1 : 0);
   }
   w->I64(triggers_fired_);
   w->I64(evaluations_);
@@ -402,42 +411,45 @@ Status LoadMonitoringSystem::RestoreState(ByteReader* r) {
     subject.pending_interval = Duration::Seconds(seconds);
     AG_ASSIGN_OR_RETURN(subject.pending_count, r->I64());
   }
-  uint64_t heartbeat_count = 0;
-  AG_ASSIGN_OR_RETURN(heartbeat_count, r->U64());
-  // Three flags, two string prefixes and two fixed-width words.
-  AG_RETURN_IF_ERROR(r->CheckCount(heartbeat_count, 3 + 2 * 4 + 2 * 8));
-  std::vector<HeartbeatState> heartbeats;
-  std::map<std::string, size_t, std::less<>> heartbeat_ids;
-  heartbeats.reserve(heartbeat_count);
-  for (uint64_t i = 0; i < heartbeat_count; ++i) {
-    HeartbeatState state;
-    uint8_t kind = 0;
-    AG_ASSIGN_OR_RETURN(kind, r->U8());
-    if (kind != static_cast<uint8_t>(TriggerKind::kInstanceFailed) &&
-        kind != static_cast<uint8_t>(TriggerKind::kServerFailed)) {
-      return Status::ParseError(
-          StrFormat("bad heartbeat trigger kind %u", unsigned{kind}));
-    }
-    state.failed_kind = static_cast<TriggerKind>(kind);
-    AG_ASSIGN_OR_RETURN(state.key, r->Str());
-    AG_ASSIGN_OR_RETURN(state.subject, r->Str());
-    AG_ASSIGN_OR_RETURN(state.instance, r->U64());
-    int64_t seconds = 0;
-    AG_ASSIGN_OR_RETURN(seconds, r->I64());
-    state.last_seen = SimTime::FromSeconds(seconds);
-    uint8_t flag = 0;
-    AG_ASSIGN_OR_RETURN(flag, r->U8());
-    state.active = flag != 0;
-    AG_ASSIGN_OR_RETURN(flag, r->U8());
-    state.reported = flag != 0;
-    if (!heartbeat_ids.emplace(state.key, heartbeats.size()).second) {
-      return Status::ParseError(StrFormat(
-          "duplicate heartbeat key \"%s\"", state.key.c_str()));
-    }
-    heartbeats.push_back(std::move(state));
+  auto read_beat = [r](Heartbeat* beat) -> Status {
+    AG_ASSIGN_OR_RETURN(int64_t seconds, r->I64());
+    beat->last_seen = SimTime::FromSeconds(seconds);
+    AG_ASSIGN_OR_RETURN(uint8_t reported, r->U8());
+    beat->reported = reported != 0;
+    return Status::OK();
+  };
+  AG_ASSIGN_OR_RETURN(uint64_t server_count, r->U64());
+  if (server_count != server_watches_.size()) {
+    return Status::ParseError(StrFormat(
+        "snapshot has %llu server watches, landscape has %zu",
+        static_cast<unsigned long long>(server_count),
+        server_watches_.size()));
   }
-  heartbeats_ = std::move(heartbeats);
-  heartbeat_ids_ = std::move(heartbeat_ids);
+  for (ServerWatch& watch : server_watches_) {
+    AG_RETURN_IF_ERROR(read_beat(&watch.beat));
+  }
+  AG_ASSIGN_OR_RETURN(uint64_t instance_count, r->U64());
+  // Id, service subject, last beat and the reported flag.
+  AG_RETURN_IF_ERROR(r->CheckCount(instance_count, 8 + 4 + 8 + 1));
+  std::vector<InstanceWatch> instances(instance_count);
+  for (uint64_t i = 0; i < instance_count; ++i) {
+    InstanceWatch& watch = instances[i];
+    AG_ASSIGN_OR_RETURN(watch.instance, r->U64());
+    if (i > 0 && watch.instance <= instances[i - 1].instance) {
+      return Status::ParseError(StrFormat(
+          "instance watch %llu does not ascend",
+          static_cast<unsigned long long>(watch.instance)));
+    }
+    AG_ASSIGN_OR_RETURN(uint32_t service, r->U32());
+    watch.service = static_cast<SubjectId>(service);
+    if (!IsSubject(watch.service, TriggerKind::kServiceOverloaded)) {
+      return Status::ParseError(StrFormat(
+          "instance watch %llu names subject %u, not a service",
+          static_cast<unsigned long long>(watch.instance), service));
+    }
+    AG_RETURN_IF_ERROR(read_beat(&watch.beat));
+  }
+  instance_watches_ = std::move(instances);
   AG_ASSIGN_OR_RETURN(triggers_fired_, r->I64());
   AG_ASSIGN_OR_RETURN(evaluations_, r->I64());
   AG_ASSIGN_OR_RETURN(skips_, r->I64());

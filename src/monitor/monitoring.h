@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -154,36 +154,47 @@ class LoadMonitoringSystem {
   int64_t skips() const { return skips_; }
 
   // --- Heartbeat failure detection ------------------------------------
+  // Watches are addressed by what they watch: a server watch by its
+  // server subject, an instance watch by its instance id. A watched
+  // subject counts as alive at its watch time.
 
-  /// Starts watching a heartbeat source. `failed_kind` must be
-  /// kInstanceFailed or kServerFailed; `key` is the unique watch key
-  /// ("s/<server>" or "i/<id>"), `subject` the human-readable trigger
-  /// subject (server name or "service@server"), `instance` the
-  /// instance id for instance watches. The subject counts as alive at
-  /// `now`. Re-watching a tombstoned key reactivates it in place, so
-  /// iteration order — and with it trigger order — depends only on
-  /// first-registration order, never on churn.
-  Status WatchHeartbeat(TriggerKind failed_kind, std::string key,
-                        std::string subject, SimTime now,
-                        uint64_t instance = 0);
-  /// Stops watching (tombstones the slot; the key may be re-watched).
-  Status UnwatchHeartbeat(std::string_view key);
-  /// Feeds one heartbeat; clears a previous failure report so a
-  /// recovered subject can fail again later.
-  Status RecordHeartbeat(std::string_view key, SimTime now);
-  /// Dense slot of a watched heartbeat key; NotFound if never
-  /// watched. Slots are stable for the system's lifetime, so hot
-  /// feeders resolve once and use RecordHeartbeatById per tick.
-  Result<size_t> HeartbeatIdOf(std::string_view key) const;
-  /// Hot-path twin of RecordHeartbeat (no string lookup).
-  Status RecordHeartbeatById(size_t id, SimTime now);
+  /// One heartbeat source's state.
+  struct Heartbeat {
+    SimTime last_seen;
+    bool reported = false;
+  };
+  /// A watched instance: its id, and its service's subject, whose
+  /// name is the trigger subject.
+  struct InstanceWatch {
+    uint64_t instance = 0;
+    SubjectId service = 0;
+    Heartbeat beat;
+  };
+
+  /// Starts watching a registered server subject. Servers are watched
+  /// in ascending subject order.
+  Status WatchServer(SubjectId server, SimTime now);
+  /// Starts watching an instance of a registered service subject.
+  Status WatchInstance(uint64_t instance, SubjectId service, SimTime now);
+  /// Stops watching an instance (its watch is erased).
+  Status UnwatchInstance(uint64_t instance);
+  /// Feed one heartbeat each; a fresh beat clears a previous failure
+  /// report so a recovered subject can fail again later.
+  Status RecordServerHeartbeat(SubjectId server, SimTime now);
+  Status RecordInstanceHeartbeat(uint64_t instance, SimTime now);
+  /// The instance watches, in ascending instance id.
+  std::span<const InstanceWatch> instance_watches() const {
+    return instance_watches_;
+  }
   /// Fires a failure trigger (via the trigger callback) for every
-  /// active watch silent for heartbeat_interval * miss_threshold or
-  /// longer. Each failure is reported once until a fresh heartbeat
-  /// arrives. Iterates watches in first-registration order.
+  /// watch silent for heartbeat_interval * miss_threshold or longer:
+  /// servers in subject order, then instances in ascending id. Each
+  /// failure is reported once until a fresh heartbeat arrives.
   void CheckHeartbeats(SimTime now);
-  /// Active (non-tombstoned) heartbeat watches.
-  size_t active_heartbeat_watches() const;
+  /// Server plus instance watches.
+  size_t heartbeat_watches() const {
+    return server_watches_.size() + instance_watches_.size();
+  }
 
   void set_trigger_callback(TriggerCallback callback) {
     callback_ = std::move(callback);
@@ -205,16 +216,15 @@ class LoadMonitoringSystem {
 
   // --- Checkpoint/restore ----------------------------------------------
   /// Serializes the dynamic per-subject detection state (phase, watch
-  /// window, carry-forward run), the complete heartbeat table
-  /// (including tombstoned slots, so restored slot ids keep the
-  /// first-registration iteration order), and the counters. Static
-  /// registration data (thresholds, watch times) is rebuilt from the
-  /// configuration and only validated here.
+  /// window, carry-forward run), the server watches' heartbeats, the
+  /// instance watches, and the counters. Static registration data
+  /// (thresholds, watch times, the watched servers) is rebuilt from
+  /// the configuration and only validated here.
   void SaveState(ByteWriter* w) const;
   /// Restores onto an identically-registered system: every snapshot
-  /// subject must already be registered (same landscape). Heartbeat
-  /// slots are rebuilt wholesale — callers caching HeartbeatIdOf
-  /// results must re-resolve them afterwards.
+  /// subject must already be registered and every snapshot server
+  /// watch already made (same landscape). The instance watches are
+  /// replaced.
   Status RestoreState(ByteReader* r);
 
  private:
@@ -247,16 +257,10 @@ class LoadMonitoringSystem {
     int64_t pending_count = 0;
   };
 
-  /// One heartbeat source. Slots are never erased, only deactivated
-  /// (`active = false`), so CheckHeartbeats iterates a stable order.
-  struct HeartbeatState {
-    TriggerKind failed_kind;  // kInstanceFailed or kServerFailed
-    std::string key;
-    std::string subject;
-    uint64_t instance = 0;
-    SimTime last_seen;
-    bool active = true;
-    bool reported = false;
+  /// A watched server subject.
+  struct ServerWatch {
+    SubjectId server = 0;
+    Heartbeat beat;
   };
 
   LoadArchive* archive_;
@@ -266,6 +270,11 @@ class LoadMonitoringSystem {
 
   /// The name of a subject: its key without the kind prefix.
   std::string_view NameOf(SubjectId subject) const;
+  /// Whether `subject` is registered with `overload_kind`.
+  bool IsSubject(SubjectId subject, TriggerKind overload_kind) const;
+  /// The first instance watch whose id is not below `instance`.
+  std::vector<InstanceWatch>::iterator InstanceWatchAtOrAfter(
+      uint64_t instance);
 
   /// Orders subject ids by name, and finds them by name.
   struct ByName {
@@ -288,8 +297,9 @@ class LoadMonitoringSystem {
   /// Where the last registration went in by_name_: a caller
   /// registering in name order inserts right after it, with no search.
   std::set<SubjectId, ByName>::iterator last_registered_ = by_name_.end();
-  std::vector<HeartbeatState> heartbeats_;
-  std::map<std::string, size_t, std::less<>> heartbeat_ids_;
+  /// Heartbeat watches, by subject and by instance id.
+  std::vector<ServerWatch> server_watches_;
+  std::vector<InstanceWatch> instance_watches_;
   TriggerCallback callback_;
   obs::TraceBuffer* trace_ = nullptr;
   int64_t triggers_fired_ = 0;

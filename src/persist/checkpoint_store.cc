@@ -31,6 +31,20 @@ std::optional<uint64_t> GenerationOf(std::string_view name) {
   return value;
 }
 
+/// checkpoint-000042.agsnap.tmp.<pid> (the temporary a writer killed
+/// mid-checkpoint leaves behind) -> 42; nullopt for any other file.
+std::optional<uint64_t> TmpGenerationOf(std::string_view name) {
+  constexpr std::string_view kTmp = ".tmp.";
+  size_t at = name.find(kTmp);
+  if (at == std::string_view::npos) return std::nullopt;
+  std::string_view pid = name.substr(at + kTmp.size());
+  if (pid.empty() || pid.find_first_not_of("0123456789") !=
+                         std::string_view::npos) {
+    return std::nullopt;
+  }
+  return GenerationOf(name.substr(0, at));
+}
+
 }  // namespace
 
 Result<CheckpointStore> CheckpointStore::Open(std::string dir, int keep) {
@@ -94,6 +108,15 @@ Result<std::string> CheckpointStore::WriteGeneration(
     AG_RETURN_IF_ERROR(
         RemoveFileIfExists(dir_ + "/" + generations.front()));
     generations.erase(generations.begin());
+  }
+  // A writer killed mid-checkpoint leaves its temporary behind. One for
+  // a generation no newer than this one is dead: remove it.
+  AG_ASSIGN_OR_RETURN(std::vector<std::string> entries, ListDirectory(dir_));
+  for (const std::string& entry : entries) {
+    std::optional<uint64_t> generation = TmpGenerationOf(entry);
+    if (generation.has_value() && *generation <= next) {
+      AG_RETURN_IF_ERROR(RemoveFileIfExists(dir_ + "/" + entry));
+    }
   }
   return path;
 }

@@ -20,10 +20,11 @@ namespace autoglobe::persist {
 ///   ...
 ///
 /// Write() appends a new generation (atomic write, then prunes the
-/// oldest beyond `keep`); LoadLatest() walks generations newest-first
-/// and returns the first one that decodes and validates — a torn or
-/// bit-flipped newest generation falls back to the previous one, with
-/// every rejection reason reported.
+/// oldest beyond `keep` and the temporaries that writers killed
+/// mid-checkpoint left for generations no newer); LoadLatest() walks
+/// generations newest-first and returns the first one that decodes
+/// and validates — a torn or bit-flipped newest generation falls back
+/// to the previous one, with every rejection reason reported.
 class CheckpointStore {
  public:
   /// Creates the directory if missing. `keep` >= 1 generations are
@@ -31,7 +32,8 @@ class CheckpointStore {
   static Result<CheckpointStore> Open(std::string dir, int keep = 3);
 
   /// Streams the next generation (see WriteSnapshotFile) and prunes
-  /// old ones. Returns the path written.
+  /// old ones, and orphaned temporaries of this or older generations.
+  /// Returns the path written.
   Result<std::string> Write(uint64_t fingerprint,
                             const std::vector<std::string_view>& names,
                             const SectionProducer& produce);

@@ -555,18 +555,19 @@ TEST(RunnerTest, ForecastModeRuns) {
 
 // Pins the bytes of the checkpoint's "runner" section (RunMetrics, the
 // message log, the oscillation history, the smoothing rings, the load
-// sums, the heartbeat watches and the degraded-mode posture) mid-run,
-// after a metrics warmup, for a static run and a controller run:
-// checkpoints written by one build must restore in the next.
+// sums, the heartbeat reconcile epoch and the degraded-mode posture)
+// mid-run, after a metrics warmup, for a static run and a controller
+// run: checkpoints written by one build must restore in the next.
 TEST(RunnerCheckpointTest, RunnerSectionBytesArePinned) {
   struct Case {
     Scenario scenario;
     uint64_t hash;
   };
-  // Recorded from the runner that wrote these sections first.
+  // Recorded at section layout 3, which stores the strategy counts
+  // once and leaves the heartbeat watches to the monitor section.
   const Case cases[] = {
-      {Scenario::kStatic, 0xd71631dc4ee4f7d8ull},
-      {Scenario::kConstrainedMobility, 0xcc45a5d441849e14ull}};
+      {Scenario::kStatic, 0xda8ea2f185787058ull},
+      {Scenario::kConstrainedMobility, 0x9ae01b03894fc1d4ull}};
   for (const Case& c : cases) {
     SCOPED_TRACE(ScenarioName(c.scenario));
     RunnerConfig config = MakeScenarioConfig(c.scenario, 1.3, 42);

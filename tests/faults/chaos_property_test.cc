@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "autoglobe/availability.h"
+#include "common/bytes.h"
 #include "faults/plan.h"
 
 namespace autoglobe {
@@ -113,6 +114,38 @@ TEST(ChaosPropertyTest, ExplicitPlanInjectsExactlyWhatItSays) {
   EXPECT_EQ(run.injector.servers_failed, 1);
   EXPECT_EQ(run.injector.servers_repaired, 1);
   EXPECT_GE(run.report.episodes, 1);
+}
+
+TEST(ChaosPropertyTest, HeartbeatDetectionOrderIsPinned) {
+  // Paper FM for 48 h under a generated plan with instance crashes,
+  // server failures and monitor dropouts: every DETECT line, and so
+  // the order in which heartbeat watches fire, lands in the message
+  // log. Its FNV-1a plus the rendered availability report pin that
+  // order; a change to how watches are kept must leave both alone.
+  AvailabilityOptions options;
+  options.scenario = Scenario::kFullMobility;
+  options.duration = Duration::Hours(48);
+  options.fault_spec.instance_crashes_per_hour = 1.0;
+  options.fault_spec.server_failures_per_day = 6.0;
+  options.fault_spec.server_recovery = Duration::Hours(1);
+  options.fault_spec.monitor_dropouts_per_day = 6.0;
+  options.fault_spec.monitor_dropout_duration = Duration::Minutes(5);
+  auto config = MakeAvailabilityConfig(options, 42);
+  ASSERT_TRUE(config.ok()) << config.status();
+  auto runner = SimulationRunner::Create(
+      MakePaperLandscape(Scenario::kFullMobility), *config);
+  ASSERT_TRUE(runner.ok()) << runner.status();
+  ASSERT_TRUE((*runner)->Run().ok());
+
+  std::string log;
+  int detections = 0;
+  for (const std::string& message : (*runner)->messages()) {
+    log.append(message).push_back('\n');
+    if (message.find("DETECT") != std::string::npos) ++detections;
+  }
+  log += faults::RenderAvailabilityReport((*runner)->availability_report());
+  EXPECT_GT(detections, 0);
+  EXPECT_EQ(Fnv1a64(log), 0xa8545c0b2a4338d7ull) << detections << " detections";
 }
 
 TEST(ChaosPropertyTest, AggregatePoolsCountsAndMeans) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/bytes.h"
 
 namespace autoglobe::monitor {
@@ -277,11 +279,46 @@ INSTANTIATE_TEST_SUITE_P(Band, QuietBandProperty,
 
 class HeartbeatTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    lms_ = std::make_unique<LoadMonitoringSystem>(&archive_,
-                                                  MonitorConfig{});
-    lms_->set_trigger_callback(
+  // Subjects: server Blade1 (0), service CRM (1), server Blade2 (2).
+  static constexpr SubjectId kBlade1 = 0;
+  static constexpr SubjectId kCrm = 1;
+  static constexpr SubjectId kBlade2 = 2;
+
+  void SetUp() override { lms_ = Make(); }
+
+  std::unique_ptr<LoadMonitoringSystem> Make() {
+    auto lms = std::make_unique<LoadMonitoringSystem>(&archive_,
+                                                      MonitorConfig{});
+    EXPECT_TRUE(
+        lms->RegisterSubject(TriggerKind::kServerOverloaded, "Blade1").ok());
+    EXPECT_TRUE(
+        lms->RegisterSubject(TriggerKind::kServiceOverloaded, "CRM").ok());
+    EXPECT_TRUE(
+        lms->RegisterSubject(TriggerKind::kServerOverloaded, "Blade2").ok());
+    lms->set_trigger_callback(
         [this](const Trigger& trigger) { triggers_.push_back(trigger); });
+    return lms;
+  }
+
+  // A monitor image of the fixture's subjects whose heartbeat block is
+  // what `heartbeats` writes. Call before watching anything: the block
+  // of a system with no watches is two zero counts, and three counters
+  // follow it.
+  std::string ImageWithHeartbeats(
+      const std::function<void(ByteWriter*)>& heartbeats) {
+    ByteWriter saved;
+    lms_->SaveState(&saved);
+    std::string image = saved.data().substr(0, saved.data().size() - 5 * 8);
+    ByteWriter block;
+    heartbeats(&block);
+    image += block.data();
+    image.append(3 * 8, '\0');
+    return image;
+  }
+
+  Status Restore(std::string_view image) {
+    ByteReader r(image);
+    return lms_->RestoreState(&r);
   }
 
   LoadArchive archive_;
@@ -290,103 +327,177 @@ class HeartbeatTest : public ::testing::Test {
 };
 
 TEST_F(HeartbeatTest, WatchValidation) {
-  // Only failure kinds make heartbeat watches.
-  EXPECT_FALSE(lms_->WatchHeartbeat(TriggerKind::kServerOverloaded,
-                                    "s/Blade1", "Blade1", Min(0))
-                   .ok());
-  ASSERT_TRUE(lms_->WatchHeartbeat(TriggerKind::kServerFailed, "s/Blade1",
-                                   "Blade1", Min(0))
-                  .ok());
-  // Duplicate active key rejected.
-  EXPECT_FALSE(lms_->WatchHeartbeat(TriggerKind::kServerFailed,
-                                    "s/Blade1", "Blade1", Min(0))
-                   .ok());
-  EXPECT_FALSE(lms_->RecordHeartbeat("s/ghost", Min(0)).ok());
-  EXPECT_FALSE(lms_->UnwatchHeartbeat("s/ghost").ok());
-  EXPECT_EQ(lms_->active_heartbeat_watches(), 1u);
+  // Server watches take server subjects, in ascending order.
+  EXPECT_FALSE(lms_->WatchServer(kCrm, Min(0)).ok());
+  EXPECT_FALSE(lms_->WatchServer(SubjectId{3}, Min(0)).ok());
+  EXPECT_FALSE(lms_->WatchServer(SubjectId{-1}, Min(0)).ok());
+  ASSERT_TRUE(lms_->WatchServer(kBlade2, Min(0)).ok());
+  EXPECT_FALSE(lms_->WatchServer(kBlade1, Min(0)).ok());
+  EXPECT_FALSE(lms_->WatchServer(kBlade2, Min(0)).ok());
+  // Instance watches take a service subject and a new id.
+  EXPECT_FALSE(lms_->WatchInstance(7, kBlade1, Min(0)).ok());
+  EXPECT_FALSE(lms_->WatchInstance(7, SubjectId{3}, Min(0)).ok());
+  ASSERT_TRUE(lms_->WatchInstance(7, kCrm, Min(0)).ok());
+  EXPECT_EQ(lms_->WatchInstance(7, kCrm, Min(0)).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_FALSE(lms_->RecordServerHeartbeat(kBlade1, Min(0)).ok());
+  EXPECT_FALSE(lms_->RecordInstanceHeartbeat(8, Min(0)).ok());
+  EXPECT_FALSE(lms_->UnwatchInstance(8).ok());
+  EXPECT_EQ(lms_->heartbeat_watches(), 2u);
 }
 
 TEST_F(HeartbeatTest, FiresAfterMissedBeatsAndCarriesTheSubject) {
   // Defaults: 1-minute interval, 3 missed beats.
-  ASSERT_TRUE(lms_->WatchHeartbeat(TriggerKind::kInstanceFailed, "i/7",
-                                   "CRM@Blade1", Min(0), /*instance=*/7)
-                  .ok());
-  ASSERT_TRUE(lms_->RecordHeartbeat("i/7", Min(1)).ok());
+  ASSERT_TRUE(lms_->WatchInstance(/*instance=*/7, kCrm, Min(0)).ok());
+  ASSERT_TRUE(lms_->RecordInstanceHeartbeat(7, Min(1)).ok());
   lms_->CheckHeartbeats(Min(3));  // silent 2 min: below the deadline
   EXPECT_TRUE(triggers_.empty());
   lms_->CheckHeartbeats(Min(4));  // silent 3 min: declared failed
   ASSERT_EQ(triggers_.size(), 1u);
   EXPECT_EQ(triggers_[0].kind, TriggerKind::kInstanceFailed);
-  EXPECT_EQ(triggers_[0].subject, "CRM@Blade1");
+  EXPECT_EQ(triggers_[0].subject, "CRM");
   EXPECT_EQ(triggers_[0].instance, 7u);
   EXPECT_EQ(triggers_[0].at, Min(4));
 }
 
 TEST_F(HeartbeatTest, ReportsOnceUntilAFreshBeatArrives) {
-  ASSERT_TRUE(lms_->WatchHeartbeat(TriggerKind::kServerFailed, "s/Blade1",
-                                   "Blade1", Min(0))
-                  .ok());
+  ASSERT_TRUE(lms_->WatchServer(kBlade1, Min(0)).ok());
   lms_->CheckHeartbeats(Min(10));
   lms_->CheckHeartbeats(Min(20));
   EXPECT_EQ(triggers_.size(), 1u);  // no refire while still silent
+  EXPECT_EQ(triggers_[0].kind, TriggerKind::kServerFailed);
+  EXPECT_EQ(triggers_[0].subject, "Blade1");
   // A fresh heartbeat rearms the watch; a later silence fires again.
-  ASSERT_TRUE(lms_->RecordHeartbeat("s/Blade1", Min(21)).ok());
+  ASSERT_TRUE(lms_->RecordServerHeartbeat(kBlade1, Min(21)).ok());
   lms_->CheckHeartbeats(Min(22));
   EXPECT_EQ(triggers_.size(), 1u);
   lms_->CheckHeartbeats(Min(30));
   EXPECT_EQ(triggers_.size(), 2u);
 }
 
-TEST_F(HeartbeatTest, UnwatchTombstonesAndRewatchReactivates) {
-  ASSERT_TRUE(lms_->WatchHeartbeat(TriggerKind::kInstanceFailed, "i/7",
-                                   "CRM@Blade1", Min(0), 7)
-                  .ok());
-  ASSERT_TRUE(lms_->UnwatchHeartbeat("i/7").ok());
-  EXPECT_EQ(lms_->active_heartbeat_watches(), 0u);
+TEST_F(HeartbeatTest, UnwatchErasesTheInstanceWatch) {
+  ASSERT_TRUE(lms_->WatchInstance(7, kCrm, Min(0)).ok());
+  ASSERT_TRUE(lms_->UnwatchInstance(7).ok());
+  EXPECT_EQ(lms_->heartbeat_watches(), 0u);
+  EXPECT_TRUE(lms_->instance_watches().empty());
   lms_->CheckHeartbeats(Min(60));
-  EXPECT_TRUE(triggers_.empty());  // tombstoned: never fires
-  EXPECT_FALSE(lms_->RecordHeartbeat("i/7", Min(60)).ok());
-
-  // Re-watching the key reactivates the slot with fresh state — alive
-  // as of the re-watch time, new subject attribution.
-  ASSERT_TRUE(lms_->WatchHeartbeat(TriggerKind::kInstanceFailed, "i/7",
-                                   "CRM@Blade2", Min(60), 7)
-                  .ok());
-  EXPECT_EQ(lms_->active_heartbeat_watches(), 1u);
-  lms_->CheckHeartbeats(Min(62));
-  EXPECT_TRUE(triggers_.empty());
-  lms_->CheckHeartbeats(Min(63));
-  ASSERT_EQ(triggers_.size(), 1u);
-  EXPECT_EQ(triggers_[0].subject, "CRM@Blade2");
+  EXPECT_TRUE(triggers_.empty());  // gone: never fires
+  EXPECT_FALSE(lms_->RecordInstanceHeartbeat(7, Min(60)).ok());
+  EXPECT_FALSE(lms_->UnwatchInstance(7).ok());
 }
 
-TEST_F(HeartbeatTest, DenseIdPathMatchesTheKeyedPath) {
-  ASSERT_TRUE(lms_->WatchHeartbeat(TriggerKind::kServerFailed, "s/Blade1",
-                                   "Blade1", Min(0))
-                  .ok());
-  EXPECT_FALSE(lms_->HeartbeatIdOf("s/ghost").ok());
-  auto id = lms_->HeartbeatIdOf("s/Blade1");
-  ASSERT_TRUE(id.ok());
-  EXPECT_FALSE(lms_->RecordHeartbeatById(*id + 100, Min(1)).ok());
-  // Beats recorded through the dense id keep the watch quiet exactly
-  // like RecordHeartbeat by key.
-  for (int m = 1; m < 30; ++m) {
-    ASSERT_TRUE(lms_->RecordHeartbeatById(*id, Min(m)).ok());
-    lms_->CheckHeartbeats(Min(m));
+TEST_F(HeartbeatTest, ChecksServersInSubjectOrderThenInstancesById) {
+  ASSERT_TRUE(lms_->WatchServer(kBlade1, Min(0)).ok());
+  ASSERT_TRUE(lms_->WatchServer(kBlade2, Min(0)).ok());
+  // Watched out of id order, kept in id order.
+  for (uint64_t id : {9u, 3u, 5u}) {
+    ASSERT_TRUE(lms_->WatchInstance(id, kCrm, Min(0)).ok());
   }
-  EXPECT_TRUE(triggers_.empty());
-  lms_->CheckHeartbeats(Min(33));  // 3 silent minutes: fires
-  ASSERT_EQ(triggers_.size(), 1u);
+  ASSERT_EQ(lms_->instance_watches().size(), 3u);
+  EXPECT_EQ(lms_->instance_watches()[0].instance, 3u);
+  EXPECT_EQ(lms_->instance_watches()[2].instance, 9u);
+  // Beats keep a watch quiet; the silent ones fire in table order.
+  for (int m = 1; m < 30; ++m) {
+    ASSERT_TRUE(lms_->RecordServerHeartbeat(kBlade2, Min(m)).ok());
+    ASSERT_TRUE(lms_->RecordInstanceHeartbeat(5, Min(m)).ok());
+  }
+  lms_->CheckHeartbeats(Min(30));
+  ASSERT_EQ(triggers_.size(), 3u);
   EXPECT_EQ(triggers_[0].subject, "Blade1");
-  // A tombstoned slot rejects dense-id beats too.
-  ASSERT_TRUE(lms_->UnwatchHeartbeat("s/Blade1").ok());
-  EXPECT_FALSE(lms_->RecordHeartbeatById(*id, Min(40)).ok());
+  EXPECT_EQ(triggers_[1].instance, 3u);
+  EXPECT_EQ(triggers_[2].instance, 9u);
+  triggers_.clear();
+  lms_->CheckHeartbeats(Min(33));  // 3 silent minutes for the rest
+  ASSERT_EQ(triggers_.size(), 2u);
+  EXPECT_EQ(triggers_[0].kind, TriggerKind::kServerFailed);
+  EXPECT_EQ(triggers_[0].subject, "Blade2");
+  EXPECT_EQ(triggers_[1].kind, TriggerKind::kInstanceFailed);
+  EXPECT_EQ(triggers_[1].instance, 5u);
+}
+
+TEST_F(HeartbeatTest, RestoreRebuildsBothWatchTables) {
+  ASSERT_TRUE(lms_->WatchServer(kBlade1, Min(0)).ok());
+  ASSERT_TRUE(lms_->WatchServer(kBlade2, Min(0)).ok());
+  ASSERT_TRUE(lms_->WatchInstance(4, kCrm, Min(0)).ok());
+  ASSERT_TRUE(lms_->WatchInstance(6, kCrm, Min(2)).ok());
+  ASSERT_TRUE(lms_->RecordServerHeartbeat(kBlade2, Min(2)).ok());
+  lms_->CheckHeartbeats(Min(3));  // Blade1 and instance 4 report
+  ASSERT_EQ(triggers_.size(), 2u);
+  ByteWriter saved;
+  lms_->SaveState(&saved);
+
+  auto restored = Make();
+  ASSERT_TRUE(restored->WatchServer(kBlade1, Min(0)).ok());
+  ASSERT_TRUE(restored->WatchServer(kBlade2, Min(0)).ok());
+  ByteReader r(saved.data());
+  ASSERT_TRUE(restored->RestoreState(&r).ok());
+  ByteWriter again;
+  restored->SaveState(&again);
+  EXPECT_EQ(again.data(), saved.data());
+  ASSERT_EQ(restored->instance_watches().size(), 2u);
+  EXPECT_EQ(restored->instance_watches()[1].service, kCrm);
+  // Reported watches stay quiet; the other two fire as they would have.
+  triggers_.clear();
+  restored->CheckHeartbeats(Min(5));
+  ASSERT_EQ(triggers_.size(), 2u);
+  EXPECT_EQ(triggers_[0].subject, "Blade2");
+  EXPECT_EQ(triggers_[1].instance, 6u);
+}
+
+TEST_F(HeartbeatTest, RestoreRejectsAServerWatchCountThatDoesNotMatch) {
+  std::string image = ImageWithHeartbeats([](ByteWriter* w) {
+    w->U64(1);  // one server watch; the system watches two
+    w->I64(0);
+    w->U8(0);
+    w->U64(0);
+  });
+  ASSERT_TRUE(lms_->WatchServer(kBlade1, Min(0)).ok());
+  ASSERT_TRUE(lms_->WatchServer(kBlade2, Min(0)).ok());
+  Status status = Restore(image);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status;
+}
+
+TEST_F(HeartbeatTest, RestoreRejectsInstanceWatchesThatDoNotAscend) {
+  for (uint64_t second : {uint64_t{7}, uint64_t{3}}) {
+    std::string image = ImageWithHeartbeats([second](ByteWriter* w) {
+      w->U64(0);
+      w->U64(2);
+      for (uint64_t id : {uint64_t{7}, second}) {
+        w->U64(id);
+        w->U32(static_cast<uint32_t>(kCrm));
+        w->I64(0);
+        w->U8(0);
+      }
+    });
+    Status status = Restore(image);
+    EXPECT_EQ(status.code(), StatusCode::kParseError)
+        << "7 then " << second << ": " << status;
+  }
+}
+
+TEST_F(HeartbeatTest, RestoreRejectsAnInstanceWatchOutsideTheServices) {
+  // Past the last subject, and a server subject.
+  for (uint32_t service : {3u, 0xFFFFFFFFu, uint32_t{kBlade1}}) {
+    std::string image = ImageWithHeartbeats([service](ByteWriter* w) {
+      w->U64(0);
+      w->U64(1);
+      w->U64(7);
+      w->U32(service);
+      w->I64(0);
+      w->U8(0);
+    });
+    Status status = Restore(image);
+    EXPECT_EQ(status.code(), StatusCode::kParseError)
+        << "subject " << service << ": " << status;
+  }
 }
 
 TEST_F(MonitoringTest, RestoreRejectsACountTheImageCannotHold) {
-  // No subjects, then 2^61 heartbeats with nothing behind them.
+  // No subjects, no server watches, then 2^61 instance watches with
+  // nothing behind them.
   LoadMonitoringSystem fresh(&archive_, MonitorConfig{});
   ByteWriter w;
+  w.U64(0);
   w.U64(0);
   w.U64(uint64_t{1} << 61);
   ByteReader r(w.data());

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 
+#include "autoglobe/availability.h"
 #include "autoglobe/capacity.h"
 #include "autoglobe/landscape.h"
 #include "autoglobe/landscape_gen.h"
@@ -247,6 +248,34 @@ TEST(CheckpointStoreTest, RotationKeepsNewestGenerations) {
   EXPECT_EQ(PayloadsOf(loaded->data)[0].second, "5");
   EXPECT_EQ(loaded->data.path, loaded->path);
   EXPECT_TRUE(loaded->skipped.empty());
+}
+
+TEST(CheckpointStoreTest, WriteRemovesOrphanedTmpFiles) {
+  std::string dir = TempDir("orphans");
+  auto store = CheckpointStore::Open(dir, 3);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_TRUE(store->Write(7, {{"n", "one"}}).ok());
+  // What a writer killed while writing generation 2 leaves behind, a
+  // temporary of a newer generation, and files the store does not own.
+  const std::vector<std::string> kept = {
+      "checkpoint-000003.agsnap.tmp.4242", "checkpoint-000002.agsnap.tmp.",
+      "checkpoint-000002.agsnap.tmp.12x", "notes.txt"};
+  for (const std::string& name :
+       {std::string("checkpoint-000002.agsnap.tmp.31337"), kept[0], kept[1],
+        kept[2], kept[3]}) {
+    ASSERT_TRUE(AtomicWriteFile(dir + "/" + name, "partial").ok());
+  }
+  ASSERT_TRUE(store->Write(7, {{"n", "two"}}).ok());
+  auto entries = ListDirectory(dir);
+  ASSERT_TRUE(entries.ok()) << entries.status();
+  std::vector<std::string> expected = kept;
+  expected.push_back("checkpoint-000001.agsnap");
+  expected.push_back("checkpoint-000002.agsnap");
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(*entries, expected);
+  auto loaded = store->LoadLatest(7);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(PayloadsOf(loaded->data)[0].second, "two");
 }
 
 TEST(CheckpointStoreTest, CorruptNewestFallsBackToPrevious) {
@@ -607,6 +636,45 @@ TEST(SnapshotTest, HostileSmoothingRingsAreParseErrors) {
     EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
         << site.what << ": " << restored.status();
   }
+}
+
+TEST(SnapshotTest, InstanceWatchesDisagreeingWithTheTopologyAreParseErrors) {
+  // Paper FM with a fault plan: the monitor section ends with the
+  // instance watches (21 bytes each, ascending id) and three counters.
+  AvailabilityOptions options;
+  options.scenario = Scenario::kFullMobility;
+  options.duration = Duration::Hours(2);
+  options.fault_spec.instance_crashes_per_hour = 1.0;
+  auto config = MakeAvailabilityConfig(options, 42);
+  ASSERT_TRUE(config.ok()) << config.status();
+  Landscape landscape = MakePaperLandscape(Scenario::kFullMobility);
+  auto runner = SimulationRunner::Create(landscape, *config);
+  ASSERT_TRUE(runner.ok()) << runner.status();
+  ASSERT_TRUE((*runner)->RunUntil(SimTime::Start() + Duration::Minutes(30))
+                  .ok());
+  const uint64_t fingerprint = (*runner)->StateFingerprint();
+  Sections sections;
+  ASSERT_TRUE((*runner)->SaveStateSections(&sections).ok());
+  ASSERT_TRUE(persist::RestoreRunner(landscape, *config,
+                                     Snapshotted(fingerprint, sections))
+                  .ok());
+
+  // The last watch moves to an id no instance has: it still ascends
+  // and names a service, so only the topology can tell.
+  auto monitor_section = std::find_if(
+      sections.begin(), sections.end(),
+      [](const auto& entry) { return entry.first == "monitor"; });
+  ASSERT_NE(monitor_section, sections.end());
+  std::string& image = monitor_section->second;
+  const size_t last_id = image.size() - 3 * 8 - (8 + 4 + 8 + 1);
+  ByteWriter w;
+  w.U64(uint64_t{1} << 40);
+  image.replace(last_id, 8, w.data());
+  auto restored = persist::RestoreRunner(
+      landscape, *config, Snapshotted(fingerprint, std::move(sections)));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kParseError)
+      << restored.status();
 }
 
 // One (first, interval, count, value) entry of an archive image; a
